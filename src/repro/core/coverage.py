@@ -24,12 +24,51 @@ Backends
 --------
 Three interchangeable implementations compute every predicate:
 
-* ``bitset`` (the default) — the node-indexed bitmask kernel: the
-  higher-priority eligible set is a priority-threshold mask read off a
-  per-view suffix table, components come from word-parallel flood-fills
+* ``bitset`` (the default) — the node-indexed bitmask kernel.  Components
+  come from word-parallel flood-fills
   (:func:`repro.graph.nodeindex.flood_fill` replaces the union-find
   pass), each neighbor's component reach is a bitmap so a pair check is
-  one ``&``, and domination is ``targets & ~cover == 0``.
+  one ``&``, and domination is ``targets & ~cover == 0``.  The kernel is
+  split in two parts:
+
+  - **The epoch part** depends on the view graph, the metrics and the
+    graph's ``version_stamp()``, not on status.  Per decider ``v`` it
+    holds ``static_higher[v]``, the nodes whose ``(metric, id)`` key
+    ranks above ``v``'s.  The first decider of an epoch gets it from a
+    linear key scan; the second pays the one sort that fills a suffix
+    table for every later decider.  From ``v``'s second UNVISITED
+    decision in the epoch on, the epoch part also holds ``v``'s
+    status-free uncovered pairs and strong verdict.  The first decision
+    stores nothing more, so one-message-per-deployment runs do no extra
+    work.
+  - **The per-message overlay** is mask algebra over the view's
+    ``visited_mask``/``designated_mask``.  ``S`` leads the priority key,
+    so for ``S(v) = UNVISITED`` the eligible set is ``static_higher[v] |
+    designated_mask``.  For ``S(v)`` of 1.5 or 2 it is ``(S > S(v)) |
+    (static_higher[v] & (S == S(v)))``.  Any other status, or an
+    invisible ``v``, takes a linear scan of full keys.
+
+  **Monotone shortcut**, only when ``S(v) = UNVISITED``.  The dynamic
+  eligible set then contains the status-free one, and visited fusion and
+  the both-visited rule only add replacement paths.  So the dynamic
+  uncovered pairs are an in-order sub-list of the status-free ones.  An
+  empty status-free list answers the decision with no flood fill.
+  Otherwise only the listed pairs are re-checked, against the dynamic
+  components that touch their endpoints, and :func:`coverage_condition`
+  stops at the first pair still uncovered.  Likewise a status-free strong
+  verdict of True stands, because each status-free component lies inside
+  a dynamic one.  Decisions answered with no per-message flood fill are
+  counted as ``coverage_epoch_reuses``.
+
+  **Where the epoch state lives.**  It is read through
+  :func:`repro.core.views.epoch_cache`.
+  :meth:`~repro.sim.engine.SimulationEnvironment.make_view` gives every
+  view it builds over one view graph the same
+  :class:`~repro.core.views.EpochCache`, kept in the environment's
+  per-view-graph (and so per-scheme) entry.  Every other view
+  (``local_view``, ``global_view``, ``super_view``, ``with_status``, a
+  hand-built ``View``) keeps the state in its own per-view cache, so for
+  those views it lives and dies with the view.
 * ``sets`` — the original frozenset/union-find implementation, kept as
   the executable reference.
 * ``numpy`` — the batched word-table kernel
@@ -47,13 +86,14 @@ forward sets are byte-identical across them.
 from __future__ import annotations
 
 import os
-from typing import Dict, FrozenSet, List, Set, Tuple
+from array import array
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..graph.nodeindex import flood_fill
 from ..instrument import _STACK as _COUNTER_STACK
 from . import status as st
 from .unionfind import DisjointSet
-from .views import View, view_cache
+from .views import View, epoch_cache, view_cache
 
 __all__ = [
     "coverage_condition",
@@ -115,70 +155,190 @@ def _memo(view: View, key, compute):
 
 
 # ----------------------------------------------------------------------
-# Bitset backend: per-view base tables
+# Bitset backend: status-free epoch state and the per-message overlay
 # ----------------------------------------------------------------------
 
+#: The status values the mask overlay handles.  A view holding any other
+#: value (only hand-built views can) takes the key scan.
+_OVERLAY_STATUSES = frozenset({st.UNVISITED, st.DESIGNATED, st.VISITED})
 
-class _MaskBase:
-    """Per-view bitmask tables shared by every predicate.
+#: Lazy-fill marker: the decider has decided once in this epoch.
+_DECIDED_ONCE = object()
 
-    ``index``/``masks`` come straight from the view graph's epoch-cached
-    adjacency table; ``keys`` holds each node's full priority key in
-    bit-position order; ``higher[v]`` is the priority-threshold mask —
-    all nodes whose key ranks strictly above ``v``'s — precomputed as a
-    suffix scan over the priority order, so one O(n log n) sort serves
-    every ``v`` evaluated under the same view.
+#: Every this many ranks the epoch's suffix table keeps a full mask.
+_CHECKPOINT = 16
+
+
+class _Decider:
+    """Status-free epoch state of one decider ``v`` over one view graph.
+
+    ``uncovered`` and ``strong`` fill lazily: ``None`` before ``v``'s
+    first UNVISITED decision of the epoch, :data:`_DECIDED_ONCE` after it,
+    and from the second such decision on the status-free uncovered pairs
+    (a tuple) and strong verdict.
     """
 
-    __slots__ = ("index", "masks", "keys", "higher", "visited_mask")
+    __slots__ = ("uncovered", "strong")
 
-    def __init__(self, view: View) -> None:
-        index, masks = view.graph.adjacency_masks()
-        self.index = index
-        self.masks = masks
-        # Inlined View.priority for the visible universe: every indexed
-        # node is in the graph by construction, so the invisible-node
-        # branch and the per-call function overhead drop out.
-        status = view.status
-        metrics = view.metrics
-        padding = view.metric_padding
-        unvisited = st.UNVISITED
-        self.keys = [
-            (status.get(node, unvisited), *metrics.get(node, padding),
-             float(node))
-            for node in index.nodes
-        ]
-        nodes = index.nodes
-        keys = self.keys
-        order = sorted(range(len(nodes)), key=keys.__getitem__)
-        higher: Dict[int, int] = {}
+    def __init__(self) -> None:
+        self.uncovered = None
+        self.strong = None
+
+
+class _Epoch(_Decider):
+    """The bitset kernel's status-free state for one view graph epoch.
+
+    ``static_higher[v]`` is the mask of nodes whose ``(metric, id)`` key
+    ranks above ``v``'s.  A k-hop view graph is decided on by its centre
+    alone, so the epoch is also its first decider's state: ``v``, and
+    ``higher`` from one linear key scan.  Every object kept per view
+    graph costs memory (a 10k-node deployment has 10k view graphs), so
+    nothing more is made until a second decider asks.  That one pays the
+    sort: ``order`` lists
+    positions by decreasing key, ``rank`` is each position's index in it,
+    and ``checkpoints[c]`` is the mask of the first ``c * _CHECKPOINT``
+    positions of ``order``.  Any mask is then at most ``_CHECKPOINT - 1``
+    ORs away, and a global view keeps ``n**2 / (8 * _CHECKPOINT)`` bytes
+    of masks instead of ``n**2 / 8``.  ``others`` holds the other
+    deciders' states.
+    """
+
+    __slots__ = ("v", "higher", "others", "order", "rank", "checkpoints")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.v: Optional[int] = None
+        self.higher = 0
+        self.others: Optional[Dict[int, _Decider]] = None
+        self.order: Optional[array] = None
+        self.rank: Optional[array] = None
+        self.checkpoints: Optional[List[int]] = None
+
+    def sort(self, view: View) -> None:
+        """Fill ``order``, ``rank`` and ``checkpoints`` for ``view``'s graph."""
+        keys = _static_keys(view)
+        order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+        rank = array("L", [0]) * len(keys)
+        checkpoints: List[int] = []
         above = 0
-        for position in reversed(order):
-            higher[nodes[position]] = above
+        for i, position in enumerate(order):
+            if i % _CHECKPOINT == 0:
+                checkpoints.append(above)
+            rank[position] = i
             above |= 1 << position
-        self.higher = higher
-        self.visited_mask = view.visited_mask
+        self.order = array("L", order)
+        self.rank = rank
+        self.checkpoints = checkpoints
 
-    def eligible_mask(self, view: View, v: int) -> int:
-        """Nodes (other than ``v``) ranking strictly above ``Pr(v)``.
-
-        For a visible ``v`` this is one suffix-table lookup; for an
-        invisible ``v`` (possible through
-        :func:`higher_priority_components`) the threshold mask is built
-        by a linear key scan against ``v``'s invisible-rank key.
-        """
-        mask = self.higher.get(v)
-        if mask is None:
-            threshold = view.priority(v)
-            mask = 0
-            for position, key in enumerate(self.keys):
-                if key > threshold:
-                    mask |= 1 << position
+    def higher_at(self, position: int) -> int:
+        """``static_higher`` of the node at ``position`` (needs :meth:`sort`)."""
+        i = self.rank[position]
+        start = i - i % _CHECKPOINT
+        mask = self.checkpoints[i // _CHECKPOINT]
+        for above in self.order[start:i]:
+            mask |= 1 << above
         return mask
 
 
-def _mask_base(view: View) -> _MaskBase:
-    return _memo(view, ("mask-base",), lambda: _MaskBase(view))
+def _static_keys(view: View) -> List[Tuple[float, ...]]:
+    """Each visible node's status-free ``(metric..., id)`` key, by position."""
+    metrics, padding = view.metrics, view.metric_padding
+    return [
+        (*metrics.get(node, padding), float(node))
+        for node in view.graph.node_index().nodes
+    ]
+
+
+def _decider(view: View, v: int) -> Tuple[_Decider, int]:
+    """``v``'s status-free epoch state and ``static_higher[v]``."""
+    holder = epoch_cache(view)
+    epoch = holder.state
+    if epoch is None:
+        epoch = holder.state = _Epoch()
+    if epoch.v is None:
+        keys = _static_keys(view)
+        threshold = keys[view.graph.node_index().position(v)]
+        mask = 0
+        for position, key in enumerate(keys):
+            if key > threshold:
+                mask |= 1 << position
+        epoch.v, epoch.higher = v, mask
+    if epoch.v == v:
+        return epoch, epoch.higher
+    if epoch.order is None:
+        epoch.sort(view)
+    if epoch.others is None:
+        epoch.others = {}
+    decider = epoch.others.get(v)
+    if decider is None:
+        decider = epoch.others[v] = _Decider()
+    return decider, epoch.higher_at(view.graph.node_index().position(v))
+
+
+def _overlay_applies(view: View) -> bool:
+    """Whether every status in ``view`` is one the overlay handles.
+
+    Entries for invisible nodes are checked too: an odd one only sends
+    the view down the (always correct) key scan.
+    """
+    cache = view_cache(view)
+    applies = cache.get("overlay-statuses")
+    if applies is None:
+        applies = _OVERLAY_STATUSES.issuperset(view.status.values())
+        cache["overlay-statuses"] = applies
+    return applies
+
+
+def _eligible_mask(view: View, v: int) -> int:
+    """Nodes (other than ``v``) ranking strictly above ``Pr(v)``.
+
+    ``S`` leads the key, so a node outranks ``v`` when its status is
+    higher, or equal with a higher status-free ``(metric, id)`` key.  For
+    a visible ``v`` this is mask algebra over ``static_higher[v]`` and
+    the view's status masks.  An invisible ``v`` (possible through
+    :func:`higher_priority_components`) or a status the overlay does not
+    handle takes a linear scan of full keys.
+    """
+    status = view.status.get(v, st.UNVISITED)
+    if (
+        v in view.graph
+        and status in _OVERLAY_STATUSES
+        and _overlay_applies(view)
+    ):
+        _state, higher = _decider(view, v)
+        if status == st.UNVISITED:
+            return higher | view.designated_mask
+        visited = view.visited_mask
+        if status == st.VISITED:
+            return higher & visited
+        return visited | (higher & view.designated_mask & ~visited)
+    threshold = view.priority(v)
+    statuses, metrics, padding = view.status, view.metrics, view.metric_padding
+    mask = 0
+    for position, node in enumerate(view.graph.node_index().nodes):
+        key = (
+            statuses.get(node, st.UNVISITED),
+            *metrics.get(node, padding),
+            float(node),
+        )
+        if key > threshold:
+            mask |= 1 << position
+    return mask
+
+
+def _decompose(eligible: int, masks: Tuple[int, ...]) -> List[int]:
+    """The connected components of ``eligible``, by flood fill."""
+    if _COUNTER_STACK:
+        _COUNTER_STACK[-1].component_decompositions += 1
+    components: List[int] = []
+    remaining = eligible
+    while remaining:
+        if _COUNTER_STACK:
+            _COUNTER_STACK[-1].mask_floodfills += 1
+        component = flood_fill(remaining & -remaining, eligible, masks)
+        remaining &= ~component
+        components.append(component)
+    return components
 
 
 def _component_masks(view: View, v: int) -> List[int]:
@@ -191,21 +351,10 @@ def _component_masks(view: View, v: int) -> List[int]:
 
 
 def _component_masks_compute(view: View, v: int) -> List[int]:
-    if _COUNTER_STACK:
-        _COUNTER_STACK[-1].component_decompositions += 1
-    base = _mask_base(view)
-    eligible = base.eligible_mask(view, v)
-    masks = base.masks
-    components: List[int] = []
-    remaining = eligible
-    while remaining:
-        if _COUNTER_STACK:
-            _COUNTER_STACK[-1].mask_floodfills += 1
-        component = flood_fill(remaining & -remaining, eligible, masks)
-        remaining &= ~component
-        components.append(component)
+    eligible = _eligible_mask(view, v)
+    components = _decompose(eligible, view.graph.adjacency_masks()[1])
     if view.visited_connected:
-        visited = base.visited_mask & eligible
+        visited = view.visited_mask & eligible
         if visited:
             # All visited nodes are connected through the source even when
             # the view cannot see how: fuse their components into one.
@@ -237,9 +386,13 @@ def _reach_bitmaps(view: View, v: int) -> Dict[int, int]:
 
 
 def _reach_bitmaps_compute(view: View, v: int) -> Dict[int, int]:
-    base = _mask_base(view)
-    index, masks = base.index, base.masks
-    components = _component_masks(view, v)
+    index, masks = view.graph.adjacency_masks()
+    return _reach_of(index, masks, v, _component_masks(view, v))
+
+
+def _reach_of(
+    index, masks: Tuple[int, ...], v: int, components: List[int]
+) -> Dict[int, int]:
     node_at = index.node_at
     reach: Dict[int, int] = {}
     remaining = masks[index.position(v)]
@@ -449,11 +602,133 @@ def _uncovered_pairs_compute_sets(view: View, v: int) -> List[Tuple[int, int]]:
 def _uncovered_pairs_compute_bitset(
     view: View, v: int
 ) -> List[Tuple[int, int]]:
-    base = _mask_base(view)
-    index, masks = base.index, base.masks
+    epoch = _epoch_uncovered(view, v)
+    if epoch is None:
+        return _uncovered_pairs_full_bitset(view, v)
+    return _overlay_uncovered(view, *epoch)
+
+
+def _uncovered_pairs_full_bitset(
+    view: View, v: int
+) -> List[Tuple[int, int]]:
+    index, masks = view.graph.adjacency_masks()
+    return _failing_pairs(
+        index,
+        masks,
+        v,
+        _reach_bitmaps(view, v),
+        view.visited_mask if view.visited_connected else 0,
+    )
+
+
+def _epoch_uncovered(
+    view: View, v: int
+) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """``(static_higher[v], status-free uncovered pairs)``, or ``None``.
+
+    ``None`` unless ``S(v) = UNVISITED`` (the shortcut's precondition)
+    and this is at least ``v``'s second such decision in the epoch: the
+    first decision only marks ``v``, so an epoch that decides each node
+    once stores nothing beyond ``static_higher[v]``.  The pairs are a
+    flat tuple of bit positions ``(p0, q0, p1, q1, ...)``.
+    """
+    if view.status.get(v, st.UNVISITED) != st.UNVISITED or not (
+        _overlay_applies(view)
+    ):
+        return None
+    decider, higher = _decider(view, v)
+    static = decider.uncovered
+    if static is None:
+        decider.uncovered = _DECIDED_ONCE
+        return None
+    if static is _DECIDED_ONCE:
+        index, masks = view.graph.adjacency_masks()
+        components = _decompose(higher, masks)
+        position = index.position
+        static = decider.uncovered = tuple(
+            position(node)
+            for pair in _failing_pairs(
+                index, masks, v, _reach_of(index, masks, v, components), 0
+            )
+            for node in pair
+        )
+    return higher, static
+
+
+def _overlay_uncovered(
+    view: View, higher: int, static: Tuple[int, ...], limit: int = 0
+) -> List[Tuple[int, int]]:
+    """The status-free uncovered pairs that ``view``'s status leaves uncovered.
+
+    Valid only for a decider ``v`` with ``S(v) = UNVISITED``.  Its eligible
+    set is then ``static_higher[v] | designated_mask``, a superset of the
+    status-free one, and visited fusion and the both-visited rule only add
+    replacement paths.  So the dynamic list is the sub-list of ``static``
+    whose pairs stay uncovered.  Each pair is checked against the union of
+    the dynamic components touching its first endpoint's closed
+    neighbourhood.  Those components are flood-filled on demand, so only
+    components that touch some pair's endpoint are ever built.  A
+    positive ``limit`` stops after that many uncovered pairs.
+    """
+    index, masks = view.graph.adjacency_masks()
+    node_at = index.node_at
+    designated = view.designated_mask
+    if not static or not designated:
+        # No pair to check, or no status to add: the epoch answer stands.
+        if _COUNTER_STACK:
+            _COUNTER_STACK[-1].coverage_epoch_reuses += 1
+        pairs = iter(static)
+        return [(node_at(p), node_at(q)) for p, q in zip(pairs, pairs)]
+    eligible = higher | designated
+    # Visited nodes are designated, so already eligible.
+    visited = view.visited_mask if view.visited_connected else 0
+    components: List[int] = []
+    fused = 0
+    reaches: Dict[int, int] = {}
+    failing: List[Tuple[int, int]] = []
+    pairs = iter(static)
+    for p, q in zip(pairs, pairs):
+        if visited >> p & 1 and visited >> q & 1:
+            # Both visited: fusion would join them; skip the flood fill.
+            continue
+        reach = reaches.get(p)
+        if reach is None:
+            seeds = (masks[p] | 1 << p) & eligible
+            reach = 0
+            for component in components:
+                if component & seeds:
+                    reach |= component
+            seeds &= ~reach
+            while seeds:
+                if _COUNTER_STACK:
+                    _COUNTER_STACK[-1].mask_floodfills += 1
+                component = flood_fill(seeds & -seeds, eligible, masks)
+                components.append(component)
+                reach |= component
+                seeds &= ~component
+            if reach & visited:
+                if not fused:
+                    if _COUNTER_STACK:
+                        _COUNTER_STACK[-1].mask_floodfills += 1
+                    fused = flood_fill(visited, eligible, masks)
+                reach |= fused
+            reaches[p] = reach
+        if reach & (masks[q] | 1 << q):
+            continue
+        failing.append((node_at(p), node_at(q)))
+        if len(failing) == limit:
+            break
+    if _COUNTER_STACK and not components and not fused:
+        _COUNTER_STACK[-1].coverage_epoch_reuses += 1
+    return failing
+
+
+def _failing_pairs(
+    index, masks: Tuple[int, ...], v: int, reach: Dict[int, int], visited: int
+) -> List[Tuple[int, int]]:
+    """``v``'s neighbour pairs with no edge, no shared component, and not
+    both visited (``visited`` is 0 when that rule is off)."""
     position = index.position
-    reach = _reach_bitmaps(view, v)
-    visited = base.visited_mask if view.visited_connected else 0
     neighbors = sorted(index.members(masks[position(v)]))
     # Hoist every per-node lookup out of the O(deg^2) pair loop.
     positions = [position(u) for u in neighbors]
@@ -489,7 +764,26 @@ def coverage_condition(view: View, v: int) -> bool:
     """
     if _COUNTER_STACK:
         _COUNTER_STACK[-1].coverage_evaluations += 1
+    if v in view.graph and coverage_backend() == "bitset":
+        return _coverage_condition_bitset(view, v)
     return not uncovered_pairs(view, v)
+
+
+def _coverage_condition_bitset(view: View, v: int) -> bool:
+    """:func:`coverage_condition` on the bitset backend.
+
+    Past ``v``'s first UNVISITED decision of the epoch, the overlay stops
+    at the first uncovered pair, since one settles the verdict.  Otherwise
+    this is ``not uncovered_pairs(view, v)``, sharing its memo.
+    """
+    key = ("uncovered", v, "bitset")
+    pairs = view_cache(view).get(key)
+    if pairs is None:
+        epoch = _epoch_uncovered(view, v)
+        if epoch is not None:
+            return not _overlay_uncovered(view, *epoch, limit=1)
+        pairs = _memo(view, key, lambda: _uncovered_pairs_full_bitset(view, v))
+    return not pairs
 
 
 def strong_coverage_condition(view: View, v: int) -> bool:
@@ -521,12 +815,37 @@ def strong_coverage_condition(view: View, v: int) -> bool:
 
 
 def _strong_coverage_compute_bitset(view: View, v: int) -> bool:
-    base = _mask_base(view)
-    index, masks = base.index, base.masks
+    index, masks = view.graph.adjacency_masks()
     targets = masks[index.position(v)]
     if not targets:
         return True
-    for component in _component_masks(view, v):
+    if view.status.get(v, st.UNVISITED) == st.UNVISITED and _overlay_applies(
+        view
+    ):
+        # Monotone shortcut: every status-free component lies inside a
+        # dynamic one, so a status-free True answers every later
+        # UNVISITED decision of the epoch.
+        decider, higher = _decider(view, v)
+        static = decider.strong
+        if static is None:
+            decider.strong = _DECIDED_ONCE
+        else:
+            if static is _DECIDED_ONCE:
+                static = decider.strong = _dominated(
+                    masks, targets, _decompose(higher, masks)
+                )
+            if static:
+                if _COUNTER_STACK:
+                    _COUNTER_STACK[-1].coverage_epoch_reuses += 1
+                return True
+    return _dominated(masks, targets, _component_masks(view, v))
+
+
+def _dominated(
+    masks: Tuple[int, ...], targets: int, components: List[int]
+) -> bool:
+    """Whether one of ``components`` dominates the ``targets`` mask."""
+    for component in components:
         # cover = component ∪ N(component); domination is a single test.
         cover = component
         remaining = component
@@ -620,12 +939,11 @@ def _span_compute(
                 ):
                     return False
         return True
-    base = _mask_base(view)
-    index, masks = base.index, base.masks
+    index, masks = view.graph.adjacency_masks()
     eligible = _memo(
         view,
         ("span-eligible", v, "bitset"),
-        lambda: base.eligible_mask(view, v) & ~base.visited_mask,
+        lambda: _eligible_mask(view, v) & ~view.visited_mask,
     )
     neighbors = sorted(index.members(masks[index.position(v)]))
     for i, u in enumerate(neighbors):

@@ -28,7 +28,16 @@ from ..graph.topology import Topology
 from . import status as st
 from .priority import PriorityKey, PriorityScheme, make_key
 
-__all__ = ["View", "global_view", "local_view", "super_view", "view_cache"]
+__all__ = [
+    "EpochCache",
+    "View",
+    "epoch_cache",
+    "global_view",
+    "local_view",
+    "share_epoch_cache",
+    "super_view",
+    "view_cache",
+]
 
 
 def view_cache(view: "View") -> Dict:
@@ -66,6 +75,63 @@ def view_cache(view: "View") -> Dict:
         object.__setattr__(view, "_derived_cache", cache)
         object.__setattr__(view, "_derived_cache_stamp", stamp)
     return cache
+
+
+class EpochCache:
+    """State that depends on a view's topology and metrics but not on
+    its status map, for one topology epoch.
+
+    ``state`` belongs to the coverage kernel (``None`` until it stores
+    something); ``stamp`` is the graph ``version_stamp()`` it was
+    computed against.  A slotted holder rather than a dict because
+    :meth:`~repro.sim.engine.SimulationEnvironment.make_view` keeps one
+    per view graph, and a 10k-node deployment has 10k view graphs.
+    """
+
+    __slots__ = ("stamp", "state")
+
+    def __init__(self) -> None:
+        self.stamp: Optional[int] = None
+        self.state = None
+
+
+def share_epoch_cache(view: "View", cache: EpochCache) -> "View":
+    """Attach ``cache`` as ``view``'s epoch cache and return ``view``.
+
+    ``cache`` must belong to exactly one (view graph, metrics table)
+    pair: every view sharing it must have that graph and that metrics
+    mapping.  :meth:`repro.sim.engine.SimulationEnvironment.make_view`
+    keeps one per view graph, so all the per-message views it builds
+    over one graph share their status-free coverage state.
+    """
+    object.__setattr__(view, "_epoch_cache", cache)
+    return view
+
+
+def epoch_cache(view: "View") -> EpochCache:
+    """The :class:`EpochCache` for ``view``'s topology epoch.
+
+    A view given a shared cache by :func:`share_epoch_cache` gets that
+    cache, emptied in place when the graph's ``version_stamp()`` has
+    moved, so no view reads state from before a mutation (``apply_delta``
+    or a plain mutator).  Any other view (``local_view``, ``global_view``,
+    ``super_view``, ``with_status``, or one built directly) gets one kept
+    in its own :func:`view_cache`, so the state lives and dies with the
+    view exactly like every other memo.
+    """
+    shared = view.__dict__.get("_epoch_cache")
+    if shared is None:
+        # view_cache itself resets when the stamp moves.
+        memo = view_cache(view)
+        shared = memo.get("epoch-cache")
+        if shared is None:
+            shared = memo["epoch-cache"] = EpochCache()
+        return shared
+    stamp = view.graph.version_stamp()
+    if shared.stamp != stamp:
+        shared.stamp = stamp
+        shared.state = None
+    return shared
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ evaluations, deliveries.  This module provides the single typed counter
 object that every layer reports into:
 
 * :mod:`repro.core.coverage` — coverage-condition evaluations, component
-  decompositions, per-view memo hits/misses;
+  decompositions, per-view memo hits/misses, epoch-cache reuses;
 * :mod:`repro.graph.topology` — query-cache hits/misses, BFS runs, and
   the bitmask-kernel ops (adjacency-mask table builds, mask BFS runs,
   component flood-fills);
@@ -62,6 +62,9 @@ class InstrumentationCounters:
     component_decompositions: int = 0
     coverage_memo_hits: int = 0
     coverage_memo_misses: int = 0
+    #: Bitset decisions answered from the status-free epoch state with
+    #: no per-message flood fill (the monotone shortcut).
+    coverage_epoch_reuses: int = 0
     # graph/topology.py
     topology_cache_hits: int = 0
     topology_cache_misses: int = 0

@@ -40,7 +40,7 @@ from typing import Deque, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from ..algorithms.base import BroadcastProtocol, NodeContext, Timing
 from ..core import status as st
 from ..core.priority import PriorityScheme, IdPriority
-from ..core.views import View
+from ..core.views import EpochCache, View, share_epoch_cache
 from ..graph.topology import Topology
 from ..instrument import InstrumentationCounters, collecting
 from ..instrument import _STACK as _COUNTER_STACK
@@ -88,12 +88,14 @@ class SimulationEnvironment:
         self.metrics = self.scheme.metrics(graph)
         self._view_cache: Dict[Tuple[int, Optional[int]], Topology] = {}
         self._two_hop_cache: Dict[int, FrozenSet[int]] = {}
-        #: Per-view-graph metric restriction, keyed by graph identity (a
-        #: strong reference to the graph is kept alongside, so an id can
-        #: never be recycled under the cache).  Scheme-specific — reset by
-        #: :meth:`with_scheme`, unlike the topology-only view caches.
+        #: Per-view-graph metric restriction and epoch cache (see
+        #: :func:`repro.core.views.epoch_cache`), keyed by graph identity
+        #: (a strong reference to the graph is kept alongside, so an id
+        #: can never be recycled under the cache).  Scheme-specific —
+        #: reset by :meth:`with_scheme`, unlike the topology-only view
+        #: caches.
         self._view_metrics: Dict[
-            int, Tuple[Topology, Dict[int, Tuple[float, ...]]]
+            int, Tuple[Topology, Dict[int, Tuple[float, ...]], EpochCache]
         ] = {}
         #: The graph's version stamp the caches above were built against;
         #: :meth:`sync_topology` catches up when it moves.
@@ -175,7 +177,9 @@ class SimulationEnvironment:
         The metric restriction to the visible nodes is topology-dependent
         only, so it is computed once per view graph and shared by every
         per-decision view the engine builds over it (views never mutate
-        their metrics mapping).
+        their metrics mapping).  So is the coverage kernel's status-free
+        state, which every such view reaches through its shared
+        :func:`~repro.core.views.epoch_cache`.
         """
         self.sync_topology()
         entry = self._view_metrics.get(id(view_graph))
@@ -184,6 +188,7 @@ class SimulationEnvironment:
             entry = (
                 view_graph,
                 {node: table[node] for node in view_graph},
+                EpochCache(),
             )
             self._view_metrics[id(view_graph)] = entry
         status: Dict[int, float] = {}
@@ -193,12 +198,13 @@ class SimulationEnvironment:
         for node in visited:
             if node in view_graph:
                 status[node] = st.VISITED
-        return View(
+        view = View(
             graph=view_graph,
             status=status,
             metrics=entry[1],
             metric_padding=self.scheme.padding(),
         )
+        return share_epoch_cache(view, entry[2])
 
 
 @dataclass

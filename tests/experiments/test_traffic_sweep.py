@@ -83,6 +83,25 @@ class TestInstrumentedSweep:
         assert serial.total_counters()["transmissions"] > 0
         assert "queue_depth_max" in serial.total_counters()
 
+    def test_epoch_reuses_merge_as_a_sum(self, graph):
+        serial = run_traffic_sweep(
+            graph, PROTOCOLS, _config(jobs=1, collect_counters=True)
+        )
+        pooled = run_traffic_sweep(
+            graph, PROTOCOLS, _config(jobs=2, collect_counters=True)
+        )
+        per_point = [
+            point.counters["coverage_epoch_reuses"]
+            for series in serial.series
+            for point in series.points
+        ]
+        total = serial.total_counters()["coverage_epoch_reuses"]
+        # Many messages per deployment: the epoch shortcut fires, and the
+        # totals (serial or merged from workers) are the per-point sum.
+        assert total > 0
+        assert total == sum(per_point)
+        assert pooled.total_counters()["coverage_epoch_reuses"] == total
+
     def test_extras_carry_service_metrics(self, graph):
         table = run_traffic_sweep(graph, PROTOCOLS, _config())
         for series in table.series:

@@ -14,8 +14,8 @@ Three 50-seed property suites back the service's contracts:
   never transmitted by that node afterwards, and no intact copy is
   ever delivered after the message's expiry time.
 
-Plus focused unit tests for backpressure, horizons, decision reuse,
-and the run-once guard.
+Plus focused unit tests for backpressure, horizons, decision reuse, the
+coverage kernel's shared epoch cache, and the run-once guard.
 """
 
 import random
@@ -28,6 +28,8 @@ from repro.algorithms.flooding import Flooding
 from repro.algorithms.generic import GenericSelfPruning
 from repro.algorithms.mpr import MultipointRelay
 from repro.graph.generators import random_connected_network
+from repro.instrument import collecting
+from repro.sim import engine as engine_module
 from repro.sim.engine import BroadcastSession, SimulationEnvironment
 from repro.sim.events import Deliver, Drop, Transmit, events_to_jsonl
 from repro.sim.service import ServiceEngine, service_seed
@@ -287,6 +289,56 @@ class TestDecisionReuse:
             else:
                 assert outcome.forward_set_reuses == 0
                 assert forwards == cached_forwards
+
+
+class TestEpochCache:
+    """The coverage kernel's shared epoch cache changes no decision."""
+
+    @staticmethod
+    def _forwards(strong, hops, monkeypatch, backend, share):
+        _use_backend(monkeypatch, backend)
+        if not share:
+            # Every view falls back to its own per-view cache.
+            monkeypatch.setattr(
+                engine_module, "share_epoch_cache", lambda view, cache: view
+            )
+        graph = _deployment(6)
+        env, protocol = _prepared(
+            graph,
+            lambda: GenericSelfPruning(
+                Timing.FIRST_RECEIPT, hops=hops, strong=strong
+            ),
+        )
+        traffic = PoissonTraffic(rate=2.0, count=12, seed=6, size_units=4)
+        with collecting() as counters:
+            outcome = ServiceEngine(
+                env, protocol, traffic, rng=random.Random(6)
+            ).run()
+        monkeypatch.undo()
+        forwards = [
+            (sorted(m.forward_nodes), sorted(m.delivered))
+            for m in outcome.messages
+        ]
+        return forwards, counters.coverage_epoch_reuses
+
+    @pytest.mark.parametrize("hops", [2, None])
+    @pytest.mark.parametrize("strong", [True, False])
+    def test_forward_sets_identical_with_and_without_sharing(
+        self, strong, hops, monkeypatch
+    ):
+        shared, reuses = self._forwards(
+            strong, hops, monkeypatch, "bitset", share=True
+        )
+        alone, alone_reuses = self._forwards(
+            strong, hops, monkeypatch, "bitset", share=False
+        )
+        oracle, _ = self._forwards(
+            strong, hops, monkeypatch, "sets", share=True
+        )
+        assert shared == alone == oracle
+        # The shortcut really ran with sharing, and never without it.
+        assert reuses > 0
+        assert alone_reuses == 0
 
 
 class TestRunSemantics:
