@@ -44,7 +44,7 @@ from repro.core.priority import IdPriority
 from repro.core.views import global_view
 from repro.graph.generators import random_connected_network
 from repro.graph.topology import Topology
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 from repro.algorithms.generic import GenericSelfPruning
 
 #: Default output location: repo root, next to the other BENCH records.
@@ -130,9 +130,9 @@ def _kernel_broadcast(graph: Topology) -> Callable[[], object]:
         env = SimulationEnvironment(graph, IdPriority())
         protocol = GenericSelfPruning()
         protocol.prepare(env)
-        outcome = BroadcastSession(
-            env, protocol, 0, rng=random.Random(1)
-        ).run()
+        outcome = run_broadcast(
+            env.graph, protocol, 0, rng=random.Random(1), env=env,
+        )
         return (frozenset(outcome.forward_nodes), outcome.transmissions)
 
     return run

@@ -51,7 +51,7 @@ from repro.experiments.runner import run_mobility_sweep
 from repro.graph.geometry import Area, random_points
 from repro.graph.mobility import RandomWaypointModel
 from repro.graph.unit_disk import range_for_average_degree
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 
 SCHEME = IdPriority()
 TRIALS = 15
@@ -91,12 +91,10 @@ def _trial(seed: int, speed: float):
     ):
         env = SimulationEnvironment(broadcast_time, SCHEME)
         source = min(forward) if forward else 0
-        outcome = BroadcastSession(
-            env,
-            PrecomputedForwardSet(forward, name=name),
-            source,
-            rng=random.Random(seed),
-        ).run()
+        outcome = run_broadcast(
+            env.graph, PrecomputedForwardSet(forward, name=name), source,
+            rng=random.Random(seed), env=env,
+        )
         results[name] = (
             len(outcome.delivered) / N,
             len(forward),

@@ -18,7 +18,7 @@ from repro.algorithms.flooding import Flooding
 from repro.algorithms.generic import GenericSelfPruning
 from repro.core.priority import IdPriority
 from repro.graph.generators import random_connected_network
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 from repro.sim.mac import CollisionMac
 
 TRIALS = 15
@@ -35,9 +35,9 @@ def _delivery(protocol_factory, jitter: float) -> tuple:
         protocol = protocol_factory()
         protocol.prepare(env)
         mac = CollisionMac(delay=1.0, jitter=jitter, window=0.25)
-        outcome = BroadcastSession(
-            env, protocol, 0, rng=random.Random(trial), mac=mac
-        ).run()
+        outcome = run_broadcast(
+            env.graph, protocol, 0, rng=random.Random(trial), mac=mac, env=env,
+        )
         ratios.append(len(outcome.delivered) / N)
         collisions.append(mac.collisions)
     return statistics.mean(ratios), statistics.mean(collisions)

@@ -1,5 +1,5 @@
-"""Broadcast service benchmark: stream throughput plus the byte-identity
-gate between the service path and the legacy single-broadcast engine.
+"""Broadcast service benchmark: stream throughput plus the cross-backend
+byte-identity gate on single-message runs.
 
 Run directly for the full record (written to ``BENCH_traffic.json`` at
 the repo root so the perf trajectory is tracked across PRs)::
@@ -10,13 +10,14 @@ the repo root so the perf trajectory is tracked across PRs)::
 
 Two legs:
 
-* **identity** — on every configured coverage backend (sets and bitset;
-  numpy joins when installed), a one-message
-  :class:`~repro.sim.traffic.SingleShot` service run must reproduce the
-  legacy :class:`~repro.sim.engine.BroadcastSession` byte for byte:
+* **identity** — a one-message :class:`~repro.sim.traffic.SingleShot`
+  run on every configured coverage backend (bitset; numpy joins when
+  installed) must reproduce the ``sets`` oracle byte for byte:
   forward/delivered sets, receipt counts, designations, completion
   time, byte counts, and the typed event stream.  Any mismatch fails
   the benchmark and is localised with a ``first_divergence`` JSON path.
+  (The engine's own event and RNG order is pinned by the golden traces
+  under ``tests/``.)
 * **throughput** — the service drives Poisson streams over a large
   deployment (1000 nodes in full mode) at a ladder of offered loads and
   records simulated messages per wall-clock second per point.
@@ -44,7 +45,7 @@ from repro.algorithms.dominant_pruning import DominantPruning
 from repro.algorithms.flooding import Flooding
 from repro.algorithms.generic import GenericSelfPruning
 from repro.graph.generators import random_connected_network
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment
 from repro.sim.events import events_to_jsonl
 from repro.sim.service import ServiceEngine
 from repro.sim.traffic import PoissonTraffic, SingleShot
@@ -55,8 +56,9 @@ DEFAULT_OUT = os.path.join(
     "BENCH_traffic.json",
 )
 
-#: Coverage backends the identity gate always covers; numpy is appended
-#: at runtime when importable (it is an optional dependency).
+#: Coverage backends the identity gate always covers (``sets`` is the
+#: oracle the others are compared against); numpy is appended at
+#: runtime when importable (it is an optional dependency).
 BASE_BACKENDS = ("sets", "bitset")
 
 IDENTITY_PROTOCOLS = (
@@ -71,33 +73,33 @@ SMOKE_RATES = (0.5, 2.0, 8.0)
 SEED = 20030519
 
 
-def first_divergence(legacy, service, path="$"):
+def first_divergence(expected, actual, path="$"):
     """The JSON path of the first byte difference, or ``None`` if equal."""
-    if type(legacy) is not type(service):
+    if type(expected) is not type(actual):
         return (
-            f"{path}: type {type(legacy).__name__} != "
-            f"{type(service).__name__}"
+            f"{path}: type {type(expected).__name__} != "
+            f"{type(actual).__name__}"
         )
-    if isinstance(legacy, dict):
-        for key in sorted(set(legacy) | set(service)):
-            if key not in legacy:
-                return f"{path}.{key}: only in service payload"
-            if key not in service:
-                return f"{path}.{key}: only in legacy payload"
-            found = first_divergence(legacy[key], service[key], f"{path}.{key}")
+    if isinstance(expected, dict):
+        for key in sorted(set(expected) | set(actual)):
+            if key not in expected:
+                return f"{path}.{key}: only in actual payload"
+            if key not in actual:
+                return f"{path}.{key}: only in expected payload"
+            found = first_divergence(expected[key], actual[key], f"{path}.{key}")
             if found is not None:
                 return found
         return None
-    if isinstance(legacy, list):
-        if len(legacy) != len(service):
-            return f"{path}: length {len(legacy)} != {len(service)}"
-        for index, (left, right) in enumerate(zip(legacy, service)):
+    if isinstance(expected, list):
+        if len(expected) != len(actual):
+            return f"{path}: length {len(expected)} != {len(actual)}"
+        for index, (left, right) in enumerate(zip(expected, actual)):
             found = first_divergence(left, right, f"{path}[{index}]")
             if found is not None:
                 return found
         return None
-    if legacy != service:
-        return f"{path}: legacy={legacy!r} service={service!r}"
+    if expected != actual:
+        return f"{path}: expected={expected!r} actual={actual!r}"
     return None
 
 
@@ -132,45 +134,42 @@ def _outcome_payload(outcome) -> Dict:
     }
 
 
-def check_identity(n: int, degree: float, seeds: int) -> Dict:
-    """Legacy vs service single-message runs, per backend and protocol.
+def _single_message(n: int, degree: float, factory, seed: int) -> Dict:
+    """One single-message run on a fresh deployment, as a payload.
 
-    Independent deployments per run (a shared graph would leak
-    query-cache warmth); identical protocol, source, and decision-RNG
-    seeds, so any divergence is the engines', not the inputs'.
+    A fresh graph per run keeps query-cache warmth from leaking between
+    backends; protocol, source and decision-RNG seeds are identical, so
+    any divergence is the backends', not the inputs'.
     """
+    graph = random_connected_network(
+        n, degree, random.Random(SEED + seed)
+    ).topology
+    env = SimulationEnvironment(graph)
+    protocol = factory()
+    protocol.prepare(env)
+    source = random.Random(seed).choice(graph.nodes())
+    outcome = ServiceEngine(
+        env, protocol, SingleShot(source), rng=random.Random(SEED ^ seed),
+        collect_trace=True,
+    ).run().single_outcome()
+    return _outcome_payload(outcome)
+
+
+def check_identity(n: int, degree: float, seeds: int) -> Dict:
+    """Every backend's single-message runs against the ``sets`` oracle."""
+    backends = _backends()
     checks = 0
     divergence = None
     ambient = os.environ.get("REPRO_COVERAGE_BACKEND")
-    for backend in _backends():
-        os.environ["REPRO_COVERAGE_BACKEND"] = backend
-        for label, factory in IDENTITY_PROTOCOLS:
-            for seed in range(seeds):
-                payloads = []
-                for _run in range(2):
-                    net = random_connected_network(
-                        n, degree, random.Random(SEED + seed)
-                    )
-                    graph = net.topology
-                    env = SimulationEnvironment(graph)
-                    protocol = factory()
-                    protocol.prepare(env)
-                    source = random.Random(seed).choice(graph.nodes())
-                    rng = random.Random(SEED ^ seed)
-                    if _run == 0:
-                        outcome = BroadcastSession(
-                            env, protocol, source, rng=rng,
-                            collect_trace=True,
-                            _deprecation_warning=False,
-                        ).run()
-                    else:
-                        outcome = ServiceEngine(
-                            env, protocol, SingleShot(source), rng=rng,
-                            collect_trace=True,
-                        ).run().single_outcome()
-                    payloads.append(_outcome_payload(outcome))
+    for label, factory in IDENTITY_PROTOCOLS:
+        for seed in range(seeds):
+            payloads = {}
+            for backend in backends:
+                os.environ["REPRO_COVERAGE_BACKEND"] = backend
+                payloads[backend] = _single_message(n, degree, factory, seed)
+            for backend in backends[1:]:
                 checks += 1
-                found = first_divergence(payloads[0], payloads[1])
+                found = first_divergence(payloads["sets"], payloads[backend])
                 if found is not None and divergence is None:
                     divergence = (
                         f"backend={backend} protocol={label} seed={seed} "
@@ -182,7 +181,7 @@ def check_identity(n: int, degree: float, seeds: int) -> Dict:
     else:
         os.environ["REPRO_COVERAGE_BACKEND"] = ambient
     return {
-        "backends": _backends(),
+        "backends": backends,
         "protocols": [label for label, _ in IDENTITY_PROTOCOLS],
         "seeds_per_combination": seeds,
         "checks": checks,
@@ -216,7 +215,6 @@ def measure_throughput(n: int, degree: float, count: int, rates) -> Dict:
                 "goodput": round(outcome.goodput(), 6),
                 "queue_depth_max": outcome.queue_depth_max,
                 "messages_dropped": outcome.messages_dropped,
-                "forward_set_reuses": outcome.forward_set_reuses,
                 "wall_seconds": round(seconds, 4),
                 "messages_per_second": (
                     round(len(outcome.messages) / seconds, 2)
@@ -250,12 +248,13 @@ def run_benchmark(smoke: bool) -> Dict:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Broadcast service throughput + legacy byte-identity gate."
+        description="Broadcast service throughput + cross-backend "
+        "byte-identity gate."
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="tiny fixtures; non-zero exit if the service diverges "
-        "from the legacy engine",
+        help="tiny fixtures; non-zero exit if a coverage backend "
+        "diverges from the sets oracle",
     )
     parser.add_argument(
         "--out", default=DEFAULT_OUT,
@@ -271,8 +270,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"wrote {args.out}", file=sys.stderr)
     if not record["byte_identical"]:
         print(
-            "FAIL: byte-identity gate — the one-message service path "
-            "diverges from the legacy engine.  First divergence:\n"
+            "FAIL: byte-identity gate — a coverage backend diverges "
+            "from the sets oracle.  First divergence:\n"
             f"  {record['identity']['divergence']}",
             file=sys.stderr,
         )
@@ -282,16 +281,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def test_first_divergence_localises_the_mismatch():
     """The gate's failure message names the first divergent JSON path."""
-    legacy = {"events": ["a", "b"], "forward_nodes": [1, 2]}
-    service = {"events": ["a", "c"], "forward_nodes": [1, 2]}
-    assert first_divergence(legacy, legacy) is None
-    detail = first_divergence(legacy, service)
-    assert detail == "$.events[1]: legacy='b' service='c'"
+    expected = {"events": ["a", "b"], "forward_nodes": [1, 2]}
+    actual = {"events": ["a", "c"], "forward_nodes": [1, 2]}
+    assert first_divergence(expected, expected) is None
+    detail = first_divergence(expected, actual)
+    assert detail == "$.events[1]: expected='b' actual='c'"
     assert "length" in first_divergence([1], [1, 2])
-    assert "only in legacy" in first_divergence({"a": 1}, {})
+    assert "only in expected" in first_divergence({"a": 1}, {})
 
 
-def test_service_matches_legacy(benchmark):
+def test_backends_match_the_sets_oracle(benchmark):
     """pytest-benchmark entry: the smoke comparison must stay identical."""
     record = benchmark.pedantic(
         lambda: run_benchmark(smoke=True), rounds=1, iterations=1

@@ -19,7 +19,7 @@ from repro.algorithms.generic import GenericSelfPruning
 from repro.algorithms.gossip import Gossip
 from repro.core.priority import IdPriority
 from repro.graph.generators import random_connected_network
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 
 TRIALS = 25
 N = 50
@@ -34,10 +34,10 @@ def measure(protocol_factory) -> tuple:
         env = SimulationEnvironment(net.topology, IdPriority())
         protocol = protocol_factory()
         protocol.prepare(env)
-        outcome = BroadcastSession(
-            env, protocol, rng.choice(net.topology.nodes()),
-            rng=random.Random(trial),
-        ).run()
+        outcome = run_broadcast(
+            env.graph, protocol, rng.choice(net.topology.nodes()),
+            rng=random.Random(trial), env=env,
+        )
         delivery.append(len(outcome.delivered) / N)
         forwards.append(outcome.forward_count)
     return statistics.mean(delivery), statistics.mean(forwards)

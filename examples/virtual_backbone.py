@@ -19,7 +19,7 @@ Run:  python examples/virtual_backbone.py
 import random
 from typing import List, Optional
 
-from repro import SimulationEnvironment, BroadcastSession, is_cds
+from repro import SimulationEnvironment, is_cds, run_broadcast
 from repro.algorithms.generic import GenericStatic
 from repro.core.priority import DegreePriority
 from repro.graph.clustering import cluster_backbone, lowest_id_clustering
@@ -56,9 +56,7 @@ def main() -> None:
     # --- 2. one backbone, many broadcasts ----------------------------
     print("\nbroadcasts from five different sources over the same backbone:")
     for source in rng.sample(graph.nodes(), 5):
-        outcome = BroadcastSession(
-            env, protocol, source, rng=rng
-        ).run()
+        outcome = run_broadcast(env.graph, protocol, source, rng=rng, env=env)
         assert outcome.delivered == set(graph.nodes())
         print(
             f"  source {source:3d}: {outcome.forward_count:2d} forwards, "

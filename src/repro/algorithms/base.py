@@ -147,12 +147,6 @@ class BroadcastProtocol(ABC):
     #: Backoff window for the FRB/FRBD timings; sized to dominate the MAC
     #: delay so that same-wave forwarders can be overheard during backoff.
     backoff_window: float = 10.0
-    #: Whether ``should_forward``/``designate`` are pure functions of the
-    #: :class:`NodeContext`'s knowledge fields (node, snooped state,
-    #: first packet).  The broadcast service reuses such decisions across
-    #: messages within one topology epoch; protocols that consult
-    #: ``ctx.rng`` or other per-call state (e.g. gossip) must opt out.
-    cacheable_decisions: bool = True
 
     def prepare(self, env: "SimulationEnvironment") -> None:
         """Per-deployment proactive computation (default: none)."""

@@ -37,9 +37,6 @@ class Gossip(BroadcastProtocol):
     timing = Timing.FIRST_RECEIPT
     hops = 1
     piggyback_h = 0
-    #: The coin flip makes every decision per-call state; the broadcast
-    #: service must not reuse it across messages.
-    cacheable_decisions = False
 
     def __init__(self, p: float = 0.7, sure_hops: int = 1) -> None:
         if not 0.0 <= p <= 1.0:

@@ -77,8 +77,6 @@ def _one_sample(
     protocol = spec.protocol_factory()
     protocol.prepare(env)
     source = rng.choice(network.topology.nodes())
-    # The service-backed single-message path — byte-identical to the
-    # deprecated direct BroadcastSession (gated in bench_traffic.py).
     outcome = run_broadcast(
         network.topology, protocol, source, rng=rng, env=env
     )

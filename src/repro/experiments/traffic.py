@@ -11,8 +11,8 @@ Poisson loads, one series per protocol, and reports per point:
 * per-message delivery-latency percentiles (p50/p95/p99) and the raw
   goodput/offered figures in ``DataPoint.extras``;
 * optionally the merged work counters (``collect_counters=True``),
-  including the service-layer trio ``queue_depth_max`` /
-  ``messages_dropped`` / ``forward_set_reuses``.
+  including the service-layer pair ``queue_depth_max`` /
+  ``messages_dropped``.
 
 Determinism contract — identical to the figure harness
 (:mod:`repro.experiments.parallel`): every ``(protocol, rate)`` point
@@ -175,7 +175,6 @@ def _measure_point(
         "delivered_messages": float(outcome.delivered_count),
         "dropped_events": float(outcome.messages_dropped),
         "queue_depth_max": float(outcome.queue_depth_max),
-        "forward_set_reuses": float(outcome.forward_set_reuses),
     }
     if latencies:
         extras["latency_p50"] = percentile(latencies, 50.0)

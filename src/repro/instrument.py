@@ -84,7 +84,7 @@ class InstrumentationCounters:
     # sim/scheduler.py
     scheduler_events: int = 0
     scheduler_max_queue_depth: int = 0
-    # sim/engine.py + sim/rounds.py
+    # sim/service.py + sim/rounds.py
     transmissions: int = 0
     bytes_transmitted: int = 0
     decisions: int = 0
@@ -93,8 +93,10 @@ class InstrumentationCounters:
     queue_depth_max: int = 0
     #: Backpressure and staleness drops: queue_full + ttl_expired events.
     messages_dropped: int = 0
-    #: Service decision-cache hits: forward/designate decisions reused
-    #: across messages within one topology epoch.
+    #: Always 0: decisions are no longer reused across messages (the
+    #: coverage kernel's epoch state carries that reuse; see
+    #: ``coverage_epoch_reuses``).  Kept so counter records keep one
+    #: schema.
     forward_set_reuses: int = 0
     # experiments/sharded.py (sharded mobility driver)
     #: Re-decisions summed over shards — handoff copies included, so

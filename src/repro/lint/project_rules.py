@@ -61,7 +61,7 @@ class SeedLineageRule(ProjectRule):
         "determinism — every run and call site shares one stream, so "
         "sweep points stop being independent and replays stop being "
         "byte-identical.  Derive seeds from the sha256 helpers "
-        "(session_seed / workload_seed / service_seed lineage) instead."
+        "(service_seed / workload_seed / traffic_seed lineage) instead."
     )
 
     def applies_to(self, path: str) -> bool:
@@ -92,13 +92,13 @@ class SeedLineageRule(ProjectRule):
                 message = (
                     "random.Random() without a seed draws OS entropy in "
                     "a sim-reaching module; derive the seed from a "
-                    "sha256 helper (session_seed-style)"
+                    "sha256 helper (service_seed-style)"
                 )
             elif site.seed_value is not None:
                 message = (
                     f"random.Random({site.seed_value!r}) has literal "
                     "seed lineage in a sim-reaching module; derive it "
-                    "from a sha256 helper (session_seed-style)"
+                    "from a sha256 helper (service_seed-style)"
                 )
                 reuse = value_counts.get(repr(site.seed_value), 0)
                 if reuse >= 2:
@@ -110,7 +110,7 @@ class SeedLineageRule(ProjectRule):
                 message = (
                     "random.Random seed traces to a literal constant in "
                     "a sim-reaching module; derive it from a sha256 "
-                    "helper (session_seed-style)"
+                    "helper (service_seed-style)"
                 )
             yield ctx.finding(self, site.node, message)
 

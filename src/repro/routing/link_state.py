@@ -12,7 +12,7 @@ when classifying MPR.  This module closes that loop:
 3. routes are computed on the database with BFS.
 
 The broadcast layer is the *actual* engine of this library — the TC
-flood is a :class:`~repro.sim.engine.BroadcastSession` per originator —
+flood is one :func:`~repro.sim.engine.run_broadcast` per originator —
 so the dissemination cost directly reflects the MPR forward sets.
 """
 
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..algorithms.mpr import MultipointRelay
 from ..graph.topology import Topology
-from ..sim.engine import BroadcastSession, SimulationEnvironment
+from ..sim.engine import SimulationEnvironment, run_broadcast
 
 __all__ = ["LinkStateNode", "LinkStateRouting", "linkstate_seed"]
 
@@ -38,7 +38,7 @@ def linkstate_seed(sequence: int) -> int:
     """The documented default-RNG seed of one :class:`LinkStateRouting`.
 
     ``sha256("LinkStateRouting|{sequence}")`` truncated to 64 bits — the
-    same derivation as :func:`repro.sim.engine.session_seed`, under a
+    same derivation as :func:`repro.sim.service.service_seed`, under a
     routing-specific tag so TC-flood backoff draws never correlate with
     engine or workload streams.  A shared fixed default (the old
     ``Random(0)``) made every default-constructed router in a process
@@ -117,11 +117,9 @@ class LinkStateRouting:
             advertisement = self._advertisement(originator)
             protocol = MultipointRelay()
             protocol.prepare(self.env)
-            session = BroadcastSession(
-                self.env, protocol, originator, rng=self.rng,
-                _deprecation_warning=False,
+            outcome = run_broadcast(
+                self.graph, protocol, originator, rng=self.rng, env=self.env
             )
-            outcome = session.run()
             self.total_transmissions += outcome.transmissions
             self.flooding_transmissions += self.graph.node_count()
             for receiver in outcome.delivered:

@@ -2,12 +2,8 @@
 
 from .engine import (
     BroadcastOutcome,
-    BroadcastSession,
-    MessageState,
-    MessageTable,
     SimulationEnvironment,
     run_broadcast,
-    session_seed,
 )
 from .energy import (
     EnergyAwarePriority,
@@ -40,6 +36,8 @@ from .rounds import run_round_broadcast
 from .scheduler import EventScheduler
 from .service import (
     MessageOutcome,
+    MessageState,
+    MessageTable,
     ServiceEngine,
     ServiceOutcome,
     service_seed,
@@ -58,12 +56,10 @@ from .traffic import (
 
 __all__ = [
     "BroadcastOutcome",
-    "BroadcastSession",
     "MessageState",
     "MessageTable",
     "SimulationEnvironment",
     "run_broadcast",
-    "session_seed",
     "MessageOutcome",
     "ServiceEngine",
     "ServiceOutcome",

@@ -27,7 +27,7 @@ from typing import Callable, Dict, Iterable, Optional, Set
 from ..algorithms.base import BroadcastProtocol
 from ..core.priority import PriorityScheme
 from ..graph.topology import Topology
-from .engine import BroadcastOutcome, BroadcastSession, SimulationEnvironment
+from .engine import BroadcastOutcome, SimulationEnvironment, run_broadcast
 
 __all__ = [
     "EnergyTracker",
@@ -45,7 +45,7 @@ def lifetime_seed(sequence: int) -> int:
     """The documented default-RNG seed of one :func:`network_lifetime`.
 
     ``sha256("network_lifetime|{sequence}")`` truncated to 64 bits —
-    the same derivation as :func:`repro.sim.engine.session_seed`, under
+    the same derivation as :func:`repro.sim.service.service_seed`, under
     a lifetime-specific tag so source selection never correlates with
     engine backoff streams.  A shared fixed default (the old
     ``Random(0)``) made every default-seeded lifetime run in a process
@@ -183,10 +183,10 @@ def network_lifetime(
         protocol = protocol_factory()
         protocol.prepare(env)
         source = rng.choice(graph.nodes())
-        outcome = BroadcastSession(
-            env, protocol, source, rng=random.Random(rng.getrandbits(32)),
-            _deprecation_warning=False,
-        ).run()
+        outcome = run_broadcast(
+            graph, protocol, source,
+            rng=random.Random(rng.getrandbits(32)), env=env,
+        )
         tracker.charge_outcome(outcome)
         count += 1
         if tracker.depleted():

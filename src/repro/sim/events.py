@@ -57,10 +57,10 @@ class SimEvent:
     """Base class: something one node did at one simulation time.
 
     ``message_id`` names the broadcast message the event belongs to.
-    The legacy single-broadcast engine always runs message 0, so the
-    field defaults to 0 and :func:`events_to_jsonl` omits it at that
-    default — pre-service traces keep their exact byte encoding, while
-    multi-message service traces carry the id on every event.
+    A single broadcast is always message 0, so the field defaults to 0
+    and :func:`events_to_jsonl` omits it at that default — single-
+    broadcast traces keep their exact byte encoding, while
+    multi-message traces carry the id on every event.
     """
 
     time: float
@@ -330,10 +330,10 @@ def events_to_jsonl(events: Sequence[SimEvent]) -> str:
         payload = {"type": event.kind}
         payload.update(asdict(event))
         if payload.get("message_id") == 0:
-            # Message 0 is the implicit default (the legacy single-shot
-            # engine's only message); eliding it keeps pre-service
-            # traces byte-identical while multi-message traces carry
-            # the id explicitly.
+            # Message 0 is the implicit default (a single broadcast's
+            # only message); eliding it keeps single-broadcast traces
+            # byte-stable while multi-message traces carry the id
+            # explicitly.
             del payload["message_id"]
         lines.append(
             json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -66,10 +66,9 @@ class MacModel(ABC):
     def retire(self, now: float) -> None:
         """Discard interference state that can no longer matter at ``now``.
 
-        The legacy engine runs one broadcast and resets between runs, so
-        stateful MACs could accumulate freely.  The broadcast service
-        shares one MAC across *every* concurrent message and calls this
-        on each injection: models prune whatever bookkeeping is outside
+        The engine resets the MAC once per run but shares it across
+        *every* concurrent message, calling this on each injection:
+        models prune whatever bookkeeping is outside
         their interference horizon (stateless models do nothing), so a
         long-lived service run stays O(in-flight) instead of O(history).
         """

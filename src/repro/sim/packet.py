@@ -43,13 +43,13 @@ class Packet:
         The sender's 2-hop neighbor set ``N2(sender)`` when the protocol
         piggybacks it (TDP), else ``None``.
     message_id:
-        Which message this copy belongs to.  The legacy single-broadcast
-        engine always uses id 0; the broadcast service keys all dedup and
-        forward-set state by this id so concurrent messages never mix.
+        Which message this copy belongs to.  A single broadcast always
+        uses id 0; the engine keys all dedup and forward-set state by
+        this id so concurrent messages never mix.
     payload_units:
         Abstract payload size carried on top of the control overhead
-        (:class:`~repro.sim.traffic.Message.size_units`); 0 for the
-        legacy path, which keeps its byte counts unchanged.
+        (:class:`~repro.sim.traffic.Message.size_units`); 0 for a
+        plain broadcast, which keeps the paper's byte counts.
     expires_at:
         Absolute simulation time after which the message is stale;
         copies delivered past this instant are dropped with

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..algorithms.base import BroadcastProtocol
 from ..graph.topology import Topology
 from ..instrument import _STACK as _COUNTER_STACK
-from .engine import BroadcastOutcome, BroadcastSession, SimulationEnvironment
+from .engine import BroadcastOutcome, SimulationEnvironment, run_broadcast
 from .events import NULL_BUS, Deliver, Drop, EventBus, Nack, Transmit
 from .mac import IdealMac, MacModel
 
@@ -51,7 +51,7 @@ def reliable_seed(sequence: int) -> int:
 
     ``sha256("ReliableBroadcastSession|{sequence}")`` truncated to 64
     bits — the same derivation as
-    :func:`repro.sim.engine.session_seed`, under a recovery-specific tag
+    :func:`repro.sim.service.service_seed`, under a recovery-specific tag
     so lossy-MAC and backoff draws never correlate with other streams.
     A shared fixed default (the old ``Random(0)``) made every
     default-seeded recovery session in a process replay the identical
@@ -87,7 +87,12 @@ class ReliableOutcome:
 
 
 class ReliableBroadcastSession:
-    """A broadcast followed by NACK/retransmission recovery rounds."""
+    """A broadcast followed by NACK/retransmission recovery rounds.
+
+    A layer over the event engine: phase 1 is one
+    :func:`~repro.sim.engine.run_broadcast` sharing this object's RNG,
+    MAC and bus, so recovery draws continue the broadcast's stream.
+    """
 
     def __init__(
         self,
@@ -113,12 +118,10 @@ class ReliableBroadcastSession:
 
     def run(self) -> ReliableOutcome:
         """Phase 1 broadcast, then recovery rounds to convergence."""
-        session = BroadcastSession(
-            self.env, self.protocol, self.source,
-            rng=self.rng, mac=self.mac, bus=self.bus,
-            _deprecation_warning=False,
+        initial = run_broadcast(
+            self.env.graph, self.protocol, self.source,
+            rng=self.rng, mac=self.mac, bus=self.bus, env=self.env,
         )
-        initial = session.run()
         graph = self.env.graph
         delivered: Set[int] = set(initial.delivered)
         retransmissions = 0

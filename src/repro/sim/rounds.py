@@ -51,7 +51,7 @@ def round_seed(sequence: int) -> int:
     """The documented default-RNG seed of one :func:`run_round_broadcast`.
 
     ``sha256("run_round_broadcast|{sequence}")`` truncated to 64 bits —
-    the same derivation as :func:`repro.sim.engine.session_seed`, under
+    the same derivation as :func:`repro.sim.service.service_seed`, under
     an executor-specific tag so wave-executor draws never correlate
     with discrete-event backoff streams.  A shared fixed default (the
     old ``Random(0)``) made every default-seeded wave run in a process

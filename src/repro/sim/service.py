@@ -1,36 +1,32 @@
-"""The broadcast service: many concurrent messages over one deployment.
+"""The event engine: a stream of broadcasts over one deployment.
 
-The legacy engine (:class:`~repro.sim.engine.BroadcastSession`) runs one
-broadcast to quiescence and throws everything away.  A deployed ad hoc
-network instead carries a *stream* of broadcasts; this module is the
-long-lived execution path for that stream:
+A deployed ad hoc network carries a *stream* of broadcasts; this module
+is the one execution path for it — a single broadcast
+(:func:`repro.sim.engine.run_broadcast`) is a one-message stream:
 
 * a :class:`~repro.sim.traffic.TrafficModel` produces the injection
   schedule (who broadcasts, when, payload size, TTL);
 * one shared :class:`~repro.sim.scheduler.EventScheduler`, one MAC model
   and one event bus drive every in-flight message;
 * per-``(node, message)`` protocol state lives in each node's
-  :class:`~repro.sim.engine.MessageTable`, whose bounded egress FIFO
-  adds explicit backpressure: a forward intent arriving while the node's
-  transmitter is busy queues, and queues past ``queue_capacity`` are
-  refused with ``Drop(reason="queue_full")``;
+  :class:`MessageTable`, whose bounded egress FIFO adds explicit
+  backpressure: a forward intent arriving while the node's transmitter
+  is busy queues, and queues past ``queue_capacity`` are refused with
+  ``Drop(reason="queue_full")``;
 * messages carry a TTL — copies arriving (or queued transmissions coming
-  up) after expiry are dropped with ``Drop(reason="ttl_expired")``;
-* forward/designate decisions are pure functions of a node's snooped
-  knowledge for every deterministic protocol, so the service reuses them
-  across messages within one topology epoch (guarded by the graph's
-  :meth:`~repro.graph.topology.Topology.version_stamp`; gossip opts out
-  via ``cacheable_decisions = False``), counted as
-  ``forward_set_reuses``.
+  up) after expiry are dropped with ``Drop(reason="ttl_expired")``.
 
-Byte-identity contract: under a one-message
-:class:`~repro.sim.traffic.SingleShot` model the service replays the
-legacy engine's event and RNG order *exactly* — an idle node transmits
-synchronously at its decision instant, the egress queue and transmitter
-busy-window only engage when messages actually overlap, and traffic
-models draw from their own seeded generators, never the decision RNG.
-``benchmarks/bench_traffic.py`` gates this equivalence on every
-configured coverage backend.
+Every decision — the source's, a timer's, a late designation's — goes
+through the protocol's hooks and is announced as one ``Decide`` event.
+Work shared across messages lives below the engine, in the coverage
+kernel's per-epoch state (:func:`repro.core.views.epoch_cache`).
+
+Ordering contract: an idle node transmits synchronously at its decision
+instant, the egress queue and transmitter busy-window only engage when
+messages actually overlap, and traffic models draw from their own seeded
+generators, never the decision RNG.  The golden traces in
+``tests/sim/test_events.py`` and ``tests/sim/golden_single_message.json``
+pin the resulting event and RNG order.
 """
 
 from __future__ import annotations
@@ -38,18 +34,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..algorithms.base import BroadcastProtocol, NodeContext
 from ..instrument import InstrumentationCounters, collecting
 from ..instrument import _STACK as _COUNTER_STACK
-from .engine import (
-    BroadcastOutcome,
-    MessageState,
-    MessageTable,
-    SimulationEnvironment,
-)
+from .engine import BroadcastOutcome, SimulationEnvironment
 from .events import (
     NULL_BUS,
     BackoffScheduled,
@@ -72,6 +64,8 @@ __all__ = [
     "ServiceEngine",
     "ServiceOutcome",
     "MessageOutcome",
+    "MessageState",
+    "MessageTable",
     "service_seed",
     "DEFAULT_QUEUE_CAPACITY",
     "DEFAULT_TX_TIME_PER_UNIT",
@@ -87,6 +81,9 @@ DEFAULT_QUEUE_CAPACITY = 8
 #: queues while saturating traffic visibly does.
 DEFAULT_TX_TIME_PER_UNIT = 0.1
 
+#: Drop reasons the service itself causes (vs. channel loss/collision).
+_SERVICE_DROPS = frozenset({"queue_full", "ttl_expired"})
+
 #: Monotone sequence distinguishing same-process default-seeded engines.
 _SERVICE_SEQUENCE = itertools.count()
 
@@ -94,13 +91,128 @@ _SERVICE_SEQUENCE = itertools.count()
 def service_seed(sequence: int) -> int:
     """The documented default-RNG seed of one :class:`ServiceEngine`.
 
-    ``sha256("ServiceEngine|{sequence}")`` truncated to 64 bits — the
-    same derivation family as :func:`repro.sim.engine.session_seed`,
-    under its own tag so service decision streams never collide with
-    legacy session or traffic-model streams.
+    ``sha256("ServiceEngine|{sequence}")`` truncated to 64 bits.
+    ``sequence`` is a per-process monotone counter, so repeated engines
+    constructed without an explicit RNG draw *different* backoff streams
+    while any single run stays reproducible from its sequence number.
+    The tag keeps decision streams apart from traffic-model streams.
     """
     digest = hashlib.sha256(f"ServiceEngine|{sequence}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+class MessageState:
+    """Per-``(node, message)`` runtime state.
+
+    Everything message-scoped — dedup flags, snooped visited/designated
+    knowledge, designators, first/last packets — lives in this record.
+    One node holds one :class:`MessageState` per message it has seen,
+    collected in its :class:`MessageTable`.
+    """
+
+    __slots__ = (
+        "received",
+        "decided",
+        "forwarded",
+        "queued",
+        "dropped",
+        "decision_pending",
+        "known_visited",
+        "known_designated",
+        "designators",
+        "first_packet",
+        "last_packet",
+    )
+
+    def __init__(self) -> None:
+        self.received = False
+        self.decided = False
+        self.forwarded = False
+        #: A forward intent is waiting in the node's egress queue; guards
+        #: against double-queuing a message when a designation arrives
+        #: while the intent is queued.
+        self.queued = False
+        #: The node decided to forward but its egress queue rejected the
+        #: transmission (backpressure) or the message expired first.
+        self.dropped = False
+        self.decision_pending = False
+        self.known_visited: Set[int] = set()
+        self.known_designated: Set[int] = set()
+        self.designators: Set[int] = set()
+        self.first_packet: Optional[Packet] = None
+        self.last_packet: Optional[Packet] = None
+
+
+class MessageTable:
+    """One node's per-message state plus its bounded egress FIFO queue.
+
+    The engine's unit of node-local bookkeeping: a mapping
+    ``message_id -> MessageState`` for every message the node has seen,
+    and the FIFO of forward intents waiting for the node's transmitter.
+    ``capacity`` bounds the egress queue — when a forward intent arrives
+    while the queue is full, the service abandons it with an explicit
+    ``Drop(reason="queue_full")`` (backpressure, not silent loss).
+    ``capacity=None`` leaves the queue unbounded.
+    """
+
+    __slots__ = (
+        "node",
+        "capacity",
+        "busy_until",
+        "drain_scheduled",
+        "queue_depth_max",
+        "_states",
+        "_egress",
+    )
+
+    def __init__(self, node: int, capacity: Optional[int] = None) -> None:
+        if capacity is not None and capacity < 1:
+            raise ValueError(f"queue capacity must be positive, got {capacity}")
+        self.node = node
+        self.capacity = capacity
+        #: Simulation time until which the node's transmitter is busy.
+        self.busy_until = 0.0
+        #: Whether a drain callback for this node's queue is already
+        #: scheduled (at most one in flight keeps the event stream lean).
+        self.drain_scheduled = False
+        #: High-water mark of the egress queue over the table's life.
+        self.queue_depth_max = 0
+        self._states: Dict[int, MessageState] = {}
+        self._egress: Deque[Tuple[int, FrozenSet[int]]] = deque()
+
+    def state(self, message_id: int) -> MessageState:
+        """The node's state for ``message_id``, created on first touch."""
+        state = self._states.get(message_id)
+        if state is None:
+            state = MessageState()
+            self._states[message_id] = state
+        return state
+
+    # -- egress queue --------------------------------------------------
+
+    def queue_depth(self) -> int:
+        """Forward intents currently waiting for the transmitter."""
+        return len(self._egress)
+
+    def enqueue(self, message_id: int, designated: FrozenSet[int]) -> bool:
+        """Queue a forward intent; ``False`` means the queue is full.
+
+        ``designated`` is the forward-neighbor set fixed at decision
+        time; the packet itself is built when the transmitter frees up,
+        from the node's then-current snooped state.
+        """
+        if self.capacity is not None and len(self._egress) >= self.capacity:
+            return False
+        self._egress.append((message_id, designated))
+        if len(self._egress) > self.queue_depth_max:
+            self.queue_depth_max = len(self._egress)
+        return True
+
+    def dequeue(self) -> Optional[Tuple[int, FrozenSet[int]]]:
+        """Pop the oldest queued forward intent (``None`` when idle)."""
+        if not self._egress:
+            return None
+        return self._egress.popleft()
 
 
 @dataclass
@@ -159,8 +271,6 @@ class ServiceOutcome:
     queue_depth_max: int = 0
     #: Backpressure + staleness drops (queue_full and ttl_expired events).
     messages_dropped: int = 0
-    #: Forward/designate decisions served from the cross-message cache.
-    forward_set_reuses: int = 0
     #: Typed event trace (``collect_trace=True``), in emission order.
     events: Optional[List[SimEvent]] = None
     #: Per-run work counters (``collect_counters=True``).
@@ -192,11 +302,9 @@ class ServiceOutcome:
         return len(self.messages) / self.completion_time
 
     def single_outcome(self) -> BroadcastOutcome:
-        """Collapse a one-message run into the legacy outcome shape.
+        """Collapse a one-message run into a :class:`BroadcastOutcome`.
 
-        The compatibility bridge behind
-        :func:`repro.sim.engine.run_broadcast`: field-for-field equal to
-        what the deprecated direct :class:`BroadcastSession` produced,
+        The bridge behind :func:`repro.sim.engine.run_broadcast`,
         including the all-nodes (zero-defaulted) receipt-count table.
         """
         if len(self.messages) != 1:
@@ -233,8 +341,8 @@ class ServiceEngine:
     Parameters
     ----------
     env, protocol:
-        The deployment and the broadcast algorithm, exactly as for the
-        legacy session; ``protocol.prepare(env)`` must have been called.
+        The deployment and the broadcast algorithm;
+        ``protocol.prepare(env)`` must have been called.
     traffic:
         The :class:`~repro.sim.traffic.TrafficModel` producing the
         injection schedule.
@@ -248,11 +356,18 @@ class ServiceEngine:
         Transmitter occupancy per abstract packet size unit (see
         :data:`DEFAULT_TX_TIME_PER_UNIT`); 0 disables the busy window
         (and with it all queueing).
-    reuse_decisions:
-        Serve repeat forward/designate decisions from the cross-message
-        cache (only for protocols with ``cacheable_decisions``).
-    collect_trace / bus / collect_counters:
-        As for the legacy session.
+    bus:
+        Event bus receiving the typed :mod:`~repro.sim.events` stream;
+        defaults to the zero-cost :data:`~repro.sim.events.NULL_BUS`.
+        Subscribe *before* calling :meth:`run` — the engine samples
+        ``bus.active`` once at the start of the run, so subscriptions
+        made mid-run are not picked up.
+    collect_trace:
+        Record the event stream into ``outcome.events``.  Implies a
+        recording bus when no explicit ``bus`` is given.
+    collect_counters:
+        Attach per-run :class:`~repro.instrument.InstrumentationCounters`
+        to ``outcome.counters``.
 
     An engine instance runs once: :meth:`run` drains the schedule (or
     stops at ``horizon``) and returns a :class:`ServiceOutcome`.
@@ -267,7 +382,6 @@ class ServiceEngine:
         mac: Optional[MacModel] = None,
         queue_capacity: Optional[int] = DEFAULT_QUEUE_CAPACITY,
         tx_time_per_unit: float = DEFAULT_TX_TIME_PER_UNIT,
-        reuse_decisions: bool = True,
         collect_trace: bool = False,
         bus: Optional[EventBus] = None,
         collect_counters: bool = False,
@@ -285,7 +399,6 @@ class ServiceEngine:
         self.mac = mac or IdealMac()
         self.queue_capacity = queue_capacity
         self.tx_time_per_unit = tx_time_per_unit
-        self.reuse_decisions = reuse_decisions and protocol.cacheable_decisions
         self.scheduler = EventScheduler()
         if bus is None:
             bus = RecordingBus() if collect_trace else NULL_BUS
@@ -303,7 +416,7 @@ class ServiceEngine:
             for node in env.graph.nodes()
         }
         self._messages: Dict[int, Message] = {}
-        self._forward: Dict[int, Set[int]] = {}
+        self._forward_nodes: Dict[int, Set[int]] = {}
         self._delivered: Dict[int, Set[int]] = {}
         self._receipts: Dict[int, Dict[int, int]] = {}
         self._designations: Dict[int, Dict[int, FrozenSet[int]]] = {}
@@ -311,14 +424,6 @@ class ServiceEngine:
         self._completed_at: Dict[int, float] = {}
         self._drops: Dict[int, Dict[str, int]] = {}
         self._messages_dropped = 0
-        self._forward_set_reuses = 0
-        #: Cross-message decision cache: knowledge key -> (forward,
-        #: designated).  Sound only within one topology epoch, so the
-        #: graph's version stamp guards every lookup.
-        self._decision_cache: Dict[
-            Tuple, Tuple[bool, FrozenSet[int]]
-        ] = {}
-        self._cache_stamp = env.graph.version_stamp()
         self._ran = False
 
     # ------------------------------------------------------------------
@@ -342,7 +447,7 @@ class ServiceEngine:
                     f"not in the deployment graph"
                 )
             self._messages[message.message_id] = message
-            self._forward[message.message_id] = set()
+            self._forward_nodes[message.message_id] = set()
             self._delivered[message.message_id] = set()
             self._receipts[message.message_id] = {}
             self._designations[message.message_id] = {}
@@ -394,7 +499,7 @@ class ServiceEngine:
             outcomes.append(
                 MessageOutcome(
                     message=message,
-                    forward_nodes=self._forward[mid],
+                    forward_nodes=self._forward_nodes[mid],
                     delivered=delivered,
                     receipt_counts=self._receipts[mid],
                     designations=self._designations[mid],
@@ -410,7 +515,6 @@ class ServiceEngine:
             completion_time=self.scheduler.now,
             queue_depth_max=self._queue_depth_max(),
             messages_dropped=self._messages_dropped,
-            forward_set_reuses=self._forward_set_reuses,
             events=self.bus.recorded(),
             counters=counters,
         )
@@ -433,12 +537,14 @@ class ServiceEngine:
         )
 
     def _drop(self, message_id: int, node: int, sender: int, reason: str) -> None:
-        """Record a service-side drop (backpressure or TTL expiry)."""
+        """Record a drop; backpressure and TTL expiry also count as
+        service drops (``messages_dropped``), channel losses do not."""
         drops = self._drops[message_id]
         drops[reason] = drops.get(reason, 0) + 1
-        self._messages_dropped += 1
-        if _COUNTER_STACK:
-            _COUNTER_STACK[-1].messages_dropped += 1
+        if reason in _SERVICE_DROPS:
+            self._messages_dropped += 1
+            if _COUNTER_STACK:
+                _COUNTER_STACK[-1].messages_dropped += 1
         if self._bus_on:
             self.bus.emit(
                 Drop(
@@ -452,29 +558,55 @@ class ServiceEngine:
 
     def _inject(self, message: Message) -> None:
         """Start one broadcast: the source decides and (tries to) forward."""
-        now = self.scheduler.now
         # Give the shared MAC a chance to age out interference state the
         # finished part of the stream can no longer influence.
-        self.mac.retire(now)
-        mid = message.message_id
-        state = self._tables[message.source].state(mid)
+        self.mac.retire(self.scheduler.now)
+        state = self._tables[message.source].state(message.message_id)
         state.known_visited.add(message.source)
-        ctx = self._context(message, message.source)
-        designated = self.protocol.designate(ctx)
         state.decided = True
+        self._forward(
+            message,
+            message.source,
+            self._context(message, message.source),
+            "source",
+            incoming=None,
+        )
+
+    def _announce(
+        self,
+        message: Message,
+        node: int,
+        forward: bool,
+        reason: str,
+        forced: bool = False,
+    ) -> None:
+        """Count one decision and publish it as a ``Decide`` event."""
         if _COUNTER_STACK:
             _COUNTER_STACK[-1].decisions += 1
         if self._bus_on:
             self.bus.emit(
                 Decide(
-                    time=now,
-                    node=message.source,
-                    message_id=mid,
-                    forward=True,
-                    reason="source",
+                    time=self.scheduler.now,
+                    node=node,
+                    message_id=message.message_id,
+                    forward=forward,
+                    reason=reason,
+                    designated=forced,
                 )
             )
-        self._transmit(message, message.source, designated, incoming=None)
+
+    def _forward(
+        self,
+        message: Message,
+        node: int,
+        ctx: NodeContext,
+        reason: str,
+        incoming: Optional[Packet],
+        forced: bool = False,
+    ) -> None:
+        """Announce a forward decision, then designate and transmit."""
+        self._announce(message, node, True, reason, forced)
+        self._transmit(message, node, self.protocol.designate(ctx), incoming)
 
     # ------------------------------------------------------------------
 
@@ -517,7 +649,7 @@ class ServiceEngine:
         state.forwarded = True
         state.known_visited.add(node)
         state.known_designated |= designated
-        self._forward[mid].add(node)
+        self._forward_nodes[mid].add(node)
         self._designations[mid][node] = designated
         two_hop = (
             self.env.two_hop_set(node)
@@ -546,9 +678,8 @@ class ServiceEngine:
             top = _COUNTER_STACK[-1]
             top.transmissions += 1
             top.bytes_transmitted += size
-        bus_on = self._bus_on
-        bus = self.bus
-        if bus_on:
+        if self._bus_on:
+            bus = self.bus
             chosen = tuple(sorted(designated))
             if chosen:
                 bus.emit(
@@ -566,24 +697,13 @@ class ServiceEngine:
                 )
             )
         # Sorted delivery order keeps same-time tie-breaks well-defined
-        # (and identical to the legacy engine).
+        # (and identical to the round-synchronous executor).
         neighbors = sorted(self.env.graph.neighbors(node))
         for receiver, arrival in self.mac.deliveries(
             node, now, neighbors, self.rng
         ):
             if arrival is None:
-                drops = self._drops[mid]
-                drops["loss"] = drops.get("loss", 0) + 1
-                if bus_on:
-                    bus.emit(
-                        Drop(
-                            time=now,
-                            node=receiver,
-                            message_id=mid,
-                            sender=node,
-                            reason="loss",
-                        )
-                    )
+                self._drop(mid, receiver, node, "loss")
                 continue
             self.scheduler.schedule_at(
                 arrival,
@@ -632,31 +752,18 @@ class ServiceEngine:
         self, message: Message, receiver: int, packet: Packet, arrival: float
     ) -> None:
         mid = message.message_id
-        bus = self.bus
-        bus_on = self._bus_on
         now = self.scheduler.now
         if self.mac.corrupted(receiver, arrival):
             # A later transmission collided with this copy in flight.
-            drops = self._drops[mid]
-            drops["collision"] = drops.get("collision", 0) + 1
-            if bus_on:
-                bus.emit(
-                    Drop(
-                        time=now,
-                        node=receiver,
-                        message_id=mid,
-                        sender=packet.sender,
-                        reason="collision",
-                    )
-                )
+            self._drop(mid, receiver, packet.sender, "collision")
             return
         if packet.expired(now):
             self._drop(mid, receiver, packet.sender, "ttl_expired")
             return
         table = self._tables[receiver]
         state = table.state(mid)
-        if bus_on:
-            bus.emit(
+        if self._bus_on:
+            self.bus.emit(
                 Deliver(
                     time=now,
                     node=receiver,
@@ -678,64 +785,37 @@ class ServiceEngine:
         if not state.received:
             state.received = True
             state.first_packet = packet
-            state.first_time = now
             self._delivered[mid].add(receiver)
             self._completed_at[mid] = now
 
         if state.forwarded or state.queued or state.dropped:
             return
         if state.decided:
-            if state.designators:
-                # Late designation after a non-forward decision (see the
-                # legacy engine for the strict/relaxed rationale).
-                if self.protocol.strict_designation:
-                    ctx = self._context(message, receiver)
-                    if _COUNTER_STACK:
-                        _COUNTER_STACK[-1].decisions += 1
-                    if bus_on:
-                        bus.emit(
-                            Decide(
-                                time=now,
-                                node=receiver,
-                                message_id=mid,
-                                forward=True,
-                                reason="forced-designation",
-                            )
-                        )
-                    self._transmit(
-                        message,
-                        receiver,
-                        self.protocol.designate(ctx),
-                        incoming=packet,
+            protocol = self.protocol
+            if state.designators and (
+                protocol.strict_designation or protocol.relaxed_designation
+            ):
+                # Late designation after a non-forward decision: the
+                # strict rule forces forwarding; the relaxed rule
+                # re-evaluates at the node's raised (designated, S = 1.5)
+                # priority — its own earlier decision used the lower
+                # threshold and is no longer authoritative.
+                ctx = self._context(message, receiver)
+                if protocol.strict_designation:
+                    self._forward(
+                        message, receiver, ctx, "forced-designation", packet
                     )
-                elif self.protocol.relaxed_designation:
-                    ctx = self._context(message, receiver)
-                    if self.protocol.should_forward(ctx):
-                        if _COUNTER_STACK:
-                            _COUNTER_STACK[-1].decisions += 1
-                        if bus_on:
-                            bus.emit(
-                                Decide(
-                                    time=now,
-                                    node=receiver,
-                                    message_id=mid,
-                                    forward=True,
-                                    reason="relaxed-designation",
-                                )
-                            )
-                        self._transmit(
-                            message,
-                            receiver,
-                            self.protocol.designate(ctx),
-                            incoming=packet,
-                        )
+                elif protocol.should_forward(ctx):
+                    self._forward(
+                        message, receiver, ctx, "relaxed-designation", packet
+                    )
             return
         if not state.decision_pending:
             state.decision_pending = True
             ctx = self._context(message, receiver)
             delay = self.protocol.decision_delay(ctx, self.rng)
-            if bus_on:
-                bus.emit(
+            if self._bus_on:
+                self.bus.emit(
                     BackoffScheduled(
                         time=now,
                         node=receiver,
@@ -749,93 +829,25 @@ class ServiceEngine:
 
     # ------------------------------------------------------------------
 
-    def _decision_key(
-        self, node: int, state: MessageState
-    ) -> Optional[Tuple]:
-        """The knowledge key a timer decision is a pure function of.
-
-        Everything :class:`~repro.algorithms.base.NodeContext` exposes to
-        a cacheable protocol, minus message-identity fields: the node,
-        its snooped visited/designated/designator sets, and the first
-        packet's *content* (sender, source, trail, piggybacked 2-hop
-        set) stripped of ``message_id``/payload/TTL.
-        """
-        first = state.first_packet
-        if first is None:
-            return None
-        return (
-            node,
-            frozenset(state.known_visited),
-            frozenset(state.known_designated),
-            frozenset(state.designators),
-            first.sender,
-            first.source,
-            first.trail,
-            first.sender_two_hop,
-        )
-
     def _decide(self, message: Message, node: int) -> None:
+        """A node's backoff timer fired: take its forward/non-forward status."""
         mid = message.message_id
         state = self._tables[node].state(mid)
         if state.forwarded or state.decided:
             return
         state.decided = True
         state.decision_pending = False
-        now = self.scheduler.now
         expires = message.expires_at
-        if expires is not None and now > expires:
+        if expires is not None and self.scheduler.now > expires:
             # The decision timer outlived the message: nothing to forward.
             state.dropped = True
             self._drop(mid, node, node, "ttl_expired")
             return
+        ctx = self._context(message, node)
         forced = self.protocol.strict_designation and bool(state.designators)
-        designated: FrozenSet[int] = frozenset()
-        ctx: Optional[NodeContext] = None
-        if forced:
-            forward = True
-        elif self.reuse_decisions:
-            stamp = self.env.graph.version_stamp()
-            if stamp != self._cache_stamp:
-                self._decision_cache.clear()
-                self._cache_stamp = stamp
-            key = self._decision_key(node, state)
-            cached = (
-                self._decision_cache.get(key) if key is not None else None
+        if forced or self.protocol.should_forward(ctx):
+            self._forward(
+                message, node, ctx, "timer", state.last_packet, forced=forced
             )
-            if cached is not None:
-                forward, designated = cached
-                self._forward_set_reuses += 1
-                if _COUNTER_STACK:
-                    _COUNTER_STACK[-1].forward_set_reuses += 1
-            else:
-                ctx = self._context(message, node)
-                forward = self.protocol.should_forward(ctx)
-                designated = (
-                    self.protocol.designate(ctx) if forward else frozenset()
-                )
-                if key is not None:
-                    self._decision_cache[key] = (forward, designated)
         else:
-            ctx = self._context(message, node)
-            forward = self.protocol.should_forward(ctx)
-        if _COUNTER_STACK:
-            _COUNTER_STACK[-1].decisions += 1
-        if self._bus_on:
-            self.bus.emit(
-                Decide(
-                    time=now,
-                    node=node,
-                    message_id=mid,
-                    forward=forward,
-                    reason="timer",
-                    designated=forced,
-                )
-            )
-        if forward:
-            if forced:
-                ctx = self._context(message, node)
-                designated = self.protocol.designate(ctx)
-            elif not self.reuse_decisions:
-                assert ctx is not None
-                designated = self.protocol.designate(ctx)
-            self._transmit(message, node, designated, incoming=state.last_packet)
+            self._announce(message, node, False, "timer")

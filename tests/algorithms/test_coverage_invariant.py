@@ -17,7 +17,7 @@ from repro.algorithms.registry import create, names
 from repro.core.priority import scheme_by_name
 from repro.graph.cds import is_cds
 from repro.graph.generators import random_connected_network
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 
 
 @pytest.mark.parametrize("protocol_name", names())
@@ -40,9 +40,10 @@ def test_protocol_ensures_coverage(protocol_name, seed, n, dense, scheme_name):
     protocol = create(protocol_name)
     protocol.prepare(env)
     source = rng.choice(net.topology.nodes())
-    outcome = BroadcastSession(
-        env, protocol, source, rng=random.Random(seed ^ 0x5DEECE)
-    ).run()
+    outcome = run_broadcast(
+        env.graph, protocol, source, rng=random.Random(seed ^ 0x5DEECE),
+        env=env,
+    )
 
     assert outcome.delivered == set(net.topology.nodes()), (
         f"{protocol_name} missed "

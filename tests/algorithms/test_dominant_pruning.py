@@ -13,7 +13,7 @@ from repro.algorithms.dominant_pruning import (
 from repro.core.priority import DegreePriority
 from repro.graph.generators import random_connected_network
 from repro.graph.topology import Topology
-from repro.sim.engine import BroadcastSession, SimulationEnvironment, run_broadcast
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 
 
 @pytest.mark.parametrize(
@@ -62,9 +62,9 @@ class TestRelativeEfficiency:
             protocol = protocol_cls()
             protocol.prepare(env)
             source = trial % 40
-            outcome = BroadcastSession(
-                env, protocol, source, rng=random.Random(trial)
-            ).run()
+            outcome = run_broadcast(
+                env.graph, protocol, source, rng=random.Random(trial), env=env,
+            )
             assert outcome.delivered == set(net.topology.nodes())
             total += outcome.forward_count
         return total

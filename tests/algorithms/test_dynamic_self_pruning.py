@@ -54,14 +54,14 @@ class TestSBA:
             source = rng.choice(net.topology.nodes())
             sba = SBA()
             sba.prepare(env)
-            sba_out = __import__("repro.sim.engine", fromlist=["BroadcastSession"]).BroadcastSession(
-                env, sba, source, rng=random.Random(trial)
-            ).run()
+            sba_out = run_broadcast(
+                env.graph, sba, source, rng=random.Random(trial), env=env,
+            )
             gen = GenericSelfPruning(Timing.FIRST_RECEIPT_BACKOFF, hops=2)
             gen.prepare(env)
-            gen_out = __import__("repro.sim.engine", fromlist=["BroadcastSession"]).BroadcastSession(
-                env, gen, source, rng=random.Random(trial)
-            ).run()
+            gen_out = run_broadcast(
+                env.graph, gen, source, rng=random.Random(trial), env=env,
+            )
             if gen_out.forward_count <= sba_out.forward_count:
                 wins += 1
         assert wins >= 6  # dominant on the vast majority of instances
@@ -84,11 +84,9 @@ class TestStojmenovic:
         env = SimulationEnvironment(net.topology, DegreePriority())
         protocol = Stojmenovic()
         protocol.prepare(env)
-        from repro.sim.engine import BroadcastSession
-
-        outcome = BroadcastSession(
-            env, protocol, 0, rng=random.Random(1)
-        ).run()
+        outcome = run_broadcast(
+            env.graph, protocol, 0, rng=random.Random(1), env=env,
+        )
         assert outcome.forward_nodes - {0} <= protocol.gateways
 
     def test_at_most_wu_li_forwarders(self):

@@ -14,7 +14,7 @@ from repro.algorithms.hybrid import MaxDegHybrid, MinPriHybrid
 from repro.core.priority import IdPriority
 from repro.graph.generators import random_connected_network
 from repro.graph.topology import Topology
-from repro.sim.engine import BroadcastSession, SimulationEnvironment, run_broadcast
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 
 
 @pytest.mark.parametrize("protocol_cls", [MaxDegHybrid, MinPriHybrid])
@@ -91,9 +91,9 @@ class TestGenericSelfPruning:
                 Timing.FIRST_RECEIPT, hops=2, strong=strong
             )
             protocol.prepare(env)
-            return BroadcastSession(
-                env, protocol, 0, rng=random.Random(9)
-            ).run().forward_count
+            return run_broadcast(
+                env.graph, protocol, 0, rng=random.Random(9), env=env,
+            ).forward_count
 
         assert forward_count(strong=False) <= forward_count(strong=True)
 
@@ -115,14 +115,14 @@ class TestGenericStaticVsDynamic:
             source = trial % 30
             static = GenericStatic(hops=2)
             static.prepare(env)
-            static_total += BroadcastSession(
-                env, static, source, rng=random.Random(trial)
-            ).run().forward_count
+            static_total += run_broadcast(
+                env.graph, static, source, rng=random.Random(trial), env=env,
+            ).forward_count
             dynamic = GenericSelfPruning(Timing.FIRST_RECEIPT, hops=2)
             dynamic.prepare(env)
-            dynamic_total += BroadcastSession(
-                env, dynamic, source, rng=random.Random(trial)
-            ).run().forward_count
+            dynamic_total += run_broadcast(
+                env.graph, dynamic, source, rng=random.Random(trial), env=env,
+            ).forward_count
         assert dynamic_total <= static_total
 
 
@@ -175,14 +175,14 @@ class TestRelaxedDesignation:
             source = trial % 40
             strict = MaxDegHybrid()
             strict.prepare(env)
-            strict_total += BroadcastSession(
-                env, strict, source, rng=random.Random(trial)
-            ).run().forward_count
+            strict_total += run_broadcast(
+                env.graph, strict, source, rng=random.Random(trial), env=env,
+            ).forward_count
             relaxed = RelaxedMaxDegHybrid()
             relaxed.prepare(env)
-            relaxed_total += BroadcastSession(
-                env, relaxed, source, rng=random.Random(trial)
-            ).run().forward_count
+            relaxed_total += run_broadcast(
+                env.graph, relaxed, source, rng=random.Random(trial), env=env,
+            ).forward_count
         assert relaxed_total < strict_total
 
     def test_reevaluation_happens_at_raised_priority(self):
@@ -203,7 +203,7 @@ class TestRelaxedDesignation:
             source = rng.choice(net.topology.nodes())
             protocol = RelaxedMaxDegHybrid()
             protocol.prepare(env)
-            outcome = BroadcastSession(
-                env, protocol, source, rng=random.Random(trial)
-            ).run()
+            outcome = run_broadcast(
+                env.graph, protocol, source, rng=random.Random(trial), env=env,
+            )
             assert outcome.delivered == set(net.topology.nodes()), trial

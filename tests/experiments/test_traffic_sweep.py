@@ -114,7 +114,6 @@ class TestInstrumentedSweep:
                     "delivered_messages",
                     "dropped_events",
                     "queue_depth_max",
-                    "forward_set_reuses",
                 ):
                     assert key in extras
                 assert point.mean == extras["goodput"]

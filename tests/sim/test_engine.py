@@ -10,11 +10,7 @@ from repro.algorithms.generic import GenericSelfPruning
 from repro.core.priority import DegreePriority, IdPriority
 from repro.graph.generators import random_connected_network
 from repro.graph.topology import Topology
-from repro.sim.engine import (
-    BroadcastSession,
-    SimulationEnvironment,
-    run_broadcast,
-)
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 from repro.sim.mac import CollisionMac, IdealMac
 
 
@@ -62,7 +58,7 @@ class TestFloodingSession:
     def test_unknown_source_rejected(self):
         env = SimulationEnvironment(Topology.path(3))
         with pytest.raises(KeyError):
-            BroadcastSession(env, Flooding(), source=99)
+            run_broadcast(env.graph, Flooding(), source=99, env=env)
 
     def test_single_node_graph(self):
         graph = Topology(nodes=[7])
@@ -191,9 +187,9 @@ class TestDeterminism:
             env = SimulationEnvironment(net.topology, IdPriority())
             p = GenericSelfPruning(Timing.FIRST_RECEIPT_BACKOFF, hops=2)
             p.prepare(env)
-            return BroadcastSession(
-                env, p, source=0, rng=random.Random(123)
-            ).run()
+            return run_broadcast(
+                env.graph, p, source=0, rng=random.Random(123), env=env,
+            )
 
         a, b = run_once(), run_once()
         assert a.forward_nodes == b.forward_nodes

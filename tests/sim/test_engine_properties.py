@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.base import BroadcastProtocol, NodeContext, Timing
 from repro.graph.generators import random_connected_network
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 
 
 class ChaosProtocol(BroadcastProtocol):
@@ -60,9 +60,10 @@ def test_engine_invariants_under_chaos(seed, timing, strict):
     env = SimulationEnvironment(graph)
     protocol = ChaosProtocol(seed, timing, strict)
     source = rng.choice(graph.nodes())
-    outcome = BroadcastSession(
-        env, protocol, source, rng=random.Random(seed ^ 0xABCDEF)
-    ).run()
+    outcome = run_broadcast(
+        env.graph, protocol, source, rng=random.Random(seed ^ 0xABCDEF),
+        env=env,
+    )
 
     # One transmission per forwarder, source always transmits.
     assert outcome.transmissions == len(outcome.forward_nodes)

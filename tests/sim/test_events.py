@@ -1,5 +1,6 @@
 """Tests for the typed event bus, JSONL round-trip, and golden traces."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from repro.algorithms.generic import GenericSelfPruning
 from repro.core.priority import IdPriority
 from repro.graph.generators import random_connected_network
 from repro.graph.paperfigs import figure1
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 from repro.sim.events import (
     NULL_BUS,
     BackoffScheduled,
@@ -110,9 +111,10 @@ def _figure1_outcome():
     env = SimulationEnvironment(figure1().topology, IdPriority())
     protocol = GenericSelfPruning(Timing.FIRST_RECEIPT, hops=2)
     protocol.prepare(env)
-    return BroadcastSession(
-        env, protocol, 1, rng=random.Random(1), collect_trace=True
-    ).run()
+    return run_broadcast(
+        env.graph, protocol, 1, rng=random.Random(1), collect_trace=True,
+        env=env,
+    )
 
 
 #: The pinned structured trace of the paper's Figure 1 walkthrough:
@@ -133,6 +135,12 @@ FIGURE1_GOLDEN = "\n".join(
         '{"designated":false,"forward":false,"node":3,"reason":"timer",'
         '"time":1.0,"type":"decide"}',
     ]
+)
+
+
+#: sha256 of the Figure 9 sample's JSONL trace (505 events).
+FIGURE9_SHA256 = (
+    "6b8192679d39fcb8ac5ed5436c8421fd3fc21826994a02c4f9d5f5ab9f863912"
 )
 
 
@@ -165,14 +173,16 @@ class TestGoldenTraces:
             env = SimulationEnvironment(network.topology, IdPriority())
             protocol = GenericSelfPruning(Timing.FIRST_RECEIPT, hops=2)
             protocol.prepare(env)
-            outcome = BroadcastSession(
-                env, protocol, source,
-                rng=random.Random(11), collect_trace=True,
-            ).run()
+            outcome = run_broadcast(
+                env.graph, protocol, source, rng=random.Random(11),
+                collect_trace=True, env=env,
+            )
             return events_to_jsonl(outcome.events)
 
         first, second = one_run(), one_run()
         assert first == second
         assert events_from_jsonl(first) == events_from_jsonl(second)
         # A 100-node broadcast is a substantial trace, not a stub.
-        assert len(first.splitlines()) > 200
+        assert len(first.splitlines()) == 505
+        # Pinned to the bytes the retired single-broadcast engine wrote.
+        assert hashlib.sha256(first.encode()).hexdigest() == FIGURE9_SHA256

@@ -9,7 +9,7 @@ from repro.algorithms.registry import REGISTRY, create
 from repro.core.priority import scheme_by_name
 from repro.graph.generators import random_connected_network
 from repro.graph.topology import Topology
-from repro.sim.engine import BroadcastSession, SimulationEnvironment
+from repro.sim.engine import SimulationEnvironment, run_broadcast
 from repro.sim.rounds import run_round_broadcast
 
 ROUND_COMPATIBLE = [
@@ -73,9 +73,9 @@ def test_round_executor_matches_des(protocol_name, scheme_name):
 
         des_protocol = create(protocol_name)
         des_protocol.prepare(env)
-        des = BroadcastSession(
-            env, des_protocol, source, rng=random.Random(trial)
-        ).run()
+        des = run_broadcast(
+            env.graph, des_protocol, source, rng=random.Random(trial), env=env,
+        )
 
         wave_protocol = create(protocol_name)
         wave_protocol.prepare(env)
