@@ -16,7 +16,10 @@ n ≈ 1k / 10k / 100k:
 * **full broadcast** — ``GenericStatic`` (global view) prepare + run
   under the bitset and numpy coverage backends at 1k, with the sets
   reference included in the identity gate; numpy alone is also timed at
-  10k to record forward-set throughput at scale.
+  10k to record forward-set throughput at scale.  The bitset/numpy time
+  ratio is recorded (``full_broadcast.speedup``), not gated: both
+  backends answer a shared global view with the same decreasing-priority
+  sweep, so neither is required to win.
 
 Byte-identity gates use :func:`bench_parallel.first_divergence` so a
 failure names the first diverging edge / node instead of only reporting
@@ -29,10 +32,9 @@ repo root so the perf trajectory is tracked across PRs)::
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke
 
 ``--smoke`` (the CI ``scale-kernel`` job) runs only the 1k fixture: the
-construction identity gate, the three-backend forward-set identity gate,
-and the "numpy does not lose to bitset" floor.  Full mode additionally
-requires the 100k grid build to complete and numpy to beat bitset
-outright.  Exits non-zero when any gate fails.
+construction and calibration identity gates and the three-backend
+forward-set identity gate.  Full mode additionally requires the 100k
+grid build to complete.  Exits non-zero when any gate fails.
 """
 
 from __future__ import annotations
@@ -276,7 +278,6 @@ def run_benchmark(repeats: int, smoke: bool) -> dict:
     )
     divergence = _section_broadcast(record, smoke, repeats)
 
-    broadcast = record["full_broadcast"]
     construction_1k = record["construction"]["1k"]
     gates = {
         "construction_identity_1k": {
@@ -290,12 +291,6 @@ def run_benchmark(repeats: int, smoke: bool) -> dict:
             "backends": ["sets", "bitset", "numpy"],
             "first_divergence": divergence,
             "passed": divergence is None,
-        },
-        "numpy_vs_bitset_broadcast": {
-            "required_speedup": 1.0,
-            "observed": broadcast["speedup"],
-            "passed": broadcast["speedup"] is not None
-            and broadcast["speedup"] >= 1.0,
         },
     }
     if not smoke:
@@ -317,7 +312,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="1k fixture only: identity gates plus numpy-not-losing floor",
+        help="1k fixture only: the identity gates",
     )
     parser.add_argument(
         "--repeats", type=int, default=0,

@@ -122,9 +122,10 @@ class GenericStatic(BroadcastProtocol):
         nodes = env.graph.nodes()
         if self.hops is None and nodes:
             # The global view is node-independent, so one shared view
-            # serves every node: per-view memos (and the numpy backend's
-            # whole-graph sweep) amortise across the node set instead of
-            # being rebuilt per node.  Verdicts are unchanged — the
+            # serves every node.  Its second decider triggers one
+            # decreasing-priority sweep (on the bitset and numpy
+            # backends alike) that answers every node, instead of a
+            # decomposition per node.  Verdicts are unchanged: the
             # per-node views were equal value objects.
             view = env.make_view(
                 env.view_graph(nodes[0], None), frozenset(), frozenset()

@@ -34,13 +34,18 @@ Three interchangeable implementations compute every predicate:
   - **The epoch part** depends on the view graph, the metrics and the
     graph's ``version_stamp()``, not on status.  Per decider ``v`` it
     holds ``static_higher[v]``, the nodes whose ``(metric, id)`` key
-    ranks above ``v``'s.  The first decider of an epoch gets it from a
-    linear key scan; the second pays the one sort that fills a suffix
-    table for every later decider.  From ``v``'s second UNVISITED
-    decision in the epoch on, the epoch part also holds ``v``'s
-    status-free uncovered pairs and strong verdict.  The first decision
-    stores nothing more, so one-message-per-deployment runs do no extra
-    work.
+    ranks above ``v``'s, and ``v``'s status-free uncovered pairs and
+    strong verdict.  The first decider of an epoch gets its mask from a
+    linear key scan and computes its pairs and verdict by flood fill
+    from its second UNVISITED decision on; the first decision stores
+    nothing more, so a k-hop view graph, which only its centre decides
+    on, does no extra work.  A second distinct decider pays one sort
+    (a suffix table serving every later mask) and one
+    decreasing-priority union-find sweep
+    (:func:`~repro.core.unionfind.priority_sweep`) that fills every
+    visible decider's pairs and verdict in O((n + m)·α).  A view shared
+    by all nodes, like ``GenericStatic``'s global view, thus costs one
+    sweep instead of a flood fill per node.
   - **The per-message overlay** is mask algebra over the view's
     ``visited_mask``/``designated_mask``.  ``S`` leads the priority key,
     so for ``S(v) = UNVISITED`` the eligible set is ``static_higher[v] |
@@ -52,13 +57,14 @@ Three interchangeable implementations compute every predicate:
   eligible set then contains the status-free one, and visited fusion and
   the both-visited rule only add replacement paths.  So the dynamic
   uncovered pairs are an in-order sub-list of the status-free ones.  An
-  empty status-free list answers the decision with no flood fill.
-  Otherwise only the listed pairs are re-checked, against the dynamic
-  components that touch their endpoints, and :func:`coverage_condition`
-  stops at the first pair still uncovered.  Likewise a status-free strong
-  verdict of True stands, because each status-free component lies inside
-  a dynamic one.  Decisions answered with no per-message flood fill are
-  counted as ``coverage_epoch_reuses``.
+  empty status-free list, or a view with no visited and no designated
+  node, answers the decision with no flood fill.  Otherwise only the
+  listed pairs are re-checked, against the dynamic components that touch
+  their endpoints, and :func:`coverage_condition` stops at the first pair
+  still uncovered.  Likewise a status-free strong verdict of True stands,
+  because each status-free component lies inside a dynamic one, and so
+  does False on a status-empty view.  Decisions answered with no
+  per-message flood fill are counted as ``coverage_epoch_reuses``.
 
   **Where the epoch state lives.**  It is read through
   :func:`repro.core.views.epoch_cache`.
@@ -71,12 +77,12 @@ Three interchangeable implementations compute every predicate:
   those views it lives and dies with the view.
 * ``sets`` — the original frozenset/union-find implementation, kept as
   the executable reference.
-* ``numpy`` — the batched word-table kernel
-  (:mod:`repro.core.coverage_numpy`): one decreasing-priority sweep per
-  view computes *every* node's uncovered pairs and strong verdict at
-  once, and component/span queries run vectorised frontier reductions
-  over the ``uint64`` word table.  Optional: requires numpy, with a
-  clear error (and the other backends untouched) when it is absent.
+* ``numpy`` — the word-table kernel (:mod:`repro.core.coverage_numpy`):
+  the same sweep, run once per view in full status-aware key order,
+  answers every node of that view, and component/span queries run
+  vectorised frontier reductions over the ``uint64`` word table.
+  Optional: requires numpy, with a clear error (and the other backends
+  untouched) when it is absent.
 
 Select with ``REPRO_COVERAGE_BACKEND=sets`` (or ``bitset`` / ``numpy``);
 the test suite cross-checks that all backends produce identical results —
@@ -92,7 +98,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from ..graph.nodeindex import flood_fill
 from ..instrument import _STACK as _COUNTER_STACK
 from . import status as st
-from .unionfind import DisjointSet
+from .unionfind import DisjointSet, priority_sweep
 from .views import View, epoch_cache, view_cache
 
 __all__ = [
@@ -172,17 +178,19 @@ _CHECKPOINT = 16
 class _Decider:
     """Status-free epoch state of one decider ``v`` over one view graph.
 
-    ``uncovered`` and ``strong`` fill lazily: ``None`` before ``v``'s
-    first UNVISITED decision of the epoch, :data:`_DECIDED_ONCE` after it,
-    and from the second such decision on the status-free uncovered pairs
-    (a tuple) and strong verdict.
+    ``uncovered`` is ``v``'s status-free uncovered pairs (a flat tuple of
+    bit positions ``(p0, q0, p1, q1, ...)``) and ``strong`` its
+    status-free strong verdict.  The epoch's sweep fills both for every
+    visible decider.  Before it, the first decider fills them lazily:
+    ``None`` before its first UNVISITED decision of the epoch,
+    :data:`_DECIDED_ONCE` after it, the values from the second on.
     """
 
     __slots__ = ("uncovered", "strong")
 
-    def __init__(self) -> None:
-        self.uncovered = None
-        self.strong = None
+    def __init__(self, uncovered=None, strong=None) -> None:
+        self.uncovered = uncovered
+        self.strong = strong
 
 
 class _Epoch(_Decider):
@@ -194,13 +202,13 @@ class _Epoch(_Decider):
     ``higher`` from one linear key scan.  Every object kept per view
     graph costs memory (a 10k-node deployment has 10k view graphs), so
     nothing more is made until a second decider asks.  That one pays the
-    sort: ``order`` lists
-    positions by decreasing key, ``rank`` is each position's index in it,
-    and ``checkpoints[c]`` is the mask of the first ``c * _CHECKPOINT``
+    sort and the sweep (:meth:`sweep`).  ``order`` lists positions by
+    decreasing key, ``rank`` is each position's index in it, and
+    ``checkpoints[c]`` is the mask of the first ``c * _CHECKPOINT``
     positions of ``order``.  Any mask is then at most ``_CHECKPOINT - 1``
     ORs away, and a global view keeps ``n**2 / (8 * _CHECKPOINT)`` bytes
-    of masks instead of ``n**2 / 8``.  ``others`` holds the other
-    deciders' states.
+    of masks instead of ``n**2 / 8``.  ``others`` holds every other
+    visible decider's state.
     """
 
     __slots__ = ("v", "higher", "others", "order", "rank", "checkpoints")
@@ -214,8 +222,13 @@ class _Epoch(_Decider):
         self.rank: Optional[array] = None
         self.checkpoints: Optional[List[int]] = None
 
-    def sort(self, view: View) -> None:
-        """Fill ``order``, ``rank`` and ``checkpoints`` for ``view``'s graph."""
+    def sweep(self, view: View) -> None:
+        """Sort ``view``'s graph and fill every visible decider's state.
+
+        One :func:`~repro.core.unionfind.priority_sweep` in status-free
+        key order gives each decider's uncovered pairs and strong verdict
+        in O((n + m)·α), instead of a flood fill per decider.
+        """
         keys = _static_keys(view)
         order = sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
         rank = array("L", [0]) * len(keys)
@@ -229,9 +242,18 @@ class _Epoch(_Decider):
         self.order = array("L", order)
         self.rank = rank
         self.checkpoints = checkpoints
+        nodes = view.graph.node_index().nodes
+        others: Dict[int, _Decider] = {}
+        for position, failing, strong in priority_sweep(view.graph, order):
+            node = nodes[position]
+            if node == self.v:
+                self.uncovered, self.strong = tuple(failing), strong
+            else:
+                others[node] = _Decider(tuple(failing), strong)
+        self.others = others
 
     def higher_at(self, position: int) -> int:
-        """``static_higher`` of the node at ``position`` (needs :meth:`sort`)."""
+        """``static_higher`` of the node at ``position`` (needs :meth:`sweep`)."""
         i = self.rank[position]
         start = i - i % _CHECKPOINT
         mask = self.checkpoints[i // _CHECKPOINT]
@@ -265,14 +287,11 @@ def _decider(view: View, v: int) -> Tuple[_Decider, int]:
         epoch.v, epoch.higher = v, mask
     if epoch.v == v:
         return epoch, epoch.higher
-    if epoch.order is None:
-        epoch.sort(view)
     if epoch.others is None:
-        epoch.others = {}
-    decider = epoch.others.get(v)
-    if decider is None:
-        decider = epoch.others[v] = _Decider()
-    return decider, epoch.higher_at(view.graph.node_index().position(v))
+        epoch.sweep(view)
+    return epoch.others[v], epoch.higher_at(
+        view.graph.node_index().position(v)
+    )
 
 
 def _overlay_applies(view: View) -> bool:
@@ -627,10 +646,11 @@ def _epoch_uncovered(
     """``(static_higher[v], status-free uncovered pairs)``, or ``None``.
 
     ``None`` unless ``S(v) = UNVISITED`` (the shortcut's precondition)
-    and this is at least ``v``'s second such decision in the epoch: the
-    first decision only marks ``v``, so an epoch that decides each node
-    once stores nothing beyond ``static_higher[v]``.  The pairs are a
-    flat tuple of bit positions ``(p0, q0, p1, q1, ...)``.
+    and ``v``'s state is filled: by the epoch's sweep, or, for the
+    epoch's only decider so far, from its second such decision on.  Its
+    first decision only marks ``v``, so an epoch that its one decider
+    decides once stores nothing beyond ``static_higher[v]``.  The pairs
+    are a flat tuple of bit positions ``(p0, q0, p1, q1, ...)``.
     """
     if view.status.get(v, st.UNVISITED) != st.UNVISITED or not (
         _overlay_applies(view)
@@ -823,8 +843,9 @@ def _strong_coverage_compute_bitset(view: View, v: int) -> bool:
         view
     ):
         # Monotone shortcut: every status-free component lies inside a
-        # dynamic one, so a status-free True answers every later
-        # UNVISITED decision of the epoch.
+        # dynamic one, so a status-free True answers every UNVISITED
+        # decision of the epoch.  With no status at all the dynamic
+        # components are the status-free ones, so False stands too.
         decider, higher = _decider(view, v)
         static = decider.strong
         if static is None:
@@ -834,10 +855,10 @@ def _strong_coverage_compute_bitset(view: View, v: int) -> bool:
                 static = decider.strong = _dominated(
                     masks, targets, _decompose(higher, masks)
                 )
-            if static:
+            if static or not view.designated_mask:
                 if _COUNTER_STACK:
                     _COUNTER_STACK[-1].coverage_epoch_reuses += 1
-                return True
+                return static
     return _dominated(masks, targets, _component_masks(view, v))
 
 

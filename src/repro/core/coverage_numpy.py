@@ -1,31 +1,14 @@
 """Batched numpy word-table backend for the coverage predicates.
 
-The bitset backend answers each ``(view, v)`` query on its own: a fresh
-higher-priority flood fill per node over Python big-ints.  At scale that
-per-node cost dominates a broadcast — every node of an ``n``-node global
-view pays O(n·m/64) for its own component decomposition.
-
-This backend flips the loop structure.  One **decreasing-priority sweep**
-(:func:`sweep_compute`) visits nodes from highest to lowest priority,
-growing a union-find over the inserted prefix: at the moment ``v`` is
-reached, the inserted nodes are *exactly* the nodes ranking strictly above
-``Pr(v)`` (priority keys are a total order — the id tiebreak makes them
-unique), so the union-find state *is* ``v``'s higher-priority component
-decomposition.  Every node's uncovered pairs and strong-coverage verdict
-come out of this single O((n + m)·α) pass instead of n independent
-decompositions:
-
-* a neighbor ``u`` *reaches* the components whose roots appear in its
-  inserted closed neighborhood — so the pair ``(u, w)`` has a replacement
-  path iff their root sets intersect (or the direct edge / the
-  visited-pair convention applies);
-* a component dominates ``N(v)`` iff its root is in every neighbor's root
-  set — so the strong condition is "the intersection of the neighbors'
-  root sets is non-empty" (vacuously true with no neighbors).
-
-When ``view.visited_connected`` holds, visited nodes are fused through a
-hub as they are inserted, mirroring the component fusion of the other
-backends.
+Each view pays one decreasing-priority sweep
+(:func:`~repro.core.unionfind.priority_sweep`) in its full,
+status-aware key order, with visited fusion when
+``view.visited_connected`` holds.  The sweep yields every visible node's
+uncovered pairs and strong verdict at once (:func:`sweep_compute`), so
+one view shared by many deciders pays one O((n + m)·α) pass instead of
+one decomposition per node.  The bitset backend runs the same sweep, but
+once per view graph epoch in the status-free order, and applies each
+message's status as a mask overlay (see :mod:`repro.core.coverage`).
 
 The word table (:meth:`~repro.graph.topology.Topology.word_table` —
 the NodeIndex bit layout packed into a dense ``(n, ceil(n/64))`` uint64
@@ -60,6 +43,7 @@ except ImportError:  # pragma: no cover - the no-numpy CI job
 
 from ..instrument import _STACK as _COUNTER_STACK
 from . import status as st
+from .unionfind import priority_sweep
 from .views import View
 
 __all__ = ["np_base", "sweep_compute", "components_compute",
@@ -77,8 +61,7 @@ class _NumpyBase:
     """
 
     __slots__ = (
-        "index", "words", "n", "keys", "order_desc", "rank",
-        "adj_positions", "visited",
+        "index", "words", "n", "keys", "order_desc", "rank", "visited",
     )
 
     def __init__(self, view: View) -> None:
@@ -101,12 +84,6 @@ class _NumpyBase:
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n, dtype=np.int64)
         self.rank = rank
-        position = index.position
-        graph = view.graph
-        self.adj_positions = [
-            [position(u) for u in sorted(graph.neighbors(node))]
-            for node in index.nodes
-        ]
         self.visited = np.fromiter(
             (view.is_visited(node) for node in index.nodes),
             dtype=bool,
@@ -135,99 +112,25 @@ def np_base(view: View) -> _NumpyBase:
     return _NumpyBase(view)
 
 
-def _find(parents: List[int], x: int) -> int:
-    """Union-find root with path halving."""
-    while parents[x] != x:
-        parents[x] = parents[parents[x]]
-        x = parents[x]
-    return x
-
-
 def sweep_compute(
     view: View, base: _NumpyBase
 ) -> Dict[int, Tuple[List[Tuple[int, int]], bool]]:
     """Uncovered pairs and strong verdicts for every visible node.
 
-    One decreasing-priority insertion sweep (see the module docstring):
-    the union-find over the inserted prefix is each node's higher-priority
-    component decomposition at the moment the node is processed.
+    One :func:`~repro.core.unionfind.priority_sweep` in full-key order,
+    with visited fusion when ``view.visited_connected`` holds.
     """
-    if _COUNTER_STACK:
-        _COUNTER_STACK[-1].component_decompositions += 1
-    index = base.index
-    nodes = index.nodes
-    position = index.position
-    adj = base.adj_positions
-    visited = base.visited
-    visited_connected = view.visited_connected
-    graph = view.graph
-    has_edge = graph.has_edge
-    parents = list(range(base.n))
-    inserted = bytearray(base.n)
-    hub = -1
+    nodes = base.index.nodes
+    visited = base.visited.tolist() if view.visited_connected else None
     results: Dict[int, Tuple[List[Tuple[int, int]], bool]] = {}
-    for pos in base.order_desc:
-        v = nodes[pos]
-        neighbors = sorted(graph.neighbors(v))
-        # Root set of each neighbor's inserted closed neighborhood: the
-        # components of the higher-priority subgraph it belongs to or
-        # touches.
-        reach: List[Set[int]] = []
-        for u in neighbors:
-            u_pos = position(u)
-            roots: Set[int] = set()
-            if inserted[u_pos]:
-                roots.add(_find(parents, u_pos))
-            for x_pos in adj[u_pos]:
-                if inserted[x_pos]:
-                    roots.add(_find(parents, x_pos))
-            reach.append(roots)
-        failing: List[Tuple[int, int]] = []
-        count = len(neighbors)
-        for i in range(count):
-            u = neighbors[i]
-            reach_u = reach[i]
-            u_visited = visited_connected and visited[position(u)]
-            for j in range(i + 1, count):
-                w = neighbors[j]
-                if has_edge(u, w):
-                    continue
-                if reach_u & reach[j]:
-                    continue
-                if u_visited and visited[position(w)]:
-                    # Visited endpoints are mutually connected by
-                    # convention.
-                    continue
-                failing.append((u, w))
-        if count:
-            # A component dominates N(v) iff its root reaches every
-            # neighbor.
-            common = set(reach[0])
-            for roots in reach[1:]:
-                common &= roots
-                if not common:
-                    break
-            strong = bool(common)
-        else:
-            strong = True
-        results[v] = (failing, strong)
-        inserted[pos] = 1
-        for x_pos in adj[pos]:
-            if inserted[x_pos]:
-                root_a = _find(parents, pos)
-                root_b = _find(parents, x_pos)
-                if root_a != root_b:
-                    parents[root_a] = root_b
-        if visited_connected and visited[pos]:
-            # All visited nodes are connected through the source even
-            # when the view cannot see how: fuse through a hub.
-            if hub < 0:
-                hub = pos
-            else:
-                root_a = _find(parents, hub)
-                root_b = _find(parents, pos)
-                if root_a != root_b:
-                    parents[root_a] = root_b
+    for p, failing, strong in priority_sweep(
+        view.graph, base.order_desc, visited
+    ):
+        pairs = iter(failing)
+        results[nodes[p]] = (
+            [(nodes[u], nodes[w]) for u, w in zip(pairs, pairs)],
+            strong,
+        )
     return results
 
 

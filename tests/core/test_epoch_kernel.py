@@ -2,19 +2,24 @@
 
 ``SimulationEnvironment.make_view`` hands every view it builds over one
 view graph a shared epoch cache holding status-free state: each decider's
-``static_higher`` mask and, from its second decision on, its status-free
-uncovered pairs and strong verdict.  Each message's status is applied
-over that state as a mask overlay.  The properties here pin down that:
+``static_higher`` mask, uncovered pairs and strong verdict.  A view
+graph's first decider fills its own state lazily; the second distinct
+decider triggers one decreasing-priority sweep that fills every visible
+decider's.  Each message's status is applied over that state as a mask
+overlay.  The properties here pin down that:
 
 * a view sharing the epoch cache answers ``uncovered_pairs``,
   ``coverage_condition`` and ``strong_coverage_condition`` exactly like
   a fresh view with no shared cache, and like the ``sets`` oracle, for
   deciders at every status and with ``visited_connected`` on and off;
+* on a status-empty global view every node's answer comes from the sweep
+  with no flood fill, and matches the fresh view and ``sets``;
 * the monotone shortcut's premise holds: for an UNVISITED decider the
   dynamic uncovered list is an in-order sub-list of the status-free one;
-* no view reads epoch state from before a topology change, scheme
-  siblings never share it, and views built any other way keep per-view
-  scope.
+* a one-decider epoch never sweeps, a multi-decider epoch sweeps once per
+  topology epoch, and no view reads epoch state from before a topology
+  change; scheme siblings never share it, and views built any other way
+  keep per-view scope.
 """
 
 import dataclasses
@@ -22,6 +27,7 @@ import random
 
 import pytest
 
+from repro.core import coverage
 from repro.core import status as st
 from repro.core.coverage import (
     coverage_condition,
@@ -42,6 +48,15 @@ from repro.instrument import collecting
 from repro.sim.engine import SimulationEnvironment
 
 SEEDS = range(50)
+SCHEMES = {
+    "id": IdPriority(),
+    "degree": DegreePriority(),
+    "ncr": NcrPriority(),
+}
+CONDITIONS = {
+    "generic": coverage_condition,
+    "strong": strong_coverage_condition,
+}
 
 
 def _random_graph(rng: random.Random) -> Topology:
@@ -169,6 +184,148 @@ def test_global_view_past_several_suffix_checkpoints(monkeypatch):
             assert _verdicts(view, v, condition_first=True) == _verdicts(
                 _fresh(view), v
             )
+
+
+def _count_sweeps(monkeypatch):
+    """Record the bitset kernel's sweeps: one list entry per sweep."""
+    calls = []
+    sweep = coverage.priority_sweep
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(coverage, "priority_sweep", counting)
+    return calls
+
+
+@pytest.mark.parametrize("condition", sorted(CONDITIONS))
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sweep_answers_every_node_of_a_status_empty_global_view(
+    seed, scheme, condition, monkeypatch
+):
+    rng = random.Random(seed)
+    graph = _random_graph(rng)
+    env = SimulationEnvironment(graph, SCHEMES[scheme])
+    nodes = graph.nodes()
+    view_graph = env.view_graph(nodes[0], None)
+    decide = CONDITIONS[condition]
+    _use_backend(monkeypatch, "bitset")
+    sweeps = _count_sweeps(monkeypatch)
+    shared = env.make_view(view_graph, frozenset(), frozenset())
+    # The first decider flood-fills; the second triggers the sweep, and
+    # from then on no decision flood-fills.
+    got = {nodes[0]: decide(shared, nodes[0])}
+    with collecting() as counters:
+        for v in nodes[1:]:
+            got[v] = decide(shared, v)
+    assert len(sweeps) == 1
+    assert counters.mask_floodfills == 0
+    pairs = {v: uncovered_pairs(shared, v) for v in nodes}
+    for backend in ("bitset", "sets"):
+        _use_backend(monkeypatch, backend)
+        for v in nodes:
+            assert (pairs[v], got[v]) == (
+                uncovered_pairs(_fresh(shared), v),
+                decide(_fresh(shared), v),
+            )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_overlays_after_the_sweep_match_sets(seed, monkeypatch):
+    rng = random.Random(seed)
+    graph = _random_graph(rng)
+    env = SimulationEnvironment(graph, rng.choice(list(SCHEMES.values())))
+    nodes = graph.nodes()
+    view_graph = env.view_graph(nodes[0], None)
+    _use_backend(monkeypatch, "bitset")
+    sweeps = _count_sweeps(monkeypatch)
+    empty = env.make_view(view_graph, frozenset(), frozenset())
+    for v in nodes[:2]:
+        coverage_condition(empty, v)
+    assert len(sweeps) == 1
+    for v in nodes:
+        for v_status in (st.UNVISITED, st.DESIGNATED, st.VISITED):
+            visited, designated = _overlay(rng, nodes, v, v_status)
+            shared = env.make_view(view_graph, visited, designated)
+            if rng.random() < 0.5:
+                shared = share_epoch_cache(
+                    dataclasses.replace(shared, visited_connected=False),
+                    epoch_cache(shared),
+                )
+            _use_backend(monkeypatch, "bitset")
+            got = _verdicts(shared, v, condition_first=rng.random() < 0.5)
+            _use_backend(monkeypatch, "sets")
+            assert got == _verdicts(_fresh(shared), v)
+    assert len(sweeps) == 1
+
+
+def test_one_decider_epochs_never_sweep(monkeypatch):
+    rng = random.Random(8)
+    graph = _random_graph(rng)
+    env = SimulationEnvironment(graph)
+    _use_backend(monkeypatch, "bitset")
+    sweeps = _count_sweeps(monkeypatch)
+    nodes = graph.nodes()
+    for _message in range(3):
+        for node in nodes:
+            view = env.make_view(
+                env.view_graph(node, 2),
+                frozenset(nodes[:2]) - {node},
+                frozenset(nodes[2:4]) - {node},
+            )
+            _verdicts(view, node)
+            assert epoch_cache(view).state.others is None
+    assert not sweeps
+
+
+@pytest.mark.parametrize("mutation", ["apply_delta", "mutator"])
+def test_multi_decider_epoch_sweeps_once_per_topology_epoch(
+    mutation, monkeypatch
+):
+    rng = random.Random(12)
+    graph = _random_graph(rng)
+    while graph.node_count() < 10:
+        graph = _random_graph(rng)
+    env = SimulationEnvironment(graph, NcrPriority())
+    nodes = graph.nodes()
+    view_graph = env.view_graph(nodes[0], None)
+    _use_backend(monkeypatch, "bitset")
+    sweeps = _count_sweeps(monkeypatch)
+
+    def decide_all():
+        verdicts = []
+        for _message in range(2):
+            for node in nodes:
+                view = env.make_view(view_graph, frozenset(), frozenset())
+                verdicts.append(_verdicts(view, node))
+        return verdicts
+
+    decide_all()
+    assert len(sweeps) == 1
+    added, removed = _flip_some_edges(graph, rng)
+    if mutation == "apply_delta":
+        assert graph.apply_delta(
+            added_edges=added, removed_edges=removed
+        ).fast_path
+    else:
+        for edge in removed:
+            graph.remove_edge(*edge)
+        for edge in added:
+            graph.add_edge(*edge)
+    after = decide_all()
+    assert len(sweeps) == 2
+    rebuilt = SimulationEnvironment(graph.copy(), NcrPriority())
+    rebuilt_graph = rebuilt.view_graph(nodes[0], None)
+    assert after == [
+        _verdicts(
+            _fresh(rebuilt.make_view(rebuilt_graph, frozenset(), frozenset())),
+            node,
+        )
+        for _message in range(2)
+        for node in nodes
+    ]
 
 
 def test_shortcut_engages_and_is_counted():
