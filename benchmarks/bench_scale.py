@@ -1,4 +1,4 @@
-"""Scale benchmark: the spatial-hash builder and the numpy word table.
+"""Scale benchmark: the spatial-hash builder and the bitset coverage kernel.
 
 Measures the two kernels that broke the 100-node ceiling, on random-grid
 deployments (``random_grid_network``, occupancy 0.7, radius 1.5) at
@@ -14,12 +14,10 @@ n ≈ 1k / 10k / 100k:
   sort-all-pairs calibration allocated ~50M distances), with a radius
   byte-identity gate against the pairwise reference at 1k.
 * **full broadcast** — ``GenericStatic`` (global view) prepare + run
-  under the bitset and numpy coverage backends at 1k, with the sets
-  reference included in the identity gate; numpy alone is also timed at
-  10k to record forward-set throughput at scale.  The bitset/numpy time
-  ratio is recorded (``full_broadcast.speedup``), not gated: both
-  backends answer a shared global view with the same decreasing-priority
-  sweep, so neither is required to win.
+  under the bitset coverage backend at 1k, with its forward set gated
+  byte-identical to the sets reference, and again at 10k to record
+  forward-set throughput at scale.  A shared global view costs bitset
+  one decreasing-priority sweep for the whole deployment.
 
 Byte-identity gates use :func:`bench_parallel.first_divergence` so a
 failure names the first diverging edge / node instead of only reporting
@@ -32,7 +30,7 @@ repo root so the perf trajectory is tracked across PRs)::
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke
 
 ``--smoke`` (the CI ``scale-kernel`` job) runs only the 1k fixture: the
-construction and calibration identity gates and the three-backend
+construction and calibration identity gates and the sets-vs-bitset
 forward-set identity gate.  Full mode additionally requires the 100k
 grid build to complete.  Exits non-zero when any gate fails.
 """
@@ -82,9 +80,9 @@ RADIUS = 1.5
 PAIRWISE_FEASIBLE = {"1k"}
 #: Grid calibration sizes (10k is where sort-all-pairs used to blow up).
 CALIBRATION_SIZES = ("1k", "10k")
-#: Broadcast A/B size, and the numpy-only scale point.
+#: Broadcast identity-gate size, and the bitset-only scale point.
 BROADCAST_AB_SIZE = "1k"
-BROADCAST_NUMPY_SIZE = "10k"
+BROADCAST_SCALE_SIZE = "10k"
 
 
 def _positions(name: str) -> Dict[int, object]:
@@ -203,7 +201,7 @@ def _section_calibration(record: dict, sizes: List[str], repeats: int) -> None:
 def _section_broadcast(
     record: dict, smoke: bool, repeats: int
 ) -> Optional[str]:
-    """Time bitset vs numpy; gate forward-set identity across all three.
+    """Time bitset; gate its forward set against the sets reference.
 
     Returns the first divergence path (or ``None`` when identical).
     """
@@ -213,46 +211,34 @@ def _section_broadcast(
         random.Random(FIXTURES[BROADCAST_AB_SIZE]["seed"]),
         RADIUS,
     ).topology
-    times: Dict[str, float] = {}
-    payloads: Dict[str, dict] = {}
-    for backend in ("bitset", "numpy"):
-        best = float("inf")
-        for _ in range(repeats):
-            elapsed, payloads[backend] = _broadcast(graph, backend)
-            best = min(best, elapsed)
-        times[backend] = best
+    best = float("inf")
+    for _ in range(repeats):
+        elapsed, bitset = _broadcast(graph, "bitset")
+        best = min(best, elapsed)
     # The sets reference joins the identity gate once (it is the slow arm).
-    _elapsed, payloads["sets"] = _broadcast(graph, "sets")
+    _elapsed, sets = _broadcast(graph, "sets")
     os.environ.pop("REPRO_COVERAGE_BACKEND", None)
-    divergence = first_divergence(
-        payloads["sets"], payloads["bitset"]
-    ) or first_divergence(payloads["bitset"], payloads["numpy"])
+    divergence = first_divergence(sets, bitset)
     section = {
         "fixture": BROADCAST_AB_SIZE,
         "nodes": graph.node_count(),
-        "bitset_seconds": round(times["bitset"], 4),
-        "numpy_seconds": round(times["numpy"], 4),
-        "speedup": (
-            round(times["bitset"] / times["numpy"], 2)
-            if times["numpy"]
-            else None
-        ),
-        "forward_set_size": len(payloads["numpy"]["forward_set"]),
+        "bitset_seconds": round(best, 4),
+        "forward_set_size": len(bitset["forward_set"]),
         "first_divergence": divergence,
     }
     if not smoke:
         large = random_grid_network(
-            FIXTURES[BROADCAST_NUMPY_SIZE]["side"],
-            FIXTURES[BROADCAST_NUMPY_SIZE]["occupancy"],
-            random.Random(FIXTURES[BROADCAST_NUMPY_SIZE]["seed"]),
+            FIXTURES[BROADCAST_SCALE_SIZE]["side"],
+            FIXTURES[BROADCAST_SCALE_SIZE]["occupancy"],
+            random.Random(FIXTURES[BROADCAST_SCALE_SIZE]["seed"]),
             RADIUS,
         ).topology
-        elapsed, payload = _broadcast(large, "numpy")
+        elapsed, payload = _broadcast(large, "bitset")
         os.environ.pop("REPRO_COVERAGE_BACKEND", None)
-        section["numpy_at_scale"] = {
-            "fixture": BROADCAST_NUMPY_SIZE,
+        section["bitset_at_scale"] = {
+            "fixture": BROADCAST_SCALE_SIZE,
             "nodes": large.node_count(),
-            "numpy_seconds": round(elapsed, 4),
+            "bitset_seconds": round(elapsed, 4),
             "nodes_per_second": round(large.node_count() / elapsed)
             if elapsed
             else None,
@@ -288,7 +274,7 @@ def run_benchmark(repeats: int, smoke: bool) -> dict:
             "passed": record["calibration"]["1k"]["radius_identical"],
         },
         "forward_sets_identical": {
-            "backends": ["sets", "bitset", "numpy"],
+            "backends": ["sets", "bitset"],
             "first_divergence": divergence,
             "passed": divergence is None,
         },
@@ -308,7 +294,7 @@ def run_benchmark(repeats: int, smoke: bool) -> dict:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Cell-grid builder and numpy backend scale benchmark."
+        description="Cell-grid builder and bitset kernel scale benchmark."
     )
     parser.add_argument(
         "--smoke", action="store_true",

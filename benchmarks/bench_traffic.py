@@ -11,8 +11,8 @@ the repo root so the perf trajectory is tracked across PRs)::
 Two legs:
 
 * **identity** — a one-message :class:`~repro.sim.traffic.SingleShot`
-  run on every configured coverage backend (bitset; numpy joins when
-  installed) must reproduce the ``sets`` oracle byte for byte:
+  run on the bitset coverage backend must reproduce the ``sets``
+  oracle byte for byte:
   forward/delivered sets, receipt counts, designations, completion
   time, byte counts, and the typed event stream.  Any mismatch fails
   the benchmark and is localised with a ``first_divergence`` JSON path.
@@ -56,10 +56,9 @@ DEFAULT_OUT = os.path.join(
     "BENCH_traffic.json",
 )
 
-#: Coverage backends the identity gate always covers (``sets`` is the
-#: oracle the others are compared against); numpy is appended at
-#: runtime when importable (it is an optional dependency).
-BASE_BACKENDS = ("sets", "bitset")
+#: Coverage backends the identity gate covers (``sets`` is the oracle
+#: the others are compared against).
+BACKENDS = ("sets", "bitset")
 
 IDENTITY_PROTOCOLS = (
     ("flooding", Flooding),
@@ -101,17 +100,6 @@ def first_divergence(expected, actual, path="$"):
     if expected != actual:
         return f"{path}: expected={expected!r} actual={actual!r}"
     return None
-
-
-def _backends() -> List[str]:
-    backends = list(BASE_BACKENDS)
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        backends.append("numpy")
-    return backends
 
 
 def _outcome_payload(outcome) -> Dict:
@@ -157,17 +145,16 @@ def _single_message(n: int, degree: float, factory, seed: int) -> Dict:
 
 def check_identity(n: int, degree: float, seeds: int) -> Dict:
     """Every backend's single-message runs against the ``sets`` oracle."""
-    backends = _backends()
     checks = 0
     divergence = None
     ambient = os.environ.get("REPRO_COVERAGE_BACKEND")
     for label, factory in IDENTITY_PROTOCOLS:
         for seed in range(seeds):
             payloads = {}
-            for backend in backends:
+            for backend in BACKENDS:
                 os.environ["REPRO_COVERAGE_BACKEND"] = backend
                 payloads[backend] = _single_message(n, degree, factory, seed)
-            for backend in backends[1:]:
+            for backend in BACKENDS[1:]:
                 checks += 1
                 found = first_divergence(payloads["sets"], payloads[backend])
                 if found is not None and divergence is None:
@@ -181,7 +168,7 @@ def check_identity(n: int, degree: float, seeds: int) -> Dict:
     else:
         os.environ["REPRO_COVERAGE_BACKEND"] = ambient
     return {
-        "backends": backends,
+        "backends": list(BACKENDS),
         "protocols": [label for label, _ in IDENTITY_PROTOCOLS],
         "seeds_per_combination": seeds,
         "checks": checks,

@@ -123,10 +123,10 @@ class GenericStatic(BroadcastProtocol):
         if self.hops is None and nodes:
             # The global view is node-independent, so one shared view
             # serves every node.  Its second decider triggers one
-            # decreasing-priority sweep (on the bitset and numpy
-            # backends alike) that answers every node, instead of a
-            # decomposition per node.  Verdicts are unchanged: the
-            # per-node views were equal value objects.
+            # decreasing-priority sweep (on the bitset backend) that
+            # answers every node, instead of a decomposition per node.
+            # Verdicts are unchanged: the per-node views were equal value
+            # objects.
             view = env.make_view(
                 env.view_graph(nodes[0], None), frozenset(), frozenset()
             )

@@ -22,7 +22,7 @@ All three operate on a :class:`~repro.core.views.View` and honour the
 
 Backends
 --------
-Three interchangeable implementations compute every predicate:
+Two interchangeable implementations compute every predicate:
 
 * ``bitset`` (the default) — the node-indexed bitmask kernel.  Components
   come from word-parallel flood-fills
@@ -77,15 +77,9 @@ Three interchangeable implementations compute every predicate:
   those views it lives and dies with the view.
 * ``sets`` — the original frozenset/union-find implementation, kept as
   the executable reference.
-* ``numpy`` — the word-table kernel (:mod:`repro.core.coverage_numpy`):
-  the same sweep, run once per view in full status-aware key order,
-  answers every node of that view, and component/span queries run
-  vectorised frontier reductions over the ``uint64`` word table.
-  Optional: requires numpy, with a clear error (and the other backends
-  untouched) when it is absent.
 
-Select with ``REPRO_COVERAGE_BACKEND=sets`` (or ``bitset`` / ``numpy``);
-the test suite cross-checks that all backends produce identical results —
+Select with ``REPRO_COVERAGE_BACKEND=sets`` (or ``bitset``); the test
+suite cross-checks that both backends produce identical results —
 forward sets are byte-identical across them.
 """
 
@@ -110,13 +104,13 @@ __all__ = [
     "coverage_backend",
 ]
 
-_BACKENDS = ("bitset", "sets", "numpy")
+_BACKENDS = ("bitset", "sets")
 
 
 def coverage_backend() -> str:
     """The active backend name, from ``REPRO_COVERAGE_BACKEND``.
 
-    ``bitset`` (default), ``sets``, or ``numpy``.  Read per call so tests
+    ``bitset`` (default) or ``sets``.  Read per call so tests
     and A/B benchmarks can flip the environment variable between
     evaluations; memoised results are keyed by backend, so flipping
     mid-view is safe.
@@ -429,47 +423,6 @@ def _reach_of(
 
 
 # ----------------------------------------------------------------------
-# Numpy backend: lazy import and per-view batched tables
-# ----------------------------------------------------------------------
-
-
-def _np_kernel():
-    """The :mod:`repro.core.coverage_numpy` module, or a clear error.
-
-    Imported lazily so the numpy dependency stays optional: the bitset
-    and sets backends never trigger this import.
-    """
-    from . import coverage_numpy
-
-    if coverage_numpy.np is None:
-        raise RuntimeError(
-            "REPRO_COVERAGE_BACKEND=numpy requires numpy, which is not "
-            "installed in this environment; use 'bitset' or 'sets'"
-        )
-    return coverage_numpy
-
-
-def _np_base(view: View):
-    """The per-view word-table context (memoised)."""
-    return _memo(
-        view, ("np-base",), lambda: _np_kernel().np_base(view)
-    )
-
-
-def _np_sweep(view: View):
-    """Every node's (uncovered pairs, strong verdict), in one sweep.
-
-    The whole batch is one memo entry: the first predicate evaluated on a
-    view pays the sweep, every later node reads its slot for free.
-    """
-    return _memo(
-        view,
-        ("np-sweep",),
-        lambda: _np_kernel().sweep_compute(view, _np_base(view)),
-    )
-
-
-# ----------------------------------------------------------------------
 # Sets backend: the original frozenset/union-find reference
 # ----------------------------------------------------------------------
 
@@ -555,12 +508,6 @@ def higher_priority_components(view: View, v: int) -> List[Set[int]]:
             ("components", v, "sets"),
             lambda: _components_compute_sets(view, v),
         )
-    if backend == "numpy":
-        return _memo(
-            view,
-            ("components", v, "numpy"),
-            lambda: _np_kernel().components_compute(view, _np_base(view), v),
-        )
     return _memo(
         view,
         ("components", v, "bitset"),
@@ -587,9 +534,6 @@ def uncovered_pairs(view: View, v: int) -> List[Tuple[int, int]]:
             ("uncovered", v, "sets"),
             lambda: _uncovered_pairs_compute_sets(view, v),
         )
-    if backend == "numpy":
-        # The sweep result is itself the memo; per-node reads are free.
-        return _np_sweep(view)[v][0]
     return _memo(
         view,
         ("uncovered", v, "bitset"),
@@ -825,8 +769,6 @@ def strong_coverage_condition(view: View, v: int) -> bool:
             if _dominates(view, component, neighbors):
                 return True
         return False
-    if backend == "numpy":
-        return _np_sweep(view)[v][1]
     return _memo(
         view,
         ("strong", v, "bitset"),
@@ -936,26 +878,6 @@ def _span_compute(
                     ("span-pair", v, u, w, max_intermediates, "sets"),
                     lambda u=u, w=w: _bounded_replacement_path_sets(
                         view, u, w, eligible, max_intermediates
-                    ),
-                ):
-                    return False
-        return True
-    if backend == "numpy":
-        kernel = _np_kernel()
-        np_base = _np_base(view)
-        eligible = _memo(
-            view,
-            ("span-eligible", v, "numpy"),
-            lambda: kernel.span_eligible(view, np_base, v),
-        )
-        neighbors = sorted(view.graph.neighbors(v))
-        for i, u in enumerate(neighbors):
-            for w in neighbors[i + 1:]:
-                if not _memo(
-                    view,
-                    ("span-pair", v, u, w, max_intermediates, "numpy"),
-                    lambda u=u, w=w: kernel.bounded_replacement_path(
-                        np_base, u, w, eligible, max_intermediates
                     ),
                 ):
                     return False

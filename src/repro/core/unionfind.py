@@ -9,7 +9,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Optional,
     Sequence,
     Set,
     Tuple,
@@ -83,9 +82,7 @@ class DisjointSet:
 
 
 def priority_sweep(
-    graph: "Topology",
-    order: Sequence[int],
-    visited: Optional[Sequence[int]] = None,
+    graph: "Topology", order: Sequence[int]
 ) -> Iterator[Tuple[int, List[int], bool]]:
     """Every node's uncovered pairs and strong verdict, in one sweep.
 
@@ -104,10 +101,6 @@ def priority_sweep(
       root set, so the strong verdict is "the root sets share a root"
       (vacuously true with no neighbours).
 
-    With ``visited`` (per-position flags) visited nodes are fused through a
-    hub as they are inserted, and a pair of visited endpoints counts as
-    connected; ``None`` turns both rules off.
-
     Yields ``(p, failing, strong)`` in ``order``, where ``failing`` is the
     flat list ``[u0, w0, u1, w1, ...]`` of ``p``'s uncovered pairs, each
     with ``u`` before ``w`` and listed in node-id order.
@@ -123,7 +116,6 @@ def priority_sweep(
     parents = list(range(len(neighbors)))
     inserted = bytearray(len(neighbors))
     linked = [set(row) for row in neighbors]
-    hub = -1
 
     def find(x: int) -> int:
         # Path halving.
@@ -146,14 +138,9 @@ def priority_sweep(
             u = adjacent[i]
             reach_u = reach[i]
             linked_u = linked[u]
-            u_visited = visited is not None and visited[u]
             for j in range(i + 1, count):
                 w = adjacent[j]
                 if w in linked_u or not reach_u.isdisjoint(reach[j]):
-                    continue
-                if u_visited and visited[w]:
-                    # Visited endpoints are mutually connected by
-                    # convention.
                     continue
                 failing += (u, w)
         yield p, failing, not reach or bool(set.intersection(*reach))
@@ -163,12 +150,3 @@ def priority_sweep(
                 root_p, root_x = find(p), find(x)
                 if root_p != root_x:
                     parents[root_p] = root_x
-        if visited is not None and visited[p]:
-            # All visited nodes are connected through the source even when
-            # the view cannot see how: fuse them through a hub.
-            if hub < 0:
-                hub = p
-            else:
-                root_hub, root_p = find(hub), find(p)
-                if root_hub != root_p:
-                    parents[root_hub] = root_p

@@ -429,7 +429,7 @@ class ShardSubgraph:
         flip list is safe — the parent's routing merely avoids shipping
         flips this filter would discard anyway.  Applied flips go
         through :meth:`~repro.graph.topology.Topology.apply_delta`, so
-        the replica's mask/word-table rows are patched in place under
+        the replica's mask-table rows are patched in place under
         its stable local index.
         """
         local_of = self._local_of
@@ -451,8 +451,8 @@ class ShardSubgraph:
 
     def __getstate__(self) -> Dict[str, object]:
         # Compact wire state: rebuilding from (nodes, edges) on the far
-        # side is cheaper than pickling the replica's memoised mask and
-        # word tables.
+        # side is cheaper than pickling the replica's memoised mask
+        # tables.
         return {
             "shard_id": self.shard_id,
             "nodes": self._global_nodes,

@@ -296,24 +296,6 @@ class Topology:
         )
         return index, patched
 
-    def _patched_word_table(self, table, endpoints: Iterable[int]):
-        """Like :meth:`_patched_mask_table`, for the numpy word table.
-
-        Only the endpoints' rows are re-packed; the rest of the array is
-        carried over in one copy, and the :class:`NodeIndex` coordinate
-        system is reused verbatim.
-        """
-        from .wordtable import pack_masks
-
-        index, words = table
-        patched = words.copy()
-        n = len(index)
-        for node in endpoints:
-            patched[index.position(node)] = pack_masks(
-                [index.mask_of(self._adj[node])], n
-            )[0]
-        return index, patched
-
     def apply_delta(
         self,
         added_edges: Iterable[Edge] = (),
@@ -497,8 +479,6 @@ class Topology:
                 keep[key] = value
             elif tag == "mask_table":
                 keep[key] = self._patched_mask_table(value, endpoints)  # type: ignore[arg-type]
-            elif tag == "word_table":
-                keep[key] = self._patched_word_table(value, endpoints)
             elif tag == "neighbors":
                 if key[1] in endpoint_set:
                     evicted += 1
@@ -576,24 +556,6 @@ class Topology:
                 row |= 1 << position(neighbor)
             masks.append(row)
         return index, tuple(masks)
-
-    def word_table(self):
-        """``(index, words)``: the adjacency table as numpy uint64 words.
-
-        ``words[index.position(v)]`` packs the same bigint row as
-        :meth:`adjacency_masks` into ``ceil(n/64)`` little-endian words —
-        the dense layout the numpy coverage backend batches over (see
-        :mod:`repro.graph.wordtable`; requires numpy).  Memoised per
-        epoch and, like the bigint table, row-patched rather than rebuilt
-        by :meth:`apply_delta`.  Treat the array as a read-only snapshot.
-        """
-        return self._cached(("word_table",), self._word_table_compute)
-
-    def _word_table_compute(self):
-        from .wordtable import pack_masks
-
-        index, masks = self.adjacency_masks()
-        return index, pack_masks(masks, len(index))
 
     def adjacency_mask(self, node: int) -> int:
         """The neighbor mask ``N(node)`` under :meth:`node_index`."""

@@ -406,12 +406,12 @@ class MemoKeyBackendRule(Rule):
     description = (
         "A _memo() key tag used at more than one call site in "
         "core/coverage.py must carry the backend qualifier ('bitset' / "
-        "'sets' / 'numpy' literal or the backend variable) in its key "
-        "tuple — otherwise flipping REPRO_COVERAGE_BACKEND mid-view "
-        "serves one backend's cached value to the other."
+        "'sets' literal or the backend variable) in its key tuple — "
+        "otherwise flipping REPRO_COVERAGE_BACKEND mid-view serves one "
+        "backend's cached value to the other."
     )
 
-    QUALIFIERS = frozenset({"bitset", "sets", "numpy"})
+    QUALIFIERS = frozenset({"bitset", "sets"})
 
     def applies_to(self, path: str) -> bool:
         parts = path_parts(path)
@@ -441,7 +441,7 @@ class MemoKeyBackendRule(Rule):
                     node,
                     f"memo key tag {tag!r} is used at {counts[tag]} call "
                     "sites but this key omits the backend qualifier; add "
-                    "'bitset'/'sets'/'numpy' (or the backend variable) to "
+                    "'bitset'/'sets' (or the backend variable) to "
                     "the tuple",
                 )
 

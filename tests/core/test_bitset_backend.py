@@ -7,7 +7,9 @@ Two families of checks:
   between two outermost-ring nodes are invisible);
 * every coverage predicate returns the same verdicts under
   ``REPRO_COVERAGE_BACKEND=bitset`` and ``=sets`` on shared views — the
-  property the byte-identical forward-set guarantee rests on.
+  property the byte-identical forward-set guarantee rests on — and
+  ``GenericStatic`` global-view forward sets match on the Figure-1 and
+  a >50-node random-grid fixture.
 
 Views are shared across backends on purpose: memo keys are
 backend-qualified, so flipping the env var mid-view must be safe.
@@ -27,6 +29,8 @@ from repro.core.coverage import (
 )
 from repro.core.priority import DegreePriority, IdPriority, NcrPriority
 from repro.core.views import global_view, local_view
+from repro.graph.generators import random_grid_network
+from repro.graph.paperfigs import figure1
 from repro.graph.topology import Topology
 
 SEEDS = range(50)
@@ -143,9 +147,10 @@ def test_components_agree_across_backends(seed, monkeypatch):
 
 
 def test_unknown_backend_rejected(monkeypatch):
-    monkeypatch.setenv("REPRO_COVERAGE_BACKEND", "turbo")
-    with pytest.raises(ValueError):
-        coverage_backend()
+    for backend in ("turbo", "numpy"):
+        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
+        with pytest.raises(ValueError):
+            coverage_backend()
 
 
 def test_invisible_node_still_ranked(monkeypatch):
@@ -162,3 +167,33 @@ def test_invisible_node_still_ranked(monkeypatch):
     bitset = _with_backend(monkeypatch, "bitset", components)
     sets = _with_backend(monkeypatch, "sets", components)
     assert bitset == sets
+
+
+def _forward_sets(topology, monkeypatch):
+    """``GenericStatic`` global-view forward sets per backend and mode."""
+    from repro.algorithms.generic import GenericStatic
+    from repro.sim.engine import SimulationEnvironment
+
+    out = {}
+    for backend in ("bitset", "sets"):
+        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
+        env = SimulationEnvironment(topology, IdPriority())
+        protocols = {}
+        for strong in (False, True):
+            protocol = GenericStatic(hops=None, strong=strong)
+            protocol.prepare(env)
+            protocols[strong] = protocol.forward_set
+        out[backend] = protocols
+    return out
+
+
+def test_forward_sets_identical_on_figure1(monkeypatch):
+    results = _forward_sets(figure1().topology, monkeypatch)
+    assert results["bitset"] == results["sets"]
+
+
+def test_forward_sets_identical_on_random_grid(monkeypatch):
+    network = random_grid_network(12, 0.7, random.Random(5))
+    assert network.node_count > 50
+    results = _forward_sets(network.topology, monkeypatch)
+    assert results["bitset"] == results["sets"]

@@ -4,7 +4,7 @@ The determinism contract under test: merged sharded forward sets are
 byte-identical to the serial incremental path (and to the full-rebuild
 oracle) at **any** shard grid and worker count, on every coverage
 backend.  Each seed rotates through one (backend, grid, jobs) cell so 50
-seeds cover all 27 combinations several times over without a 1350-case
+seeds cover all 18 combinations several times over without a 900-case
 matrix.
 """
 
@@ -38,7 +38,7 @@ from repro.graph.mobility import RandomWaypointModel
 from repro.instrument import collecting
 
 SEEDS = range(50)
-BACKENDS = ("sets", "bitset", "numpy")
+BACKENDS = ("sets", "bitset")
 GRIDS = ((1, 1), (2, 2), (4, 2))
 JOBS = (1, 2, 4)
 
@@ -55,7 +55,7 @@ def _model(seed: int, n: int = 24) -> RandomWaypointModel:
 def _cell(seed: int):
     """This seed's (backend, grid, jobs) cell of the rotation."""
     return (
-        BACKENDS[seed % 3],
+        BACKENDS[seed % len(BACKENDS)],
         GRIDS[(seed // 3) % 3],
         JOBS[(seed // 9) % 3],
     )
@@ -70,8 +70,6 @@ def _payload(steps):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sharded_matches_serial_and_rebuild(seed, monkeypatch):
     backend, grid, jobs = _cell(seed)
-    if backend == "numpy":
-        pytest.importorskip("numpy")
     monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
     scheme_factory = NcrPriority if seed % 5 == 0 else DegreePriority
     serial = run_mobility_sweep(

@@ -27,7 +27,3 @@ def span_eligible(view, v, backend):
 def mask_base(view):
     # A single-site tag is backend-invariant by construction.
     return _memo(view, ("mask-base",), lambda: [0])
-
-
-def components_numpy(view, v):
-    return _memo(view, ("components", v, "numpy"), lambda: [v])

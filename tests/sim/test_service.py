@@ -6,8 +6,8 @@ Three 50-seed property suites back the engine's contracts:
   *byte-identical* to what the retired single-broadcast engine produced
   — forward sets, delivered sets, receipt counts, completion time and
   the typed event stream, pinned as per-seed fingerprints in
-  ``golden_single_message.json`` — on every coverage backend (sets,
-  bitset, numpy when installed);
+  ``golden_single_message.json`` — on both coverage backends (sets and
+  bitset);
 * under concurrent messages, per-message delivery stays duplicate-free:
   each node counts at most one first receipt and transmits each message
   at most once;
@@ -47,7 +47,7 @@ from repro.sim.traffic import (
 
 SEEDS = range(50)
 
-BACKENDS = ("sets", "bitset", "numpy")
+BACKENDS = ("sets", "bitset")
 
 #: Per-seed fingerprints of the single-message suite below, recorded from
 #: the retired single-broadcast engine (identical on every backend).
@@ -65,12 +65,6 @@ PROTOCOLS = (
     DominantPruning,
     MultipointRelay,
 )
-
-
-def _use_backend(monkeypatch, backend: str) -> None:
-    if backend == "numpy":
-        pytest.importorskip("numpy")
-    monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
 
 
 def _deployment(seed: int):
@@ -134,7 +128,7 @@ def _single_message(seed: int):
 def test_single_message_service_is_byte_identical_to_legacy(
     seed, backend, monkeypatch
 ):
-    _use_backend(monkeypatch, backend)
+    monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
     assert _fingerprint(_single_message(seed)) == GOLDEN_SINGLE_MESSAGE[str(seed)]
 
 
@@ -275,7 +269,7 @@ class TestEpochCache:
 
     @staticmethod
     def _forwards(strong, hops, monkeypatch, backend, share):
-        _use_backend(monkeypatch, backend)
+        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
         if not share:
             # Every view falls back to its own per-view cache.
             monkeypatch.setattr(
