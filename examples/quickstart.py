@@ -60,7 +60,7 @@ def main() -> None:
     )
 
     print("\nfirst ten trace events:")
-    for event in outcome.trace.events()[:10]:
+    for event in outcome.events[:10]:
         print(" ", event)
 
     # 4. Compare against blind flooding: every node transmits.

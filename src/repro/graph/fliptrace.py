@@ -132,7 +132,12 @@ class FlipTrace:
 
     @staticmethod
     def from_jsonl_lines(lines: Iterable[str]) -> "FlipTrace":
-        """Rebuild a trace from :meth:`to_jsonl_lines` output."""
+        """Rebuild a trace from :meth:`to_jsonl_lines` output.
+
+        Steps must run ``0, 1, 2, ...``: a gap (a lost interior line)
+        raises ``ValueError`` naming the expected step, as does a line
+        cut mid-JSON.  A trace cut after a whole step line still loads.
+        """
         iterator = iter(lines)
         try:
             header = json.loads(next(iterator))
@@ -155,6 +160,11 @@ class FlipTrace:
             if not line.strip():
                 continue
             payload = json.loads(line)
+            if payload["step"] != len(steps):
+                raise ValueError(
+                    f"flip trace out of order: expected step {len(steps)}, "
+                    f"got step {payload['step']}"
+                )
             steps.append(
                 FlipStep(
                     step=payload["step"],

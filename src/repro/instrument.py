@@ -84,7 +84,7 @@ class InstrumentationCounters:
     # sim/scheduler.py
     scheduler_events: int = 0
     scheduler_max_queue_depth: int = 0
-    # sim/service.py + sim/rounds.py
+    # sim/service.py
     transmissions: int = 0
     bytes_transmitted: int = 0
     decisions: int = 0

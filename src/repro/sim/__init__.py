@@ -32,7 +32,6 @@ from .hello import HelloState, run_hello_rounds
 from .mac import CollisionMac, IdealMac, JitterMac, MacModel
 from .packet import Packet, TrailEntry
 from .reliable import ReliableBroadcastSession, ReliableOutcome
-from .rounds import run_round_broadcast
 from .scheduler import EventScheduler
 from .service import (
     MessageOutcome,
@@ -42,7 +41,6 @@ from .service import (
     ServiceOutcome,
     service_seed,
 )
-from .trace import TraceEvent, TraceRecorder
 from .traffic import (
     BurstyTraffic,
     Message,
@@ -99,10 +97,7 @@ __all__ = [
     "MacModel",
     "Packet",
     "ReliableBroadcastSession",
-    "run_round_broadcast",
     "ReliableOutcome",
     "TrailEntry",
     "EventScheduler",
-    "TraceEvent",
-    "TraceRecorder",
 ]

@@ -42,7 +42,6 @@ from ..graph.topology import Topology
 from ..instrument import InstrumentationCounters
 from .events import EventBus, SimEvent
 from .mac import MacModel
-from .trace import TraceRecorder
 
 __all__ = [
     "SimulationEnvironment",
@@ -207,8 +206,6 @@ class BroadcastOutcome:
     bytes_transmitted: int = 0
     #: Typed event trace (``collect_trace=True``), in emission order.
     events: Optional[List[SimEvent]] = None
-    #: Deprecated text-trace shim rendered from :attr:`events`.
-    trace: Optional[TraceRecorder] = None
     #: Per-run work counters (``collect_counters=True``).
     counters: Optional[InstrumentationCounters] = None
 

@@ -8,13 +8,9 @@ by event type), record full traces with :class:`RecordingBus`, or stay
 at the zero-cost default :data:`NULL_BUS`, which reports ``active =
 False`` so emitters skip even constructing the event object.
 
-The structured events replace the old free-text
-:class:`~repro.sim.trace.TraceRecorder` strings; that class survives as
-a deprecated shim that renders the legacy text format *from* typed
-events (see :meth:`SimEvent.legacy`).  For offline analysis,
-:func:`events_to_jsonl` / :func:`events_from_jsonl` round-trip a trace
-through a line-per-event JSON encoding that is byte-stable under a
-fixed seed.
+For offline analysis, :func:`events_to_jsonl` /
+:func:`events_from_jsonl` round-trip a trace through a line-per-event
+JSON encoding that is byte-stable under a fixed seed.
 """
 
 from __future__ import annotations
@@ -67,18 +63,8 @@ class SimEvent:
     node: int
     message_id: int = 0
 
-    #: Stable wire/type name, also the legacy trace "kind" where one exists.
+    #: Stable wire/type name (the JSONL ``type`` field).
     kind: ClassVar[str] = "event"
-
-    def legacy(self) -> Optional[Tuple[str, str]]:
-        """The ``(kind, detail)`` of the pre-typed text trace, if any.
-
-        Events that had no counterpart in the old string format (e.g.
-        :class:`Designate`, :class:`BackoffScheduled`) return ``None``
-        and are skipped by the :class:`~repro.sim.trace.TraceRecorder`
-        shim.
-        """
-        return None
 
 
 @dataclass(frozen=True)
@@ -90,9 +76,6 @@ class Transmit(SimEvent):
 
     kind: ClassVar[str] = "transmit"
 
-    def legacy(self) -> Optional[Tuple[str, str]]:
-        return ("transmit", f"designates {list(self.designated)}")
-
 
 @dataclass(frozen=True)
 class Deliver(SimEvent):
@@ -101,9 +84,6 @@ class Deliver(SimEvent):
     sender: int = -1
 
     kind: ClassVar[str] = "receive"
-
-    def legacy(self) -> Optional[Tuple[str, str]]:
-        return ("receive", f"from {self.sender}")
 
 
 @dataclass(frozen=True)
@@ -123,15 +103,6 @@ class Drop(SimEvent):
 
     kind: ClassVar[str] = "drop"
 
-    def legacy(self) -> Optional[Tuple[str, str]]:
-        if self.reason == "collision":
-            return ("lost", f"collision, copy from {self.sender}")
-        if self.reason == "queue_full":
-            return ("lost", "egress queue full")
-        if self.reason == "ttl_expired":
-            return ("lost", f"ttl expired, copy from {self.sender}")
-        return ("lost", f"copy from {self.sender}")
-
 
 @dataclass(frozen=True)
 class Decide(SimEvent):
@@ -150,18 +121,6 @@ class Decide(SimEvent):
     designated: bool = False
 
     kind: ClassVar[str] = "decide"
-
-    def legacy(self) -> Optional[Tuple[str, str]]:
-        if self.reason == "source":
-            return ("decide", "source always forwards")
-        if self.reason == "forced-designation":
-            return ("decide", "forced by late designation")
-        if self.reason == "relaxed-designation":
-            return ("decide", "forward (re-evaluated as designated)")
-        if not self.forward:
-            return ("decide", "non-forward")
-        detail = "forward (designated)" if self.designated else "forward"
-        return ("decide", detail)
 
 
 @dataclass(frozen=True)

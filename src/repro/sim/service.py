@@ -57,7 +57,6 @@ from .events import (
 from .mac import IdealMac, MacModel
 from .packet import Packet
 from .scheduler import EventScheduler
-from .trace import TraceRecorder
 from .traffic import Message, TrafficModel
 
 __all__ = [
@@ -315,7 +314,6 @@ class ServiceOutcome:
         only = self.messages[0]
         receipt_counts = {node: 0 for node in self.nodes}
         receipt_counts.update(only.receipt_counts)
-        events = self.events
         return BroadcastOutcome(
             source=only.message.source,
             forward_nodes=set(only.forward_nodes),
@@ -325,12 +323,7 @@ class ServiceOutcome:
             designations=dict(only.designations),
             receipt_counts=receipt_counts,
             bytes_transmitted=only.bytes_transmitted,
-            events=events,
-            trace=(
-                TraceRecorder.from_events(events)
-                if events is not None
-                else None
-            ),
+            events=self.events,
             counters=self.counters,
         )
 
@@ -696,8 +689,7 @@ class ServiceEngine:
                     size_units=size,
                 )
             )
-        # Sorted delivery order keeps same-time tie-breaks well-defined
-        # (and identical to the round-synchronous executor).
+        # Sorted delivery order keeps same-time tie-breaks well-defined.
         neighbors = sorted(self.env.graph.neighbors(node))
         for receiver, arrival in self.mac.deliveries(
             node, now, neighbors, self.rng
@@ -736,6 +728,8 @@ class ServiceEngine:
                 self._drop(mid, node, node, "ttl_expired")
                 entry = table.dequeue()
                 continue
+            # Relay the last copy delivered: the paper leaves open which
+            # same-instant copy is relayed; the golden traces pin this one.
             self._do_transmit(
                 message, node, designated, incoming=state.last_packet
             )
@@ -846,6 +840,7 @@ class ServiceEngine:
         ctx = self._context(message, node)
         forced = self.protocol.strict_designation and bool(state.designators)
         if forced or self.protocol.should_forward(ctx):
+            # Relay the last copy delivered (see _drain_egress).
             self._forward(
                 message, node, ctx, "timer", state.last_packet, forced=forced
             )

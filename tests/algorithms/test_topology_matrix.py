@@ -4,7 +4,8 @@ The random-network invariant test exercises typical deployments; this
 matrix pins the degenerate shapes where off-by-one bugs live — paths
 (maximal diameter), cycles (two disjoint routes), stars (one cut
 vertex), complete graphs (no forwarder needed beyond the source),
-two-node links, and a barbell (two cliques joined by a bridge).
+two-node links, a barbell (two cliques joined by a bridge), and a
+random grid (many same-instant copies, so the relayed copy matters).
 """
 
 import random
@@ -13,6 +14,7 @@ import pytest
 
 from repro.algorithms.registry import create, names
 from repro.graph.cds import is_cds
+from repro.graph.generators import random_grid_network
 from repro.graph.topology import Topology
 from repro.sim.engine import run_broadcast
 
@@ -36,6 +38,7 @@ TOPOLOGIES = {
     "star-8": Topology.star(8),
     "complete-5": Topology.complete(5),
     "barbell": _barbell(),
+    "random-grid-8": random_grid_network(8, 0.7, random.Random(3)).topology,
 }
 
 

@@ -206,6 +206,15 @@ def test_trace_replay_matches_live_sweep():
     assert _payload(live) == _payload(sharded)
 
 
+def test_fliptrace_rejects_truncated_lines():
+    lines = record_flip_trace(_model(11), 6, 1.0).to_jsonl_lines()
+    assert len(lines) == 7  # header + steps 0..5
+    with pytest.raises(ValueError, match="expected step 2"):
+        FlipTrace.from_jsonl_lines(lines[:3] + lines[4:])
+    with pytest.raises(ValueError):
+        FlipTrace.from_jsonl_lines(lines[:-1] + [lines[-1][:-5]])
+
+
 def test_fliptrace_flip_counts_round_trip():
     trace = record_flip_trace(_model(14), 5, 1.0)
     for entry, snap in zip(trace.steps, trace.replay()):

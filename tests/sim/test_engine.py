@@ -85,8 +85,9 @@ class TestSnoopingAndTrail:
         outcome = run_broadcast(
             graph, Flooding(), source=0, collect_trace=True
         )
-        kinds = {event.kind for event in outcome.trace}
-        assert {"transmit", "receive", "decide"} <= kinds
+        assert {"transmit", "receive", "decide"} <= {
+            e.kind for e in outcome.events
+        }
 
     def test_forward_node_set_is_cds_for_pruning_protocol(self):
         rng = random.Random(11)

@@ -150,19 +150,6 @@ class TestGoldenTraces:
         assert events_to_jsonl(outcome.events) == FIGURE1_GOLDEN
         assert sorted(outcome.forward_nodes) == [1]
 
-    def test_figure1_legacy_shim_matches_typed_events(self):
-        outcome = _figure1_outcome()
-        assert outcome.trace.format() == "\n".join(
-            [
-                "[   0.000] decide   node 1 source always forwards",
-                "[   0.000] transmit node 1 designates []",
-                "[   1.000] receive  node 2 from 1",
-                "[   1.000] receive  node 3 from 1",
-                "[   1.000] decide   node 2 non-forward",
-                "[   1.000] decide   node 3 non-forward",
-            ]
-        )
-
     def test_figure9_trace_byte_stable_under_seed(self):
         # The Figure 9 sample network: 100 nodes, average degree 6,
         # seed 9 — same construction as run_fig9_sample.

@@ -24,6 +24,7 @@ def test_quickstart():
     out = _run("quickstart.py")
     assert "forward nodes" in out
     assert "connected dominating set: True" in out
+    assert "Transmit(" in out
     assert "vs flooding" in out
 
 
