@@ -80,7 +80,13 @@ Two interchangeable implementations compute every predicate:
 
 Select with ``REPRO_COVERAGE_BACKEND=sets`` (or ``bitset``); the test
 suite cross-checks that both backends produce identical results —
-forward sets are byte-identical across them.
+forward sets are byte-identical across them.  A view binds its backend
+once: the first predicate call on it reads the variable and keeps the
+answer in the view's :func:`~repro.core.views.view_cache`, beside every
+memo it fills.  The binding is read again only when that cache resets
+because the view graph mutated.  So memo keys carry no backend tag, and
+flipping the variable reaches a view only if it is built, or its graph
+mutates, afterwards.
 """
 
 from __future__ import annotations
@@ -108,12 +114,12 @@ _BACKENDS = ("bitset", "sets")
 
 
 def coverage_backend() -> str:
-    """The active backend name, from ``REPRO_COVERAGE_BACKEND``.
+    """The backend named by ``REPRO_COVERAGE_BACKEND``: ``bitset``
+    (default) or ``sets``.
 
-    ``bitset`` (default) or ``sets``.  Read per call so tests
-    and A/B benchmarks can flip the environment variable between
-    evaluations; memoised results are keyed by backend, so flipping
-    mid-view is safe.
+    The predicates read it once per view cache (see :func:`_backend`),
+    not per call, so tests and A/B benchmarks that flip the variable
+    must build their views after the flip.
     """
     backend = os.environ.get("REPRO_COVERAGE_BACKEND", "bitset")
     if backend not in _BACKENDS:
@@ -121,6 +127,19 @@ def coverage_backend() -> str:
             f"REPRO_COVERAGE_BACKEND must be one of {_BACKENDS}, "
             f"got {backend!r}"
         )
+    return backend
+
+
+def _backend(view: View) -> str:
+    """The backend bound to ``view``, read on its cache's first use.
+
+    It lives in :func:`view_cache` with the memos it fills, so both reset
+    together when the view graph mutates and no memo outlives its backend.
+    """
+    cache = view_cache(view)
+    backend = cache.get("backend")
+    if backend is None:
+        backend = cache["backend"] = coverage_backend()
     return backend
 
 
@@ -133,8 +152,8 @@ def _memo(view: View, key, compute):
     :func:`uncovered_pairs`, :func:`coverage_condition`, and
     :func:`strong_coverage_condition` instead of being recomputed per
     call.  The cache rides on the view instance itself (see
-    :func:`repro.core.views.view_cache`); keys carry the backend name
-    wherever the computation differs per backend.
+    :func:`repro.core.views.view_cache`).  A view's cache serves one
+    backend (:func:`_backend`), so keys need no backend tag.
 
     Dirty-awareness comes from ``view_cache`` itself: it stamps the
     cache with the view graph's ``version_stamp()`` and resets it when
@@ -459,7 +478,7 @@ def _component_reach_sets(
     """Components and neighbor reach under the sets backend (memoised)."""
     return _memo(
         view,
-        ("reach", v, "sets"),
+        ("reach", v),
         lambda: _component_reach_compute_sets(view, v),
     )
 
@@ -501,21 +520,18 @@ def higher_priority_components(view: View, v: int) -> List[Set[int]]:
     predicate; treat the returned sets as read-only.  Component order is
     backend-dependent (their set of sets is not).
     """
-    backend = coverage_backend()
-    if backend == "sets":
-        return _memo(
-            view,
-            ("components", v, "sets"),
-            lambda: _components_compute_sets(view, v),
-        )
-    return _memo(
-        view,
-        ("components", v, "bitset"),
-        lambda: [
-            set(view.index.members(mask))
-            for mask in _component_masks(view, v)
-        ],
+    compute = (
+        _components_compute_sets
+        if _backend(view) == "sets"
+        else _components_compute_bitset
     )
+    return _memo(view, ("components", v), lambda: compute(view, v))
+
+
+def _components_compute_bitset(view: View, v: int) -> List[Set[int]]:
+    return [
+        set(view.index.members(mask)) for mask in _component_masks(view, v)
+    ]
 
 
 def uncovered_pairs(view: View, v: int) -> List[Tuple[int, int]]:
@@ -527,18 +543,12 @@ def uncovered_pairs(view: View, v: int) -> List[Tuple[int, int]]:
     """
     if v not in view.graph:
         raise KeyError(f"node {v} not visible in the view")
-    backend = coverage_backend()
-    if backend == "sets":
-        return _memo(
-            view,
-            ("uncovered", v, "sets"),
-            lambda: _uncovered_pairs_compute_sets(view, v),
-        )
-    return _memo(
-        view,
-        ("uncovered", v, "bitset"),
-        lambda: _uncovered_pairs_compute_bitset(view, v),
+    compute = (
+        _uncovered_pairs_compute_sets
+        if _backend(view) == "sets"
+        else _uncovered_pairs_compute_bitset
     )
+    return _memo(view, ("uncovered", v), lambda: compute(view, v))
 
 
 def _uncovered_pairs_compute_sets(view: View, v: int) -> List[Tuple[int, int]]:
@@ -728,7 +738,7 @@ def coverage_condition(view: View, v: int) -> bool:
     """
     if _COUNTER_STACK:
         _COUNTER_STACK[-1].coverage_evaluations += 1
-    if v in view.graph and coverage_backend() == "bitset":
+    if v in view.graph and _backend(view) == "bitset":
         return _coverage_condition_bitset(view, v)
     return not uncovered_pairs(view, v)
 
@@ -740,7 +750,7 @@ def _coverage_condition_bitset(view: View, v: int) -> bool:
     at the first uncovered pair, since one settles the verdict.  Otherwise
     this is ``not uncovered_pairs(view, v)``, sharing its memo.
     """
-    key = ("uncovered", v, "bitset")
+    key = ("uncovered", v)
     pairs = view_cache(view).get(key)
     if pairs is None:
         epoch = _epoch_uncovered(view, v)
@@ -760,8 +770,7 @@ def strong_coverage_condition(view: View, v: int) -> bool:
         raise KeyError(f"node {v} not visible in the view")
     if _COUNTER_STACK:
         _COUNTER_STACK[-1].coverage_evaluations += 1
-    backend = coverage_backend()
-    if backend == "sets":
+    if _backend(view) == "sets":
         neighbors = view.graph.neighbors(v)
         if not neighbors:
             return True
@@ -771,7 +780,7 @@ def strong_coverage_condition(view: View, v: int) -> bool:
         return False
     return _memo(
         view,
-        ("strong", v, "bitset"),
+        ("strong", v),
         lambda: _strong_coverage_compute_bitset(view, v),
     )
 
@@ -849,21 +858,18 @@ def span_condition(view: View, v: int, max_intermediates: int = 2) -> bool:
         raise KeyError(f"node {v} not visible in the view")
     if _COUNTER_STACK:
         _COUNTER_STACK[-1].coverage_evaluations += 1
-    backend = coverage_backend()
     return _memo(
         view,
-        ("span", v, max_intermediates, backend),
-        lambda: _span_compute(view, v, max_intermediates, backend),
+        ("span", v, max_intermediates),
+        lambda: _span_compute(view, v, max_intermediates),
     )
 
 
-def _span_compute(
-    view: View, v: int, max_intermediates: int, backend: str
-) -> bool:
-    if backend == "sets":
+def _span_compute(view: View, v: int, max_intermediates: int) -> bool:
+    if _backend(view) == "sets":
         eligible = _memo(
             view,
-            ("span-eligible", v, "sets"),
+            ("span-eligible", v),
             lambda: frozenset(
                 node
                 for node in _higher_priority_nodes(view, v)
@@ -875,7 +881,7 @@ def _span_compute(
             for w in neighbors[i + 1:]:
                 if not _memo(
                     view,
-                    ("span-pair", v, u, w, max_intermediates, "sets"),
+                    ("span-pair", v, u, w, max_intermediates),
                     lambda u=u, w=w: _bounded_replacement_path_sets(
                         view, u, w, eligible, max_intermediates
                     ),
@@ -885,7 +891,7 @@ def _span_compute(
     index, masks = view.graph.adjacency_masks()
     eligible = _memo(
         view,
-        ("span-eligible", v, "bitset"),
+        ("span-eligible", v),
         lambda: _eligible_mask(view, v) & ~view.visited_mask,
     )
     neighbors = sorted(index.members(masks[index.position(v)]))
@@ -893,7 +899,7 @@ def _span_compute(
         for w in neighbors[i + 1:]:
             if not _memo(
                 view,
-                ("span-pair", v, u, w, max_intermediates, "bitset"),
+                ("span-pair", v, u, w, max_intermediates),
                 lambda u=u, w=w: _bounded_replacement_path_bitset(
                     index, masks, u, w, eligible, max_intermediates
                 ),

@@ -155,7 +155,7 @@ class _ShardReplica:
     """One shard's partial replica plus its decision state.
 
     The replica (a :class:`~repro.graph.sharding.ShardSubgraph`) and the
-    memoised metric table are private — DET010 flags any outside
+    memoised metric table are private — DET003 flags any outside
     mutation — and advance exclusively through :meth:`apply_step`,
     which mirrors the serial sweep: apply this step's routed flips,
     drop the metric table if anything flipped, then re-decide exactly

@@ -323,7 +323,7 @@ class ShardSubgraph:
     passes the unrouted flip list.
 
     State (``_global_nodes``, ``_local_of``, ``_subgraph``) is owned by
-    this class alone; detlint DET010 flags foreign writes to any of it.
+    this class alone; detlint DET003 flags foreign writes to any of it.
     Pickling ships only the compact ``(shard_id, nodes, edges,
     positions)`` state — never the replica's memoised mask tables.
     """

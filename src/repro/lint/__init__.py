@@ -4,8 +4,8 @@ The repro's headline guarantees (Theorem 1/2 correctness under per-node
 local views; byte-identical sweep results at any ``--jobs N`` and either
 ``REPRO_COVERAGE_BACKEND``) hinge on coding invariants that no runtime
 test can enforce exhaustively: no unordered iteration feeding ordered
-decisions, no ambient RNG or wall-clock reads in simulation paths,
-epoch-guarded cache mutation, and backend-qualified memo keys.  This
+decisions, no ambient RNG or wall-clock reads in simulation paths, and
+private cache, delta and shard state changed only by its owner.  This
 package enforces them statically::
 
     python -m repro.lint src tests benchmarks
@@ -15,8 +15,9 @@ package enforces them statically::
 
 Two rule families run over one shared parse:
 
-* the per-file rules DET001–DET010 (a single module's AST), which the
-  ``--jobs N`` fork pool fans out with deterministically merged output;
+* the per-file rules DET001–DET003 and DET005–DET008 (a single module's
+  AST), which the ``--jobs N`` fork pool fans out with deterministically
+  merged output;
 * the project rules DET011–DET014, which consume the whole-run
   :class:`~repro.lint.project.Project` graph — symbol table with
   import-alias resolution (``lint/symtab.py``), project call graph
@@ -53,7 +54,7 @@ from .registry import (
     per_file_rules,
 )
 from .sarif import render_sarif
-from . import rules  # noqa: F401  — importing registers DET001–DET010.
+from . import rules  # noqa: F401  — importing registers DET001–DET008.
 from . import project_rules as _project_rules  # noqa: F401  — DET011–DET014.
 
 __all__ = [

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import rules as _rules  # noqa: F401  — registers DET001–DET010.
+from . import rules as _rules  # noqa: F401  — registers DET001–DET008.
 from . import project_rules as _project_rules  # noqa: F401  — DET011–DET014.
 from .baseline import diff_against_baseline, load_baseline, write_baseline
 from .engine import run_paths
@@ -29,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based determinism & invariant linter for the repro "
-            "simulation stack (per-file rules DET001-DET010 plus the "
+            "simulation stack (per-file rules DET001-DET008 plus the "
             "interprocedural seed-lineage / call-graph rules "
             "DET011-DET014)."
         ),

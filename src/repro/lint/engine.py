@@ -1,7 +1,7 @@
 """File discovery, pragma handling, and the lint driver.
 
 The engine parses each file exactly once and runs two passes over the
-parsed records: the per-file rules (DET001–DET010), which can fan out
+parsed records: the per-file rules (DET001–DET008), which can fan out
 over a ``--jobs N`` fork pool, and the project rules (DET011–DET014),
 which consume the :class:`~repro.lint.project.Project` graph built from
 *all* records in the parent.  Raw findings flow back to the parent,
@@ -11,7 +11,7 @@ byte-identical whatever ``--jobs`` value produced it.
 
 ``# detlint:`` pragma comments:
 
-``# detlint: disable=DET001,DET004``
+``# detlint: disable=DET001,DET007``
     Suppress the named rules on the line the pragma appears on.  For a
     pragma on a continuation line of a multi-line statement, the
     suppression also covers the statement's first line (where findings

@@ -1,4 +1,7 @@
-"""The DET001–DET010 determinism rules, tuned to this codebase.
+"""The per-file determinism rules DET001–DET008, tuned to this codebase.
+
+DET004 is retired.  Codes are never renumbered or reused, because
+pragmas and baseline fingerprints name them.
 
 Every rule encodes one invariant the reproduction's determinism contract
 rests on (byte-identical sweeps at any ``--jobs N`` and either coverage
@@ -12,7 +15,7 @@ stdlib-only, fast, and free of import-time side effects.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, NamedTuple, Optional
 
 from .findings import Finding
 from .registry import LintContext, Rule, path_parts, register
@@ -331,138 +334,153 @@ class AmbientEntropyRule(Rule):
                 )
 
 
+class _Owner(NamedTuple):
+    """One row of :class:`OwnershipRule`'s table: private state and the
+    only module allowed to touch it on a foreign instance."""
+
+    #: The owning module's file name; ``None`` when no module is exempt.
+    module: Optional[str]
+    #: How messages name the owner.
+    owner: str
+    #: The public route messages point to instead.
+    route: str
+    attrs: FrozenSet[str]
+    methods: FrozenSet[str] = frozenset()
+    #: Mutators beyond the dict/set ones that change these attributes.
+    mutators: FrozenSet[str] = frozenset()
+
+
 @register
-class CacheMutationRule(Rule):
-    """DET003: cache attributes mutated outside the owning object."""
+class OwnershipRule(Rule):
+    """DET003: private state touched from outside its owner."""
 
     code = "DET003"
-    name = "external-cache-mutation"
+    name = "foreign-state-mutation"
     description = (
-        "Mutation of a Topology/View cache attribute (_query_cache, "
-        "_cache_epoch, _epoch, _derived_cache) from outside the owning "
-        "instance — caches are only coherent when every structural "
-        "change flows through the epoch-bumping mutators."
+        "Writes, del statements or mutator calls on another instance's "
+        "private state, and calls to its private methods, outside the "
+        "module that owns that state.  Three owners: every instance's "
+        "epoch-guarded caches (_query_cache, _cache_epoch, _epoch, "
+        "_derived_cache), Topology's delta bookkeeping (_version, "
+        "_all_dirty_version, _node_stamps; _bump_epoch, _cached, "
+        "_apply_delta_fast, _apply_delta_slow), and the sharded driver's "
+        "worker state (_replica, _shard_metrics, _subgraph, _global_nodes, "
+        "_local_of; _sync_replica, _redecide, _rehome, _install; topology "
+        "mutators count as mutators there).  Caches, dirty tracking and "
+        "shard replicas stay coherent only while every change goes "
+        "through the owner's API."
     )
 
-    CACHE_ATTRS = frozenset(
-        {"_query_cache", "_cache_epoch", "_epoch", "_derived_cache"}
-    )
     MUTATORS = frozenset(
         {"clear", "update", "pop", "popitem", "setdefault", "add", "discard"}
+    )
+    OWNERS = (
+        _Owner(
+            None,
+            "the owning instance",
+            "mutate through the owner's API so the epoch guard sees it",
+            frozenset(
+                {"_query_cache", "_cache_epoch", "_epoch", "_derived_cache"}
+            ),
+        ),
+        _Owner(
+            "topology.py",
+            "Topology",
+            "apply structural changes through apply_delta or the public "
+            "mutators",
+            frozenset({"_version", "_all_dirty_version", "_node_stamps"}),
+            frozenset(
+                {"_bump_epoch", "_cached", "_apply_delta_fast",
+                 "_apply_delta_slow"}
+            ),
+        ),
+        _Owner(
+            "sharded.py",
+            "the shard driver",
+            "route work through run_sharded_mobility_sweep / "
+            "run_sharded_trace",
+            frozenset(
+                {"_replica", "_shard_metrics", "_subgraph", "_global_nodes",
+                 "_local_of"}
+            ),
+            frozenset({"_sync_replica", "_redecide", "_rehome", "_install"}),
+            frozenset(
+                {"add_edge", "remove_edge", "add_node", "remove_node",
+                 "apply_delta"}
+            ),
+        ),
     )
 
     def applies_to(self, path: str) -> bool:
         return "tests" not in path_parts(path)
 
     def check(self, ctx: LintContext) -> Iterator[Finding]:
+        owners = [row for row in self.OWNERS if row.module != ctx.parts[-1]]
         for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    attribute = self._foreign_cache_attribute(target)
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                verb = "write to" if isinstance(node, ast.Assign) else "del on"
+                targets = node.targets
+            elif isinstance(node, ast.AugAssign):
+                verb, targets = "write to", [node.target]
+            elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Attribute
+            ):
+                message = self._call_message(node.func, owners)
+                if message is not None:
+                    yield ctx.finding(self, node, message)
+                continue
+            else:
+                continue
+            for target in targets:
+                for row in owners:
+                    attribute = _foreign_attribute(target, row.attrs)
                     if attribute is not None:
                         yield ctx.finding(
                             self,
                             node,
-                            f"write to {attribute} outside the owning "
-                            "instance bypasses the epoch guard; mutate "
-                            "through the owner's API",
+                            f"{verb} {attribute} outside {row.owner}; "
+                            f"{row.route}",
                         )
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.MUTATORS
-            ):
-                attribute = self._foreign_cache_attribute(node.func.value)
-                if attribute is not None:
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"{attribute}.{node.func.attr}() outside the owning "
-                        "instance bypasses the epoch guard",
-                    )
+                        break
 
-    def _foreign_cache_attribute(self, node: ast.AST) -> Optional[str]:
-        """``obj._cache``-style access where ``obj`` is not ``self``."""
-        while isinstance(node, ast.Subscript):
-            node = node.value
-        if isinstance(node, ast.Attribute) and node.attr in self.CACHE_ATTRS:
-            base = node.value
-            if not (isinstance(base, ast.Name) and base.id in ("self", "cls")):
-                return node.attr
-        return None
-
-
-@register
-class MemoKeyBackendRule(Rule):
-    """DET004: coverage memo keys shared across backends must say which."""
-
-    code = "DET004"
-    name = "memo-key-backend-qualifier"
-    description = (
-        "A _memo() key tag used at more than one call site in "
-        "core/coverage.py must carry the backend qualifier ('bitset' / "
-        "'sets' literal or the backend variable) in its key tuple — "
-        "otherwise flipping REPRO_COVERAGE_BACKEND mid-view serves one "
-        "backend's cached value to the other."
-    )
-
-    QUALIFIERS = frozenset({"bitset", "sets"})
-
-    def applies_to(self, path: str) -> bool:
-        parts = path_parts(path)
-        return parts[-1:] == ("coverage.py",) and "tests" not in parts
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        sites: List[Tuple[str, ast.Call, ast.Tuple]] = []
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "_memo"
-                and len(node.args) >= 2
-                and isinstance(node.args[1], ast.Tuple)
-            ):
-                key = node.args[1]
-                tag = self._leading_tag(key)
-                if tag is not None:
-                    sites.append((tag, node, key))
-        counts: dict = {}
-        for tag, _node, _key in sites:
-            counts[tag] = counts.get(tag, 0) + 1
-        for tag, node, key in sites:
-            if counts[tag] >= 2 and not self._qualified(key):
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"memo key tag {tag!r} is used at {counts[tag]} call "
-                    "sites but this key omits the backend qualifier; add "
-                    "'bitset'/'sets' (or the backend variable) to "
-                    "the tuple",
+    def _call_message(
+        self, func: ast.Attribute, owners: List[_Owner]
+    ) -> Optional[str]:
+        method = func.attr
+        for row in owners:
+            if method in row.methods and _foreign_base(func.value):
+                return (
+                    f"call to the private {method}() on a foreign "
+                    f"instance bypasses {row.owner}; {row.route}"
                 )
-
-    @staticmethod
-    def _leading_tag(key: ast.Tuple) -> Optional[str]:
-        if key.elts and isinstance(key.elts[0], ast.Constant):
-            value = key.elts[0].value
-            if isinstance(value, str):
-                return value
+            if method in self.MUTATORS or method in row.mutators:
+                attribute = _foreign_attribute(func.value, row.attrs)
+                if attribute is not None:
+                    return (
+                        f"{attribute}.{method}() outside {row.owner}; "
+                        f"{row.route}"
+                    )
         return None
 
-    def _qualified(self, key: ast.Tuple) -> bool:
-        for element in key.elts:
-            if (
-                isinstance(element, ast.Constant)
-                and element.value in self.QUALIFIERS
-            ):
-                return True
-            if isinstance(element, ast.Name) and element.id == "backend":
-                return True
-        return False
+
+def _foreign_base(base: ast.AST) -> bool:
+    return not (isinstance(base, ast.Name) and base.id in ("self", "cls"))
+
+
+def _foreign_attribute(
+    node: ast.AST, attrs: FrozenSet[str]
+) -> Optional[str]:
+    """``obj._attr`` (through any subscripts) with ``_attr`` in ``attrs``
+    and ``obj`` not ``self``/``cls``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    if (
+        isinstance(node, ast.Attribute)
+        and node.attr in attrs
+        and _foreign_base(node.value)
+    ):
+        return node.attr
+    return None
 
 
 @register
@@ -714,210 +732,3 @@ class ExceptionSwallowRule(Rule):
                 continue  # a docstring or Ellipsis is still a swallow
             return False
         return True
-
-
-@register
-class DeltaLayerIntegrityRule(Rule):
-    """DET009: the delta layer's bookkeeping poked from outside Topology."""
-
-    code = "DET009"
-    name = "delta-layer-integrity"
-    description = (
-        "Dirty-scoped invalidation (Topology.apply_delta) is only sound "
-        "when version stamps, node stamps, and cache entries change "
-        "exclusively through Topology's own API: flags writes or "
-        "mutator calls on _version/_all_dirty_version/_node_stamps of a "
-        "foreign instance, del statements on any foreign cache "
-        "attribute (which DET003's assignment checks miss), and calls "
-        "to the private epoch/cache internals (_bump_epoch, _cached, "
-        "_apply_delta_fast, _apply_delta_slow) on a foreign receiver."
-    )
-
-    STAMP_ATTRS = frozenset({"_version", "_all_dirty_version", "_node_stamps"})
-    #: DET003's attrs plus the stamp attrs — the full surface a ``del``
-    #: statement must not reach into from outside the owner.
-    DELETABLE_ATTRS = CacheMutationRule.CACHE_ATTRS | STAMP_ATTRS
-    PRIVATE_API = frozenset(
-        {"_bump_epoch", "_cached", "_apply_delta_fast", "_apply_delta_slow"}
-    )
-    MUTATORS = CacheMutationRule.MUTATORS
-
-    def applies_to(self, path: str) -> bool:
-        parts = path_parts(path)
-        # topology.py owns the invariant; everywhere else must go
-        # through apply_delta / the public mutators.
-        return "tests" not in parts and parts[-1:] != ("topology.py",)
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    attribute = self._foreign(target, self.STAMP_ATTRS)
-                    if attribute is not None:
-                        yield ctx.finding(
-                            self,
-                            node,
-                            f"write to {attribute} outside Topology "
-                            "desynchronises dirty tracking; apply "
-                            "structural changes through apply_delta or "
-                            "the public mutators",
-                        )
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    attribute = self._foreign(target, self.DELETABLE_ATTRS)
-                    if attribute is not None:
-                        yield ctx.finding(
-                            self,
-                            node,
-                            f"del on {attribute} outside the owning "
-                            "instance evicts behind the dirty tracker's "
-                            "back; use the owner's API",
-                        )
-            elif isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                if node.func.attr in self.PRIVATE_API and self._foreign_base(
-                    node.func.value
-                ):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"call to the private {node.func.attr}() on a "
-                        "foreign instance bypasses delta bookkeeping; "
-                        "use apply_delta or the public query API",
-                    )
-                elif node.func.attr in self.MUTATORS:
-                    attribute = self._foreign(
-                        node.func.value, self.STAMP_ATTRS
-                    )
-                    if attribute is not None:
-                        yield ctx.finding(
-                            self,
-                            node,
-                            f"{attribute}.{node.func.attr}() outside "
-                            "Topology desynchronises dirty tracking",
-                        )
-
-    def _foreign(
-        self, node: ast.AST, attrs: "frozenset[str]"
-    ) -> Optional[str]:
-        """``obj._attr``-style access (through any subscripts) where
-        ``obj`` is not ``self``/``cls`` and ``_attr`` is in ``attrs``."""
-        while isinstance(node, ast.Subscript):
-            node = node.value
-        if isinstance(node, ast.Attribute) and node.attr in attrs:
-            if self._foreign_base(node.value):
-                return node.attr
-        return None
-
-    @staticmethod
-    def _foreign_base(base: ast.AST) -> bool:
-        return not (isinstance(base, ast.Name) and base.id in ("self", "cls"))
-
-
-@register
-class ShardStateIntegrityRule(Rule):
-    """DET010: shard-worker state poked from outside the shard driver."""
-
-    code = "DET010"
-    name = "shard-state-integrity"
-    description = (
-        "The sharded mobility driver's determinism contract (merged "
-        "forward sets byte-identical to the serial incremental path at "
-        "any worker count) holds only while every shard's partial "
-        "replica equals the induced global graph on its universe — "
-        "advanced exclusively through the driver's own step protocol.  "
-        "Flags writes, del statements, or mutator calls on the "
-        "_replica/_shard_metrics worker state and the "
-        "_subgraph/_global_nodes/_local_of partial-replica state "
-        "(including the local<->global id mapping) of a foreign "
-        "instance, and calls to the private worker internals "
-        "(_sync_replica, _redecide, _rehome, _install) on a foreign "
-        "receiver; route work through run_sharded_mobility_sweep / "
-        "run_sharded_trace instead."
-    )
-
-    STATE_ATTRS = frozenset(
-        {"_replica", "_shard_metrics", "_subgraph", "_global_nodes",
-         "_local_of"}
-    )
-    PRIVATE_API = frozenset(
-        {"_sync_replica", "_redecide", "_rehome", "_install"}
-    )
-    #: The dict/set mutators plus the topology mutators: calling
-    #: e.g. ``sub._subgraph.add_edge(...)`` from outside desynchronises
-    #: the replica from the induced global graph exactly like
-    #: reassigning it.
-    MUTATORS = CacheMutationRule.MUTATORS | frozenset(
-        {"add_edge", "remove_edge", "add_node", "remove_node",
-         "apply_delta"}
-    )
-
-    def applies_to(self, path: str) -> bool:
-        parts = path_parts(path)
-        # sharded.py owns the invariant (ShardSubgraph in sharding.py
-        # mutates only through self, so it stays in scope); everywhere
-        # else must go through the public sweep entry points.
-        return "tests" not in parts and parts[-1:] != ("sharded.py",)
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    attribute = self._foreign(target, self.STATE_ATTRS)
-                    if attribute is not None:
-                        yield ctx.finding(
-                            self,
-                            node,
-                            f"write to {attribute} outside the shard "
-                            "driver desynchronises the worker replica; "
-                            "route work through the sharded sweep API",
-                        )
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    attribute = self._foreign(target, self.STATE_ATTRS)
-                    if attribute is not None:
-                        yield ctx.finding(
-                            self,
-                            node,
-                            f"del on {attribute} outside the shard driver "
-                            "drops worker state behind the pool's back",
-                        )
-            elif isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                if node.func.attr in self.PRIVATE_API and self._foreign_base(
-                    node.func.value
-                ):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"call to the private {node.func.attr}() on a "
-                        "foreign worker bypasses the step protocol; use "
-                        "the sharded sweep API",
-                    )
-                elif node.func.attr in self.MUTATORS:
-                    attribute = self._foreign(
-                        node.func.value, self.STATE_ATTRS
-                    )
-                    if attribute is not None:
-                        yield ctx.finding(
-                            self,
-                            node,
-                            f"{attribute}.{node.func.attr}() outside the "
-                            "shard driver desynchronises the worker "
-                            "replica",
-                        )
-
-    _foreign = DeltaLayerIntegrityRule._foreign
-    _foreign_base = staticmethod(DeltaLayerIntegrityRule._foreign_base)

@@ -6,19 +6,22 @@ Two families of checks:
   transcription of Definition 2 (visible = within ``k`` hops; edges
   between two outermost-ring nodes are invisible);
 * every coverage predicate returns the same verdicts under
-  ``REPRO_COVERAGE_BACKEND=bitset`` and ``=sets`` on shared views — the
+  ``REPRO_COVERAGE_BACKEND=bitset`` and ``=sets`` on equal views — the
   property the byte-identical forward-set guarantee rests on — and
   ``GenericStatic`` global-view forward sets match on the Figure-1 and
   a >50-node random-grid fixture.
 
-Views are shared across backends on purpose: memo keys are
-backend-qualified, so flipping the env var mid-view must be safe.
+A view binds its backend on first use, so each backend's view is built
+after its env var is set.  A call counter on the ``sets`` component
+decomposition shows which path each view ran, and that the binding holds
+until the view graph mutates.
 """
 
 import random
 
 import pytest
 
+from repro.core import coverage as coverage_module
 from repro.core.coverage import (
     coverage_backend,
     coverage_condition,
@@ -28,7 +31,7 @@ from repro.core.coverage import (
     uncovered_pairs,
 )
 from repro.core.priority import DegreePriority, IdPriority, NcrPriority
-from repro.core.views import global_view, local_view
+from repro.core.views import global_view, local_view, view_cache
 from repro.graph.generators import random_grid_network
 from repro.graph.paperfigs import figure1
 from repro.graph.topology import Topology
@@ -98,75 +101,126 @@ def _random_view(graph, rng):
     )
 
 
-def _with_backend(monkeypatch, backend, fn):
-    monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
-    assert coverage_backend() == backend
-    return fn()
+def _count_sets_calls(monkeypatch):
+    """Count calls into the ``sets`` backend's component decomposition.
+
+    Every ``sets`` predicate reaches it on a fresh view, and the
+    ``bitset`` kernel never does.
+    """
+    calls = []
+    compute = coverage_module._components_compute_sets
+
+    def counted(view, v):
+        calls.append(v)
+        return compute(view, v)
+
+    monkeypatch.setattr(coverage_module, "_components_compute_sets", counted)
+    return calls
+
+
+def check_backends_agree(monkeypatch, make_view, evaluate):
+    """``evaluate`` gives one answer on a view bound to each backend.
+
+    Each view comes from ``make_view`` after its backend is selected, and
+    the counter shows the ``sets`` path ran for the ``sets`` view only.
+    """
+    calls = _count_sets_calls(monkeypatch)
+    results = {}
+    for backend in ("bitset", "sets"):
+        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
+        assert coverage_backend() == backend
+        before = len(calls)
+        results[backend] = evaluate(make_view())
+        assert (len(calls) > before) == (backend == "sets")
+    assert results["bitset"] == results["sets"]
+
+
+def predicate_verdicts(view):
+    return {
+        v: (
+            uncovered_pairs(view, v),
+            coverage_condition(view, v),
+            strong_coverage_condition(view, v),
+            span_condition(view, v),
+            span_condition(view, v, max_intermediates=1),
+        )
+        for v in view.graph.nodes()
+    }
+
+
+def component_sets(view):
+    return {
+        v: frozenset(frozenset(c) for c in higher_priority_components(view, v))
+        for v in view.graph.nodes()
+    }
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_predicates_agree_across_backends(seed, monkeypatch):
     graph = _random_graph(seed)
-    rng = random.Random(seed + 2000)
-    view = _random_view(graph, rng)
-
-    def verdicts():
-        out = {}
-        for v in view.graph.nodes():
-            out[v] = (
-                uncovered_pairs(view, v),
-                coverage_condition(view, v),
-                strong_coverage_condition(view, v),
-                span_condition(view, v),
-                span_condition(view, v, max_intermediates=1),
-            )
-        return out
-
-    bitset = _with_backend(monkeypatch, "bitset", verdicts)
-    sets = _with_backend(monkeypatch, "sets", verdicts)
-    assert bitset == sets
+    check_backends_agree(
+        monkeypatch,
+        lambda: _random_view(graph, random.Random(seed + 2000)),
+        predicate_verdicts,
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_components_agree_across_backends(seed, monkeypatch):
     graph = _random_graph(seed)
-    rng = random.Random(seed + 3000)
-    view = _random_view(graph, rng)
-
-    def components():
-        return {
-            v: frozenset(
-                frozenset(c) for c in higher_priority_components(view, v)
-            )
-            for v in view.graph.nodes()
-        }
-
-    bitset = _with_backend(monkeypatch, "bitset", components)
-    sets = _with_backend(monkeypatch, "sets", components)
-    assert bitset == sets
+    check_backends_agree(
+        monkeypatch,
+        lambda: _random_view(graph, random.Random(seed + 3000)),
+        component_sets,
+    )
 
 
 def test_unknown_backend_rejected(monkeypatch):
     for backend in ("turbo", "numpy"):
         monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'bitset', 'sets'"):
             coverage_backend()
 
 
 def test_invisible_node_still_ranked(monkeypatch):
     """Both backends handle v outside the view graph (invisible rank)."""
     graph = Topology(edges=[(1, 2), (2, 3), (3, 4), (4, 1)])
-    view = local_view(graph, 1, 1, IdPriority())
-    assert 3 not in view.graph
-
-    def components():
-        return frozenset(
+    assert 3 not in local_view(graph, 1, 1, IdPriority()).graph
+    check_backends_agree(
+        monkeypatch,
+        lambda: local_view(graph, 1, 1, IdPriority()),
+        lambda view: frozenset(
             frozenset(c) for c in higher_priority_components(view, 3)
-        )
+        ),
+    )
 
-    bitset = _with_backend(monkeypatch, "bitset", components)
-    sets = _with_backend(monkeypatch, "sets", components)
-    assert bitset == sets
+
+def test_backend_binds_once_per_view(monkeypatch):
+    """A view keeps its first backend; a view built after a flip, or one
+    whose graph mutated since, reads the variable afresh."""
+    calls = _count_sets_calls(monkeypatch)
+    graph = _random_graph(7)
+    nodes = graph.nodes()
+    monkeypatch.setenv("REPRO_COVERAGE_BACKEND", "bitset")
+    bound = global_view(graph, IdPriority())
+    before = predicate_verdicts(bound)
+    monkeypatch.setenv("REPRO_COVERAGE_BACKEND", "sets")
+    assert predicate_verdicts(bound) == before
+    assert component_sets(bound) == component_sets(
+        global_view(graph, IdPriority())
+    )
+    assert calls == nodes  # only the fresh view ran the sets path
+    del calls[:]
+    u, w = next(
+        (u, w) for u in nodes for w in nodes
+        if u < w and not graph.has_edge(u, w)
+    )
+    graph.apply_delta(added_edges=[(u, w)])
+    assert not view_cache(bound)  # no memo survives the mutation
+    after = predicate_verdicts(bound)
+    assert calls  # the re-bound view ran the sets path
+    monkeypatch.setenv("REPRO_COVERAGE_BACKEND", "bitset")
+    assert after == predicate_verdicts(global_view(graph, IdPriority()))
 
 
 def _forward_sets(topology, monkeypatch):
