@@ -356,17 +356,17 @@ class _ForkShardPool:
                     for sid, subgraph in rehome.items()
                     if sid % workers == index
                 }
-            conn.send((step, mine, mine_rehome))
+            try:
+                conn.send((step, mine, mine_rehome))
+            except ConnectionError:  # BrokenPipeError: already dead
+                raise self._died(index, step) from None
         decided: Dict[int, bool] = {}
         counter_payloads: List[Dict[str, int]] = []
         for index, conn in enumerate(self._conns):
             try:
                 got_step, entries, counters = conn.recv()
-            except EOFError:
-                raise RuntimeError(
-                    f"shard worker {index} died at step {step} "
-                    f"(exitcode={self._procs[index].exitcode})"
-                ) from None
+            except (EOFError, ConnectionError):
+                raise self._died(index, step) from None
             if got_step != step:
                 raise RuntimeError(
                     f"shard worker {index} answered step {got_step} "
@@ -375,6 +375,14 @@ class _ForkShardPool:
             decided.update(entries)
             counter_payloads.append(counters)
         return decided, counter_payloads
+
+    def _died(self, index: int, step: int) -> RuntimeError:
+        proc = self._procs[index]
+        proc.join(timeout=5)
+        return RuntimeError(
+            f"shard worker {index} died at step {step} "
+            f"(exitcode={proc.exitcode})"
+        )
 
     def close(self) -> None:
         for conn in self._conns:

@@ -19,6 +19,12 @@ node universe is unchanged, so ``Topology.apply_delta`` patches just the
 affected adjacency rows of the cached mask table (:func:`patch_rows`)
 and every retained mask stays comparable across the delta.
 
+A k-hop view graph is born as a mask table: ``Topology.k_hop_view_graph``
+indexes the view by its BFS order (``tuple(bfs_distances(v, k))``, the
+view's node insertion order) and writes each row straight in view
+positions, so the view's masks never pass through node ids on their way
+to the coverage kernel.  Induced subgraphs are built the same way.
+
 Masks are plain ``int`` values: share them freely, but treat any mask
 table obtained from a :class:`~repro.graph.topology.Topology` as a
 read-only snapshot — it is cached and shared between callers.

@@ -24,18 +24,24 @@ mobility snapshots and incremental edits stay correct while repeated
 queries on a static deployment — the experiment hot path — are free after
 the first computation.
 
-The subset-algebra kernels (k-hop frontiers, view-graph extraction,
-induced subgraphs, connected components) run on the node-indexed bitmask
-layer of :mod:`repro.graph.nodeindex`: :meth:`Topology.node_index` pins a
-stable node → bit-position mapping and :meth:`Topology.adjacency_masks`
-caches one ``int`` neighbor mask per node, both invalidated by the same
-mutation epoch as every other memoised query.
+The subset-algebra kernels (k-hop frontiers, connected components,
+priority metrics) run on the node-indexed bitmask layer of
+:mod:`repro.graph.nodeindex`: :meth:`Topology.node_index` pins a stable
+node → bit-position mapping and :meth:`Topology.adjacency_masks` caches
+one ``int`` neighbor mask per node, both invalidated by the same mutation
+epoch as every other memoised query.  Derived graphs — k-hop view graphs
+and induced subgraphs — are *mask-built*: they are born as their own
+``(index, rows)`` table (:meth:`Topology._from_rows`), the membership,
+neighbor and degree queries answer from it, and the adjacency dict is
+decoded only if a caller walks the graph (edges, BFS, equality) or
+mutates it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Dict,
     FrozenSet,
@@ -113,6 +119,10 @@ class Topology:
         edges: Iterable[Edge] = (),
     ) -> None:
         self._adj: Dict[int, Set[int]] = {}
+        #: ``(index, rows)`` of a mask-built graph (:meth:`_from_rows`)
+        #: until its first mutation; the read accessors answer from it
+        #: without decoding :attr:`_adj`.  ``None`` on every other graph.
+        self._rows: Optional[Tuple[NodeIndex, Tuple[int, ...]]] = None
         #: Mutation epoch: bumped by every structural change so memoised
         #: query results can be dropped lazily (see :meth:`_cached`).
         self._epoch: int = 0
@@ -150,6 +160,7 @@ class Topology:
         self._epoch += 1
         self._version += 1
         self._all_dirty_version = self._version
+        self._rows = None
         if self._node_stamps:
             self._node_stamps.clear()
 
@@ -195,16 +206,37 @@ class Topology:
         return clone
 
     @classmethod
-    def _from_adjacency(cls, adj: Dict[int, Set[int]]) -> "Topology":
-        """Wrap a ready-made adjacency dict (ownership transfers).
+    def _from_rows(
+        cls, index: NodeIndex, rows: Tuple[int, ...]
+    ) -> "Topology":
+        """A graph given as its own ``(index, rows)`` mask table.
 
-        Internal fast path for the mask-based extractors: the dict must
-        be symmetric, self-loop-free, and exclusively owned by the new
-        graph.
+        ``rows[p]`` is the neighbor mask of ``index.node_at(p)`` under
+        ``index``; the table must be symmetric and self-loop-free.  It
+        seeds the new graph's :meth:`node_index` and
+        :meth:`adjacency_masks`, so the kernels read it as is, and the
+        adjacency dict is decoded only if a caller walks the graph
+        (:attr:`_adj`).  The derived-graph constructor behind
+        :meth:`k_hop_view_graph` and :meth:`subgraph`.
         """
         graph = cls()
-        graph._adj = adj
+        graph._adopt_rows(index, rows)
         return graph
+
+    def _adopt_rows(self, index: NodeIndex, rows: Tuple[int, ...]) -> None:
+        del self._adj  # decoded on first use, see _adj
+        self._rows = (index, rows)
+        self._query_cache[("node_index",)] = index
+        self._query_cache[("mask_table",)] = self._rows
+
+    @cached_property
+    def _adj(self) -> Dict[int, Set[int]]:
+        """The adjacency dict of a :meth:`_from_rows` graph, decoded from
+        its rows on first access (every other graph sets it in
+        ``__init__``).  Node order is the index's bit order."""
+        index, rows = self._rows  # type: ignore[misc]
+        members = index.members
+        return {node: set(members(row)) for node, row in zip(index, rows)}
 
     # ------------------------------------------------------------------
     # Query memoisation
@@ -256,7 +288,7 @@ class Topology:
         Conservative: a node absent from the graph, or dirtied at *any*
         radius the intervening deltas considered, reports ``True``.
         """
-        if node not in self._adj:
+        if node not in self:
             return True
         return self.node_stamp(node) > version
 
@@ -468,6 +500,7 @@ class Topology:
         for u, v in adds:
             self._adj[u].add(v)
             self._adj[v].add(u)
+        self._rows = None
         for radius in radii:
             dirty[radius] |= self._dirty_ball(endpoints, radius)
 
@@ -574,7 +607,7 @@ class Topology:
         """
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        if node not in self._adj:
+        if node not in self:
             raise KeyError(f"node {node} not in graph")
         return self._cached(
             ("k_hop_mask", node, k),
@@ -603,13 +636,16 @@ class Topology:
     # ------------------------------------------------------------------
 
     def __contains__(self, node: int) -> bool:
-        return node in self._adj
+        rows = self._rows
+        return node in (self._adj if rows is None else rows[0])
 
     def __len__(self) -> int:
-        return len(self._adj)
+        rows = self._rows
+        return len(self._adj if rows is None else rows[0])
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._adj)
+        rows = self._rows
+        return iter(self._adj if rows is None else rows[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Topology):
@@ -623,11 +659,11 @@ class Topology:
 
     def nodes(self) -> List[int]:
         """All node ids, in insertion order."""
-        return list(self._adj)
+        return list(self)
 
     def node_count(self) -> int:
         """Number of nodes."""
-        return len(self._adj)
+        return len(self)
 
     def edges(self) -> List[Edge]:
         """All edges, each reported once as ``(min, max)``."""
@@ -644,15 +680,28 @@ class Topology:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is an edge."""
-        return v in self._adj.get(u, ())
+        if self._rows is None:
+            return v in self._adj.get(u, ())
+        index, rows = self._rows
+        if u not in index or v not in index:
+            return False
+        return bool(rows[index.position(u)] & index.bit(v))
 
     def neighbors(self, node: int) -> FrozenSet[int]:
         """The open neighbor set ``N(node)`` (memoised per epoch)."""
-        if node not in self._adj:
+        if node not in self:
             raise KeyError(f"node {node} not in graph")
         return self._cached(
-            ("neighbors", node), lambda: frozenset(self._adj[node])
+            ("neighbors", node), lambda: frozenset(self._neighbor_ids(node))
         )
+
+    def _neighbor_ids(self, node: int) -> Iterable[int]:
+        """``N(node)``: the adjacency set, or the decoded row of a
+        mask-built graph."""
+        if self._rows is None:
+            return self._adj[node]
+        index, rows = self._rows
+        return index.members(rows[index.position(node)])
 
     def closed_neighbors(self, node: int) -> FrozenSet[int]:
         """The closed neighbor set ``N[node] = N(node) ∪ {node}``."""
@@ -661,7 +710,10 @@ class Topology:
     def degree(self, node: int) -> int:
         """``deg(node) = |N(node)|``."""
         try:
-            return len(self._adj[node])
+            if self._rows is None:
+                return len(self._adj[node])
+            index, rows = self._rows
+            return popcount(rows[index.position(node)])
         except KeyError as exc:
             raise KeyError(f"node {node} not in graph") from exc
 
@@ -784,7 +836,7 @@ class Topology:
         index, masks = self.adjacency_masks()
         remaining = index.universe()
         components: List[Set[int]] = []
-        for node in self._adj:
+        for node in index:
             bit = index.bit(node)
             if not remaining & bit:
                 continue
@@ -800,7 +852,7 @@ class Topology:
         flood-fill restricted to the subset.
         """
         members = set(subset)
-        missing = members - set(self._adj)
+        missing = [node for node in members if node not in self]
         if missing:
             raise KeyError(f"nodes not in graph: {sorted(missing)}")
         if len(members) <= 1:
@@ -899,6 +951,14 @@ class Topology:
         are both exactly ``k`` hops away from ``v`` are invisible, because
         they were never reported in only ``k`` rounds of "hello" exchanges.
 
+        Built in one pass over the memoised truncated BFS as a mask-built
+        graph (:meth:`_from_rows`): the view's index is the BFS order
+        ``tuple(bfs_distances(v, k))``, and each row is the parent row
+        ``N(u)`` restricted to ``N_k(v)`` — to ``N_{k-1}(v)`` when ``u``
+        lies on the outermost ring — remapped to view positions.  The
+        view's :meth:`adjacency_masks` is that table, so the coverage
+        kernel never decodes or re-encodes it.
+
         Memoised per epoch; the returned view graph is shared between
         callers and must be treated as a read-only snapshot.
         """
@@ -911,36 +971,34 @@ class Topology:
 
     def _k_hop_view_graph_compute(self, node: int, k: int) -> "Topology":
         distances = self._bfs_distances_cached(node, k)
-        index, masks = self.adjacency_masks()
-        position = index.position
-        members = index.members
-        visible = 0
-        inner = 0  # nodes strictly inside the outermost ring (< k hops)
+        bit = {u: 1 << position for position, u in enumerate(distances)}
+        inner = {u for u, hops_u in distances.items() if hops_u < k}
+        adj = self._adj
+        rows: List[int] = []
         for u, hops_u in distances.items():
-            bit = 1 << position(u)
-            visible |= bit
-            if hops_u < k:
-                inner |= bit
-        # Outermost-ring nodes only keep their inward edges (Definition 2:
-        # links between two exactly-k-hop nodes were never reported).
-        adj: Dict[int, Set[int]] = {}
-        for u, hops_u in distances.items():
-            row = masks[position(u)] & (visible if hops_u < k else inner)
-            adj[u] = set(members(row))
-        return Topology._from_adjacency(adj)
+            row = 0
+            # Outermost ring: inward edges only (Definition 2: links
+            # between two exactly-k-hop nodes were never reported).
+            for w in adj[u] if hops_u < k else adj[u] & inner:
+                row |= bit[w]
+            rows.append(row)
+        return Topology._from_rows(NodeIndex(distances), tuple(rows))
 
     def subgraph(self, nodes: Iterable[int]) -> "Topology":
-        """The subgraph induced by ``nodes`` (all must be present)."""
+        """The subgraph induced by ``nodes`` (all must be present), as a
+        mask-built graph whose index follows ``set(nodes)`` order."""
         members = set(nodes)
-        missing = members - set(self._adj)
+        missing = [node for node in members if node not in self]
         if missing:
             raise KeyError(f"nodes not in graph: {sorted(missing)}")
-        index, masks = self.adjacency_masks()
-        subset_mask = index.mask_of(members)
-        adj: Dict[int, Set[int]] = {}
+        bit = {u: 1 << position for position, u in enumerate(members)}
+        rows: List[int] = []
         for u in members:
-            adj[u] = set(index.members(masks[index.position(u)] & subset_mask))
-        return Topology._from_adjacency(adj)
+            row = 0
+            for w in members.intersection(self._neighbor_ids(u)):
+                row |= bit[w]
+            rows.append(row)
+        return Topology._from_rows(NodeIndex(members), tuple(rows))
 
     def is_subgraph_of(self, other: "Topology") -> bool:
         """Whether every node and edge of ``self`` also appears in ``other``."""
@@ -962,7 +1020,7 @@ class Topology:
         has ncr 1 (it sits in a critical position).  Degree-0 and degree-1
         nodes have no neighbor pairs; their ncr is defined as 0.0.
         """
-        if node not in self._adj:
+        if node not in self:
             raise KeyError(f"node {node} not in graph")
         index, masks = self.adjacency_masks()
         nbrs_mask = masks[index.position(node)]

@@ -73,7 +73,9 @@ class InstrumentationCounters:
     delta_applies: int = 0
     dirty_nodes_invalidated: int = 0
     cache_entries_retained: int = 0
-    # graph/topology.py + core/coverage.py bitmask kernels
+    # graph/topology.py + core/coverage.py bitmask kernels.  A mask table
+    # is built only for a dict-backed graph (a deployment); k-hop views
+    # and subgraphs are born with theirs, so they never count here.
     mask_table_builds: int = 0
     mask_khop_runs: int = 0
     mask_floodfills: int = 0

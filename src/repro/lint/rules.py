@@ -361,14 +361,15 @@ class OwnershipRule(Rule):
         "private state, and calls to its private methods, outside the "
         "module that owns that state.  Three owners: every instance's "
         "epoch-guarded caches (_query_cache, _cache_epoch, _epoch, "
-        "_derived_cache), Topology's delta bookkeeping (_version, "
-        "_all_dirty_version, _node_stamps; _bump_epoch, _cached, "
-        "_apply_delta_fast, _apply_delta_slow), and the sharded driver's "
-        "worker state (_replica, _shard_metrics, _subgraph, _global_nodes, "
-        "_local_of; _sync_replica, _redecide, _rehome, _install; topology "
-        "mutators count as mutators there).  Caches, dirty tracking and "
-        "shard replicas stay coherent only while every change goes "
-        "through the owner's API."
+        "_derived_cache), Topology's adjacency and delta bookkeeping "
+        "(_adj, _rows, _version, _all_dirty_version, _node_stamps; "
+        "_bump_epoch, _cached, _apply_delta_fast, _apply_delta_slow), "
+        "and the sharded driver's worker state (_replica, _shard_metrics, "
+        "_subgraph, _global_nodes, _local_of; _sync_replica, _redecide, "
+        "_rehome, _install; topology mutators count as mutators there).  "
+        "Caches, dirty tracking, shard replicas and a mask-built graph's "
+        "lazily decoded adjacency stay coherent only while every change "
+        "goes through the owner's API."
     )
 
     MUTATORS = frozenset(
@@ -388,7 +389,10 @@ class OwnershipRule(Rule):
             "Topology",
             "apply structural changes through apply_delta or the public "
             "mutators",
-            frozenset({"_version", "_all_dirty_version", "_node_stamps"}),
+            frozenset(
+                {"_version", "_all_dirty_version", "_node_stamps", "_adj",
+                 "_rows"}
+            ),
             frozenset(
                 {"_bump_epoch", "_cached", "_apply_delta_fast",
                  "_apply_delta_slow"}

@@ -8,7 +8,11 @@ seeds cover all 18 combinations several times over without a 900-case
 matrix.
 """
 
+import contextlib
+import multiprocessing
+import os
 import random
+import signal
 
 import pytest
 
@@ -23,6 +27,7 @@ from repro.experiments import (
     run_sharded_trace,
     run_trace_sweep,
 )
+from repro.experiments import sharded as sharded_module
 from repro.experiments.sharded import _route_flips
 from repro.graph import (
     Area,
@@ -169,6 +174,79 @@ def test_three_shard_handoff(jobs):
     assert restored.added_edges == 1
     assert restored.boundary_flips == 1
     assert sharded[0].redecided == 13  # first step decides everyone
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the worker pool needs the fork start method",
+)
+
+
+@contextlib.contextmanager
+def _no_hang(seconds: int = 60):
+    def hung(signum, frame):
+        raise AssertionError("sharded run hung after a worker died")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _run_chain_on_two_workers():
+    run_sharded_trace(
+        _chain_trace(), scheme=DegreePriority(), k=2, shards=(3, 1),
+        jobs=2, clamp=False,
+    )
+
+
+@needs_fork
+@pytest.mark.parametrize("victim", (0, 1))
+def test_worker_killed_between_steps_raises_typed_error(victim, monkeypatch):
+    """A worker SIGKILLed between steps 0 and 1 surfaces as the typed
+    ``RuntimeError`` naming the worker and step, not as the bare
+    ``BrokenPipeError`` of the driver's send, and never as a hang —
+    whether the dead worker is first or second in the fan-out."""
+    step_once = sharded_module._ForkShardPool.step
+
+    def step(pool, step, payloads, rehome):
+        if step == 1:
+            proc = pool._procs[victim]
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.join(timeout=5)
+        return step_once(pool, step, payloads, rehome)
+
+    monkeypatch.setattr(sharded_module._ForkShardPool, "step", step)
+    with _no_hang(), pytest.raises(
+        RuntimeError,
+        match=rf"shard worker {victim} died at step 1 \(exitcode=-9\)",
+    ):
+        _run_chain_on_two_workers()
+
+
+@needs_fork
+def test_worker_dying_mid_step_raises_typed_error(monkeypatch):
+    """A worker that exits while computing step 1 (after the driver's
+    send succeeded) surfaces on the receive as the same typed error."""
+    apply_step = sharded_module._ShardWorker.apply_step
+    calls = []
+
+    def dying_apply_step(worker, payloads, rehome):
+        calls.append(None)  # per process: each forked worker counts alone
+        if len(calls) == 2:
+            os._exit(3)
+        return apply_step(worker, payloads, rehome)
+
+    monkeypatch.setattr(
+        sharded_module._ShardWorker, "apply_step", dying_apply_step
+    )
+    with _no_hang(), pytest.raises(
+        RuntimeError, match=r"shard worker 0 died at step 1 \(exitcode=3\)"
+    ):
+        _run_chain_on_two_workers()
 
 
 # ----------------------------------------------------------------------

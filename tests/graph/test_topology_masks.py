@@ -10,9 +10,13 @@ import random
 
 import pytest
 
-from repro.graph.generators import random_connected_network
+from repro.graph.generators import (
+    random_connected_network,
+    random_grid_network,
+)
 from repro.graph.nodeindex import NodeIndex, flood_fill, popcount
 from repro.graph.topology import Topology
+from repro.instrument import collecting
 
 
 def _random_graph(seed: int, n: int = 24, extra: int = 18) -> Topology:
@@ -203,3 +207,142 @@ class TestMaskBackedQueries:
             assert graph.k_hop_neighbors(node, 2) == _bfs_within(
                 graph, node, 2
             )
+
+
+# ----------------------------------------------------------------------
+# Mask-built view graphs (k_hop_view_graph / subgraph)
+# ----------------------------------------------------------------------
+
+
+def _deployment(family: str, seed: int) -> Topology:
+    rng = random.Random(seed)
+    if family == "udg":
+        return random_connected_network(30, 6.0, rng).topology
+    return random_grid_network(7, 0.6, rng).topology
+
+
+def _reference_view(graph: Topology, center: int, k: int) -> Topology:
+    """Definition 2 by brute force, as a dict-built graph whose node
+    order is the BFS order the mask-built view indexes by."""
+    hops = graph.bfs_distances(center, k)
+    reference = Topology(nodes=hops)
+    for u, v in graph.edges():
+        if u in hops and v in hops and min(hops[u], hops[v]) < k:
+            reference.add_edge(u, v)
+    return reference
+
+
+def _decoded(view: Topology) -> bool:
+    return "_adj" in vars(view)
+
+
+VIEW_CASES = [
+    (family, seed, k)
+    for family in ("udg", "grid")
+    for seed in range(4)
+    for k in (0, 1, 2, 3)
+]
+
+
+class TestMaskBuiltViews:
+    @pytest.mark.parametrize("family, seed, k", VIEW_CASES)
+    def test_view_matches_definition2_reference(self, family, seed, k):
+        graph = _deployment(family, seed)
+        for center in graph.nodes()[::5]:
+            view = graph.k_hop_view_graph(center, k)
+            reference = _reference_view(graph, center, k)
+            assert view.node_index().nodes == tuple(
+                graph.bfs_distances(center, k)
+            )
+            index, rows = view.adjacency_masks()
+            ref_index, ref_rows = reference.adjacency_masks()
+            assert index.nodes == ref_index.nodes
+            assert rows == ref_rows
+            # Mask-backed reads answer without decoding the adjacency.
+            outside = max(graph.nodes()) + 1
+            for u in reference.nodes():
+                assert u in view
+                assert view.neighbors(u) == reference.neighbors(u)
+                assert view.degree(u) == reference.degree(u)
+                for w in reference.nodes():
+                    assert view.has_edge(u, w) == reference.has_edge(u, w)
+                for radius in (0, 1, 2):
+                    assert view.k_hop_mask(u, radius) == (
+                        reference.k_hop_mask(u, radius)
+                    )
+            assert outside not in view
+            assert not view.has_edge(center, outside)
+            assert list(view) == view.nodes() == reference.nodes()
+            assert len(view) == view.node_count() == reference.node_count()
+            with pytest.raises(KeyError):
+                view.neighbors(outside)
+            with pytest.raises(KeyError):
+                view.degree(outside)
+            with pytest.raises(KeyError):
+                view.k_hop_mask(outside, 1)
+            assert not _decoded(view)
+            # Walking the view as a graph decodes it; the decoded
+            # adjacency is the brute-force edge set.
+            assert set(view.edges()) == set(reference.edges())
+            assert _decoded(view)
+            assert view == reference
+
+    @pytest.mark.parametrize("family", ("udg", "grid"))
+    def test_extraction_builds_no_mask_table(self, family):
+        graph = _deployment(family, 7)
+        graph.adjacency_masks()
+        with collecting() as counters:
+            for center in graph.nodes():
+                view = graph.k_hop_view_graph(center, 2)
+                assert view.adjacency_masks()[0] is view.node_index()
+        assert counters.mask_table_builds == 0
+
+    def test_retained_view_survives_delta_and_evicted_view_rebuilds(self):
+        graph = Topology.path(12)
+        near = graph.k_hop_view_graph(1, 2)
+        far = graph.k_hop_view_graph(10, 2)
+        far_rows = far.adjacency_masks()
+        report = graph.apply_delta(added_edges=[(0, 3)])
+        assert report.fast_path
+        assert graph.k_hop_view_graph(10, 2) is far
+        assert far.adjacency_masks() is far_rows
+        assert not _decoded(far)
+        rebuilt = graph.k_hop_view_graph(1, 2)
+        assert rebuilt is not near
+        index, rows = rebuilt.adjacency_masks()
+        ref_index, ref_rows = _reference_view(graph, 1, 2).adjacency_masks()
+        assert (index.nodes, rows) == (ref_index.nodes, ref_rows)
+        assert rebuilt.has_edge(0, 3) and not near.has_edge(0, 3)
+
+    def test_mutating_a_view_falls_back_to_its_adjacency(self):
+        view = Topology.path(6).copy().k_hop_view_graph(2, 2)
+        view.add_edge(0, 4)
+        assert view.has_edge(0, 4) and view.degree(0) == 2
+        assert view.neighbors(4) == frozenset({3, 0})
+        index, rows = view.adjacency_masks()
+        assert rows[index.position(4)] == index.mask_of([0, 3])
+        view.remove_node(0)
+        assert 0 not in view and len(view) == 4
+        other = Topology.path(6).k_hop_view_graph(2, 2).copy()
+        view = Topology.path(6).k_hop_view_graph(2, 2)
+        assert view.apply_delta(added_edges=[(0, 4)]).fast_path
+        other.add_edge(0, 4)
+        assert view.has_edge(0, 4) and view.degree(4) == 2
+        assert view.neighbors(0) == frozenset({1, 4})
+        assert view == other
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_subgraph_is_mask_built(self, seed):
+        graph = _random_graph(seed)
+        subset = set(random.Random(seed).sample(graph.nodes(), 12))
+        sub = graph.subgraph(subset)
+        assert sub.node_index().nodes == tuple(subset)
+        reference = Topology(nodes=subset)
+        for u, v in graph.edges():
+            if u in subset and v in subset:
+                reference.add_edge(u, v)
+        assert sub.adjacency_masks()[1] == reference.adjacency_masks()[1]
+        assert not _decoded(sub)
+        assert sub.subgraph(list(subset)[:6]) == reference.subgraph(
+            list(subset)[:6]
+        )

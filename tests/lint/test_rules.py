@@ -23,7 +23,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 CASES = {
     "DET001": ("DET001", "src/repro/algorithms/sample.py", 4),
     "DET002": ("DET002", "src/repro/sim/sample.py", 5),
-    "DET003": ("DET003", "src/repro/experiments/sample.py", 3),
+    "DET003": ("DET003", "src/repro/experiments/sample.py", 4),
     "DET005": ("DET005", "src/repro/sim/events.py", 3),
     "DET006": ("DET006", "src/repro/experiments/sample.py", 3),
     "DET007": ("DET007", "src/repro/metrics/sample.py", 2),
