@@ -48,6 +48,7 @@ from repro.core.coverage import coverage_condition
 from repro.core.priority import DegreePriority, IdPriority
 from repro.core.views import local_view
 from repro.experiments.runner import run_mobility_sweep
+from repro.experiments.sharded import run_sharded_mobility_sweep
 from repro.graph.geometry import Area, random_points
 from repro.graph.mobility import RandomWaypointModel
 from repro.graph.unit_disk import range_for_average_degree
@@ -229,7 +230,7 @@ def run_delta_ab(smoke: bool, jobs: int = 4) -> dict:
             )
             rebuild_seconds = time.perf_counter() - start
             start = time.perf_counter()
-            sharded = run_mobility_sweep(
+            sharded = run_sharded_mobility_sweep(
                 _delta_fixture(), steps, dt, scheme=DegreePriority(), k=2,
                 shards=(2, 2), jobs=identity_jobs,
             )

@@ -171,7 +171,6 @@ def run_scaling(smoke: bool) -> dict:
                 "replica_nodes_max": replica_peak,
                 "replica_fraction": round(replica_peak / n, 3) if n else None,
                 "shard_flips_applied": counters.shard_flips_applied,
-                "shard_rehomes": counters.shard_rehomes,
                 "handoff_redecides": sum(
                     s.handoff_redecides for s in sharded
                 ),
@@ -180,9 +179,9 @@ def run_scaling(smoke: bool) -> dict:
             })
 
     # Real fork pools regardless of core count: the wire protocol
-    # (flip routing, local-id stale shipping, re-home delivery) must be
-    # exercised through actual pipes, not just the inline short-circuit
-    # a 1-core box clamps to.
+    # (flip routing, local-id stale shipping) must be exercised through
+    # actual pipes, not just the inline short-circuit a 1-core box
+    # clamps to.
     identity_runs = []
     for grid in GRIDS:
         with collecting() as counters:
@@ -205,7 +204,6 @@ def run_scaling(smoke: bool) -> dict:
             "pool": "fork",
             "replica_nodes_max": replica_peak,
             "replica_fraction": round(replica_peak / n, 3) if n else None,
-            "shard_rehomes": counters.shard_rehomes,
             "first_divergence": found,
         })
 

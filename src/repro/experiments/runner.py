@@ -233,8 +233,6 @@ def run_mobility_sweep(
     scheme: Optional[PriorityScheme] = None,
     k: int = 2,
     incremental: bool = True,
-    shards: Optional[Tuple[int, int]] = None,
-    jobs: int = 1,
 ) -> List[MobilityStep]:
     """Exact forward sets across a mobility trace, one entry per step.
 
@@ -258,27 +256,14 @@ def run_mobility_sweep(
     advance` draws), so equally-seeded models produce byte-identical
     ``forward`` tuples either way.
 
-    With ``shards=(sx, sy)`` the incremental sweep's dirty-region
-    re-decisions fan out over ``jobs`` fork workers across a spatial
-    shard grid (see :mod:`repro.experiments.sharded`); the returned
-    :class:`~repro.experiments.sharded.ShardedStep` entries carry the
-    same ``step``/``time``/``forward``/``redecided``/flip-count fields
-    with byte-identical values at any grid and worker count.
+    The sharded twin,
+    :func:`~repro.experiments.sharded.run_sharded_mobility_sweep`, fans
+    the incremental re-decisions out over a spatial shard grid with
+    byte-identical forward sets.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     scheme = scheme or IdPriority()
-    if shards is not None:
-        if not incremental:
-            raise ValueError(
-                "sharded sweeps are incremental by construction; "
-                "incremental=False is only for the rebuild oracle"
-            )
-        from .sharded import run_sharded_mobility_sweep
-
-        return run_sharded_mobility_sweep(
-            model, steps, dt, scheme=scheme, k=k, shards=shards, jobs=jobs
-        )
     if incremental:
         return _mobility_sweep_incremental(model, steps, dt, scheme, k)
     return _mobility_sweep_rebuild(model, steps, dt, scheme, k)

@@ -37,23 +37,20 @@ parallelises that *within* the trace:
   needs the edges inside ``ball(u, metric_value_radius)`` ⊆ ``ball(v,
   k + metric_value_radius)`` ⊆ ``ball(v, R)``.  Schemes whose values
   are not locally computable (``metric_value_radius is None``, e.g.
-  the rank-ordered random-epoch draw) are rejected up front;
-* **dynamic re-homing**: the parent tracks per-shard owned-stale load
-  over a window; when the maximum shard load skews past
-  ``rehome_factor`` times the mean, it re-splits the grid with
-  per-axis dirty-weighted cell weights, extracts fresh subgraphs from
-  the *current* topology, and ships them folded into the next step
-  message (counted as ``shard_rehomes``; deterministic because the
-  trigger depends only on the trace).
+  the rank-ordered random-epoch draw) are rejected up front.
 
-The determinism contract: for any shard grid, worker count, and
-re-home schedule, the per-step forward sets are **byte-identical** to
-the single-process incremental path, because (a) the stale set equals
-the serial stale set exactly, (b) every stale node is decided exactly
-once, on a replica equal to the induced current graph over a universe
-containing its whole decision ball (or by the parent on the global
-graph), and (c) the lowest-eligible-shard owner rule picks the
-evaluator without looking at values.  ``jobs=1`` (or a platform
+The split is static: the grid is pinned from the base positions for the
+whole sweep.  Exactness needs only the locality property above, which
+any split keeps, so the driver never re-partitions on load.
+
+The determinism contract: for any shard grid and worker count, the
+per-step forward sets are **byte-identical** to the single-process
+incremental path, because (a) the stale set equals the serial stale set
+exactly, (b) every stale node is decided exactly once, on a replica
+equal to the induced current graph over a universe containing its whole
+decision ball (or by the parent on the global graph), and (c) the
+lowest-eligible-shard owner rule picks the evaluator without looking at
+values.  ``jobs=1`` (or a platform
 without ``fork``) hosts every shard replica in-process — the
 deduplicated short-circuit: owner-only shipping already evaluates each
 node once, with no pipe traffic.
@@ -71,7 +68,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.priority import IdPriority, PriorityScheme
 from ..graph.fliptrace import FlipTrace
@@ -109,8 +106,7 @@ class ShardedStep:
     eligible shard, ``boundary_flips`` the flips whose endpoints'
     routed shard sets span more than one shard, ``parent_redecides``
     the nodes no shard was eligible for (decided by the parent on the
-    global graph), and ``rehomed`` whether this step's load window
-    triggered a shard re-partition.
+    global graph).
     """
 
     step: int
@@ -123,7 +119,6 @@ class ShardedStep:
     added_edges: int
     removed_edges: int
     parent_redecides: int = 0
-    rehomed: bool = False
 
 
 def _route_flips(
@@ -172,11 +167,6 @@ class _ShardReplica:
 
     def __len__(self) -> int:
         return len(self._replica)
-
-    def _install(self, subgraph: ShardSubgraph) -> None:
-        """Adopt a freshly extracted replica (re-home delivery)."""
-        self._replica = subgraph
-        self._shard_metrics = None
 
     def apply_step(
         self,
@@ -241,22 +231,14 @@ class _ShardWorker:
             for sid in sorted(subgraphs)
         }
 
-    def _rehome(self, replacements: Dict[int, ShardSubgraph]) -> None:
-        for sid in sorted(replacements):
-            self._replicas[sid]._install(replacements[sid])
-
     def apply_step(
-        self,
-        payloads: Dict[int, _ShardPayload],
-        rehome: Optional[Dict[int, ShardSubgraph]],
+        self, payloads: Dict[int, _ShardPayload]
     ) -> List[Tuple[int, bool]]:
-        """Install any re-home, advance every replica, decide, report.
+        """Advance every replica, decide, report.
 
         Owner-only shipping guarantees the per-shard decision lists are
         disjoint, so concatenating them in sid order is a merge.
         """
-        if rehome:
-            self._rehome(rehome)
         decided: List[Tuple[int, bool]] = []
         for sid, replica in self._replicas.items():
             added, removed, stale_local = payloads.get(sid, ((), (), ()))
@@ -284,9 +266,9 @@ def _shard_worker_main(conn, subgraphs, scheme, k) -> None:
             break
         if message is None:
             break
-        step, payloads, rehome = message
+        step, payloads = message
         with collecting() as counters:
-            decided = worker.apply_step(payloads, rehome)
+            decided = worker.apply_step(payloads)
         conn.send((step, decided, counters.as_dict()))
     conn.close()
 
@@ -294,9 +276,9 @@ def _shard_worker_main(conn, subgraphs, scheme, k) -> None:
 class _ForkShardPool:
     """Persistent fork-spawned workers with shard→worker affinity.
 
-    Each child inherits its shards' subgraphs through ``fork`` (no
-    pickling on the way in); only re-home replacements travel the pipe,
-    in the compact :meth:`ShardSubgraph.__getstate__` form.
+    Each child inherits its shards' subgraphs through ``fork``, so no
+    replica ever travels a pipe: the wire carries only step payloads
+    and decisions.
     """
 
     def __init__(
@@ -330,17 +312,12 @@ class _ForkShardPool:
     def workers(self) -> int:
         return len(self._conns)
 
-    def step(
-        self,
-        step: int,
-        payloads: Dict[int, _ShardPayload],
-        rehome: Optional[Dict[int, ShardSubgraph]],
-    ):
+    def step(self, step: int, payloads: Dict[int, _ShardPayload]):
         """Fan one step out to every worker and gather the decisions.
 
-        A worker receives only its own shards' payloads (and, on a
-        re-home step, their fresh subgraphs).  All sends complete
-        before the first receive, so workers compute concurrently.
+        A worker receives only its own shards' payloads.  All sends
+        complete before the first receive, so workers compute
+        concurrently.
         """
         workers = len(self._conns)
         for index, conn in enumerate(self._conns):
@@ -349,15 +326,8 @@ class _ForkShardPool:
                 for sid, payload in payloads.items()
                 if sid % workers == index
             }
-            mine_rehome = None
-            if rehome:
-                mine_rehome = {
-                    sid: subgraph
-                    for sid, subgraph in rehome.items()
-                    if sid % workers == index
-                }
             try:
-                conn.send((step, mine, mine_rehome))
+                conn.send((step, mine))
             except ConnectionError:  # BrokenPipeError: already dead
                 raise self._died(index, step) from None
         decided: Dict[int, bool] = {}
@@ -420,13 +390,8 @@ class _InlineShardPool:
     def workers(self) -> int:
         return 1
 
-    def step(
-        self,
-        step: int,
-        payloads: Dict[int, _ShardPayload],
-        rehome: Optional[Dict[int, ShardSubgraph]],
-    ):
-        decided = dict(self._worker.apply_step(payloads, rehome))
+    def step(self, step: int, payloads: Dict[int, _ShardPayload]):
+        decided = dict(self._worker.apply_step(payloads))
         return decided, []
 
     def close(self) -> None:
@@ -470,39 +435,6 @@ def _universe_members(
     return members
 
 
-def _rebalanced_grid(
-    grid: ShardGrid,
-    positions: Dict[int, Point],
-    radius: float,
-    shape: Tuple[int, int],
-    halo_cells: int,
-    dirty_counts: Dict[int, int],
-) -> ShardGrid:
-    """The same grid geometry re-split around the observed load.
-
-    Each node contributes ``1 + dirty_count`` (its load-window stale
-    count) to its cell's per-axis weight, so the weighted splits pull
-    shard boundaries toward the churn.  Deterministic: the weights are
-    a pure function of the trace prefix.
-    """
-    x_extent, y_extent = grid.extents
-    x_weights = [0.0] * x_extent
-    y_weights = [0.0] * y_extent
-    for node, p in positions.items():
-        ox, oy = grid.offsets_of(p)
-        weight = 1.0 + dirty_counts.get(node, 0)
-        x_weights[ox] += weight
-        y_weights[oy] += weight
-    return ShardGrid(
-        positions,
-        radius,
-        shape=shape,
-        halo_cells=halo_cells,
-        x_weights=x_weights,
-        y_weights=y_weights,
-    )
-
-
 def _sharded_sweep(
     base_positions: Dict[int, Point],
     radius: float,
@@ -512,7 +444,6 @@ def _sharded_sweep(
     shards: Tuple[int, int],
     jobs: int,
     clamp: bool,
-    rehome_factor: Optional[float],
 ) -> List[ShardedStep]:
     """The core driver: route, fan out, merge — one delta at a time."""
     locality = scheme.metric_locality
@@ -522,10 +453,6 @@ def _sharded_sweep(
             f"scheme {scheme.name!r} has metric_value_radius=None: its "
             "metric values cannot be reproduced on a partial replica "
             "(use the serial incremental sweep instead)"
-        )
-    if rehome_factor is not None and rehome_factor < 1:
-        raise ValueError(
-            f"rehome_factor must be >= 1 or None, got {rehome_factor}"
         )
     dirty_radius = None if locality is None else k + locality
     route_halo = k + (locality or 0)
@@ -544,9 +471,7 @@ def _sharded_sweep(
     base_graph = build_unit_disk_graph(base_positions, radius).topology
     members = _universe_members(grid, base_positions, universe_halo)
     subgraphs = {
-        sid: ShardSubgraph.extract(
-            sid, base_graph, mine, positions=base_positions
-        )
+        sid: ShardSubgraph.extract(sid, base_graph, mine)
         for sid, mine in members.items()
     }
     universe_sets = {sid: set(mine) for sid, mine in members.items()}
@@ -554,11 +479,6 @@ def _sharded_sweep(
     pool = _open_pool(subgraphs, scheme, k, workers)
     decisions: Dict[int, bool] = {}
     parent_metrics: Optional[Dict[int, Tuple[float, ...]]] = None
-    pending_rehome: Optional[Dict[int, ShardSubgraph]] = None
-    window_loads = [0] * grid.shard_count
-    window_total = 0
-    dirty_counts: Dict[int, int] = {}
-    seen_first = False
     results: List[ShardedStep] = []
     try:
         for snap in deltas:
@@ -622,10 +542,7 @@ def _sharded_sweep(
                     sid_removed,
                     tuple(stale_by_sid.get(sid, ())),
                 )
-            decided, counter_payloads = pool.step(
-                snap.step, payloads, pending_rehome
-            )
-            pending_rehome = None
+            decided, counter_payloads = pool.step(snap.step, payloads)
             for node in shipped:
                 decisions[node] = decided[node]
             if parent_stale:
@@ -642,57 +559,6 @@ def _sharded_sweep(
                 scope.shard_boundary_flips += boundary
                 for payload in counter_payloads:
                     scope.merge(InstrumentationCounters.from_dict(payload))
-            rehomed = False
-            if seen_first:
-                # The first step re-decides everyone regardless of the
-                # geometry; folding it into the load window would bias
-                # the first trigger toward the base node density.
-                for node in stale:
-                    window_loads[assignment.owner[node]] += 1
-                    dirty_counts[node] = dirty_counts.get(node, 0) + 1
-                window_total += len(stale)
-                if (
-                    rehome_factor is not None
-                    and grid.shard_count > 1
-                    and window_total >= grid.shard_count
-                    and max(window_loads) * grid.shard_count
-                    > rehome_factor * window_total
-                ):
-                    candidate = _rebalanced_grid(
-                        grid, base_positions, radius, shards, route_halo,
-                        dirty_counts,
-                    )
-                    if candidate.splits != grid.splits:
-                        rehomed = True
-                        grid = candidate
-                        assignment = grid.assign(base_positions)
-                        members = _universe_members(
-                            grid, base_positions, universe_halo
-                        )
-                        subgraphs = {
-                            sid: ShardSubgraph.extract(
-                                sid, graph, mine, positions=base_positions
-                            )
-                            for sid, mine in members.items()
-                        }
-                        universe_sets = {
-                            sid: set(mine) for sid, mine in members.items()
-                        }
-                        index = graph.node_index()
-                        universe_masks = {
-                            sid: index.mask_of(mine)
-                            for sid, mine in universe_sets.items()
-                        }
-                        pending_rehome = subgraphs
-                        if _COUNTER_STACK:
-                            _COUNTER_STACK[-1].shard_rehomes += 1
-                    # An unmoved split is not a re-home, but the window
-                    # resets either way so the trigger cannot re-fire
-                    # every step on the same skew.
-                    window_loads = [0] * grid.shard_count
-                    window_total = 0
-                    dirty_counts = {}
-            seen_first = True
             results.append(
                 ShardedStep(
                     step=snap.step,
@@ -707,7 +573,6 @@ def _sharded_sweep(
                     added_edges=len(added),
                     removed_edges=len(removed),
                     parent_redecides=len(parent_stale),
-                    rehomed=rehomed,
                 )
             )
     finally:
@@ -729,7 +594,6 @@ def run_sharded_mobility_sweep(
     shards: Tuple[int, int] = (2, 2),
     jobs: int = 1,
     clamp: bool = True,
-    rehome_factor: Optional[float] = 4.0,
 ) -> List[ShardedStep]:
     """Sharded exact forward sets across a mobility trace.
 
@@ -741,10 +605,7 @@ def run_sharded_mobility_sweep(
     grid.  ``jobs`` is clamped to the shard count (an idle worker would
     own no shard) and, with ``clamp=True``, to ``os.cpu_count()`` —
     a single effective worker runs the in-process short-circuit
-    instead of a pipe-driven pool.  ``rehome_factor`` bounds the
-    tolerated max/mean load skew before a dynamic re-home (``None``
-    disables re-homing); the schedule is deterministic for a given
-    trace, so forward sets stay byte-identical at any setting.
+    instead of a pipe-driven pool.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
@@ -761,7 +622,6 @@ def run_sharded_mobility_sweep(
         shards,
         jobs,
         clamp,
-        rehome_factor,
     )
 
 
@@ -772,16 +632,14 @@ def run_sharded_trace(
     shards: Tuple[int, int] = (2, 2),
     jobs: int = 1,
     clamp: bool = True,
-    rehome_factor: Optional[float] = 4.0,
 ) -> List[ShardedStep]:
     """Sharded sweep over a recorded :class:`FlipTrace`.
 
     Replays the trace's flip stream instead of a live model, so the
-    identical workload can A/B shard grids, worker counts, and re-home
-    schedules (and be compared against
-    :func:`~repro.experiments.runner.run_trace_sweep`, the serial
-    incremental replay).  See :func:`run_sharded_mobility_sweep` for
-    the ``clamp``/``rehome_factor`` semantics.
+    identical workload can A/B shard grids and worker counts (and be
+    compared against :func:`~repro.experiments.runner.run_trace_sweep`,
+    the serial incremental replay).  See
+    :func:`run_sharded_mobility_sweep` for the ``clamp`` semantics.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -795,5 +653,4 @@ def run_sharded_trace(
         shards,
         jobs,
         clamp,
-        rehome_factor,
     )

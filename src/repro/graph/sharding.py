@@ -36,17 +36,15 @@ its universe at every step, and a re-decision whose decision ball lies
 inside the universe is exact.
 
 Shard assignment is pinned from one set of positions (the trace's base
-snapshot) and stays byte-stable between re-homes: the driver may
-re-partition at a step boundary when mobility skews per-shard load (a
-*re-home*, counted and deterministic because it depends only on the
-trace), but node movement alone never re-routes a node mid-epoch.
+snapshot) and stays byte-stable for the whole sweep: the split is
+static, and node movement never re-routes a node.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..instrument import _STACK as _COUNTER_STACK
 from .cellgrid import CellGrid
@@ -93,8 +91,6 @@ class ShardGrid:
         radius: float,
         shape: Tuple[int, int] = (2, 2),
         halo_cells: int = 2,
-        x_weights: Optional[Sequence[float]] = None,
-        y_weights: Optional[Sequence[float]] = None,
     ) -> None:
         sx, sy = shape
         if sx < 1 or sy < 1:
@@ -113,24 +109,8 @@ class ShardGrid:
         else:
             self._min_cx = self._max_cx = 0
             self._min_cy = self._max_cy = 0
-        x_extent = self._max_cx - self._min_cx + 1
-        y_extent = self._max_cy - self._min_cy + 1
-        if x_weights is None:
-            self._x_starts = self._splits(x_extent, sx)
-        else:
-            if len(x_weights) != x_extent:
-                raise ValueError(
-                    f"x_weights must cover {x_extent} cells, got {len(x_weights)}"
-                )
-            self._x_starts = self._weighted_splits(x_weights, sx)
-        if y_weights is None:
-            self._y_starts = self._splits(y_extent, sy)
-        else:
-            if len(y_weights) != y_extent:
-                raise ValueError(
-                    f"y_weights must cover {y_extent} cells, got {len(y_weights)}"
-                )
-            self._y_starts = self._weighted_splits(y_weights, sy)
+        self._x_starts = self._splits(self._max_cx - self._min_cx + 1, sx)
+        self._y_starts = self._splits(self._max_cy - self._min_cy + 1, sy)
 
     @staticmethod
     def _splits(extent: int, blocks: int) -> List[int]:
@@ -145,33 +125,6 @@ class ShardGrid:
         starts = [0]
         for index in range(blocks):
             starts.append(starts[-1] + base + (1 if index < extra else 0))
-        return starts
-
-    @staticmethod
-    def _weighted_splits(weights: Sequence[float], blocks: int) -> List[int]:
-        """Start offsets of ``blocks`` runs balancing per-cell ``weights``.
-
-        A prefix-greedy split: run boundary ``i`` is placed at the first
-        cell whose weight prefix reaches ``total * i / blocks``.  The
-        offsets are non-decreasing (zero-width runs are allowed — the
-        routing methods already skip them) and depend only on the weight
-        vector, so the split is deterministic.  An all-zero weight
-        vector degenerates to the uniform :meth:`_splits`.
-        """
-        extent = len(weights)
-        total = float(sum(weights))
-        if total <= 0:
-            return ShardGrid._splits(extent, blocks)
-        starts = [0]
-        prefix = 0.0
-        cell = 0
-        for block in range(1, blocks):
-            target = total * block / blocks
-            while cell < extent and prefix < target:
-                prefix += weights[cell]
-                cell += 1
-            starts.append(cell)
-        starts.append(extent)
         return starts
 
     @property
@@ -191,30 +144,6 @@ class ShardGrid:
         cx = min(max(cx, self._min_cx), self._max_cx)
         cy = min(max(cy, self._min_cy), self._max_cy)
         return cx - self._min_cx, cy - self._min_cy
-
-    def offsets_of(self, p: Point) -> Tuple[int, int]:
-        """``p``'s cell as ``(ox, oy)`` bounding-box offsets, clamped.
-
-        The public handle for load accounting: the driver projects
-        per-node work onto these offsets to build the weight vectors a
-        re-home feeds back through ``x_weights``/``y_weights``.
-        """
-        return self._clamped_offsets(p)
-
-    @property
-    def extents(self) -> Tuple[int, int]:
-        """Bounding-box size in cells, ``(x_cells, y_cells)``."""
-        return (self._x_starts[-1], self._y_starts[-1])
-
-    @property
-    def splits(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-        """The ``(x_starts, y_starts)`` run offsets — the full split.
-
-        Two grids over the same bounding box route identically iff
-        their splits are equal; the sharded driver compares these to
-        skip a re-home that would not actually move any boundary.
-        """
-        return (tuple(self._x_starts), tuple(self._y_starts))
 
     @staticmethod
     def _block_of(offset: int, starts: List[int]) -> int:
@@ -324,8 +253,6 @@ class ShardSubgraph:
 
     State (``_global_nodes``, ``_local_of``, ``_subgraph``) is owned by
     this class alone; detlint DET003 flags foreign writes to any of it.
-    Pickling ships only the compact ``(shard_id, nodes, edges,
-    positions)`` state — never the replica's memoised mask tables.
     """
 
     def __init__(
@@ -333,7 +260,6 @@ class ShardSubgraph:
         shard_id: int,
         nodes: Iterable[int],
         edges: Iterable[Edge],
-        positions: Optional[Dict[int, Point]] = None,
     ) -> None:
         self.shard_id = int(shard_id)
         self._global_nodes: Tuple[int, ...] = tuple(nodes)
@@ -344,7 +270,6 @@ class ShardSubgraph:
         if len(self._local_of) != len(self._global_nodes):
             raise ValueError("duplicate node ids in shard universe")
         self._subgraph = Topology(nodes=self._global_nodes, edges=edges)
-        self._positions: Dict[int, Point] = dict(positions or {})
 
     @classmethod
     def extract(
@@ -352,7 +277,6 @@ class ShardSubgraph:
         shard_id: int,
         topology: Topology,
         members: Iterable[int],
-        positions: Optional[Dict[int, Point]] = None,
     ) -> "ShardSubgraph":
         """Materialise the induced subgraph of ``topology`` on ``members``.
 
@@ -373,12 +297,7 @@ class ShardSubgraph:
             for v in mask_index.members(row):
                 if u < v:
                     edges.append((u, v))
-        kept: Dict[int, Point] = {}
-        if positions:
-            kept = {
-                node: positions[node] for node in ordered if node in positions
-            }
-        return cls(shard_id, ordered, edges, kept)
+        return cls(shard_id, ordered, edges)
 
     @property
     def graph(self) -> Topology:
@@ -389,11 +308,6 @@ class ShardSubgraph:
     def global_nodes(self) -> Tuple[int, ...]:
         """The universe in local-id order (``global_nodes[local] = gid``)."""
         return self._global_nodes
-
-    @property
-    def positions(self) -> Dict[int, Point]:
-        """Universe node positions at extraction time (may be empty)."""
-        return self._positions
 
     def __len__(self) -> int:
         return len(self._global_nodes)
@@ -448,22 +362,3 @@ class ShardSubgraph:
         if _COUNTER_STACK:
             _COUNTER_STACK[-1].shard_flips_applied += applied
         return applied
-
-    def __getstate__(self) -> Dict[str, object]:
-        # Compact wire state: rebuilding from (nodes, edges) on the far
-        # side is cheaper than pickling the replica's memoised mask
-        # tables.
-        return {
-            "shard_id": self.shard_id,
-            "nodes": self._global_nodes,
-            "edges": tuple(self._subgraph.edges()),
-            "positions": self._positions,
-        }
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__init__(  # type: ignore[misc]
-            state["shard_id"],
-            state["nodes"],
-            state["edges"],
-            state["positions"],
-        )

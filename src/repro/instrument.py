@@ -118,8 +118,9 @@ class InstrumentationCounters:
     #: partial-replica bound was exercised rather than silently
     #: bypassed by a full copy.
     replica_nodes_max: int = 0
-    #: Dynamic re-partitions: step boundaries where the parent re-split
-    #: the shard grid and shipped fresh subgraph snapshots.
+    #: Always 0: the shard split is static, so the grid is never
+    #: re-partitioned mid-sweep.  Kept because the benchmark ledger
+    #: reads it by key.
     shard_rehomes: int = 0
     # sim/hello.py
     hello_messages: int = 0

@@ -365,8 +365,8 @@ class OwnershipRule(Rule):
         "(_adj, _rows, _version, _all_dirty_version, _node_stamps; "
         "_bump_epoch, _cached, _apply_delta_fast, _apply_delta_slow), "
         "and the sharded driver's worker state (_replica, _shard_metrics, "
-        "_subgraph, _global_nodes, _local_of; _sync_replica, _redecide, "
-        "_rehome, _install; topology mutators count as mutators there).  "
+        "_subgraph, _global_nodes, _local_of; _sync_replica, _redecide; "
+        "topology mutators count as mutators there).  "
         "Caches, dirty tracking, shard replicas and a mask-built graph's "
         "lazily decoded adjacency stay coherent only while every change "
         "goes through the owner's API."
@@ -407,7 +407,7 @@ class OwnershipRule(Rule):
                 {"_replica", "_shard_metrics", "_subgraph", "_global_nodes",
                  "_local_of"}
             ),
-            frozenset({"_sync_replica", "_redecide", "_rehome", "_install"}),
+            frozenset({"_sync_replica", "_redecide"}),
             frozenset(
                 {"add_edge", "remove_edge", "add_node", "remove_node",
                  "apply_delta"}

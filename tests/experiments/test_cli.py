@@ -50,6 +50,28 @@ class TestCli:
         parallel = capsys.readouterr().out
         assert serial == parallel
 
+    def test_sharded_mobility_target(self, capsys):
+        code = main(
+            [
+                "sharded-mobility", "--quick",
+                "--mobility-nodes", "60", "--steps", "3",
+                "--shards", "2", "1", "--jobs", "1",
+            ]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(
+            index for index, line in enumerate(lines)
+            if line.split() == [
+                "step", "forward", "redecided", "shard", "handoff",
+                "boundary", "flips",
+            ]
+        )
+        rows = lines[header + 1:]
+        assert len(rows) == 3 + 1  # one row per step, then the totals
+        assert [int(row.split()[0]) for row in rows[:3]] == [0, 1, 2]
+        assert rows[-1].startswith("totals: ")
+
 
 class TestCliChartDir:
     def test_chart_svgs_written(self, capsys, tmp_path):

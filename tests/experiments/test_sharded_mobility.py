@@ -96,21 +96,6 @@ def test_sharded_matches_serial_and_rebuild(seed, monkeypatch):
     assert [s.time for s in sharded] == [s.time for s in serial]
 
 
-def test_run_mobility_sweep_shards_kwarg_delegates():
-    serial = run_mobility_sweep(_model(7), 4, 1.0, scheme=DegreePriority())
-    sharded = run_mobility_sweep(
-        _model(7), 4, 1.0, scheme=DegreePriority(), shards=(2, 2), jobs=2
-    )
-    assert _payload(serial) == _payload(sharded)
-
-
-def test_shards_with_rebuild_oracle_rejected():
-    with pytest.raises(ValueError):
-        run_mobility_sweep(
-            _model(7), 2, 1.0, shards=(2, 2), incremental=False
-        )
-
-
 def test_bad_jobs_rejected():
     with pytest.raises(ValueError):
         run_sharded_mobility_sweep(_model(7), 2, 1.0, jobs=0)
@@ -212,12 +197,12 @@ def test_worker_killed_between_steps_raises_typed_error(victim, monkeypatch):
     whether the dead worker is first or second in the fan-out."""
     step_once = sharded_module._ForkShardPool.step
 
-    def step(pool, step, payloads, rehome):
+    def step(pool, step, payloads):
         if step == 1:
             proc = pool._procs[victim]
             os.kill(proc.pid, signal.SIGKILL)
             proc.join(timeout=5)
-        return step_once(pool, step, payloads, rehome)
+        return step_once(pool, step, payloads)
 
     monkeypatch.setattr(sharded_module._ForkShardPool, "step", step)
     with _no_hang(), pytest.raises(
@@ -234,11 +219,11 @@ def test_worker_dying_mid_step_raises_typed_error(monkeypatch):
     apply_step = sharded_module._ShardWorker.apply_step
     calls = []
 
-    def dying_apply_step(worker, payloads, rehome):
+    def dying_apply_step(worker, payloads):
         calls.append(None)  # per process: each forked worker counts alone
         if len(calls) == 2:
             os._exit(3)
-        return apply_step(worker, payloads, rehome)
+        return apply_step(worker, payloads)
 
     monkeypatch.setattr(
         sharded_module._ShardWorker, "apply_step", dying_apply_step
@@ -333,11 +318,6 @@ def test_random_epoch_scheme_rejected_on_partial_replicas():
         )
 
 
-def test_bad_rehome_factor_rejected():
-    with pytest.raises(ValueError, match="rehome_factor"):
-        run_sharded_mobility_sweep(_model(7), 2, 1.0, rehome_factor=0.5)
-
-
 @pytest.mark.parametrize("jobs", (1, 2))
 def test_counters_jobs_invariant_and_serial_equal(jobs):
     trace = record_flip_trace(_model(21), 6, 1.0)
@@ -376,7 +356,7 @@ def test_counters_jobs_invariant_and_serial_equal(jobs):
 
 
 # ----------------------------------------------------------------------
-# Dynamic re-homing: a skewed trace forces a mid-run re-partition
+# Skewed load: every flip lands on one shard of a static split
 # ----------------------------------------------------------------------
 
 
@@ -384,8 +364,7 @@ def _skewed_trace(toggles: int = 4) -> FlipTrace:
     """A 13-node chain whose flips all hit the left end.
 
     Every flip toggles the (0, 1) link, so the whole dirty load lands
-    in the left shard of a (2, 1) grid — the max/mean skew a re-home
-    exists to fix.
+    in the left shard of a (2, 1) grid while the right shard idles.
     """
     positions = {i: Point(0.5 + i, 0.5) for i in range(13)}
     steps = [FlipStep(step=0, time=1.0, added=(), removed=())]
@@ -403,42 +382,16 @@ def _skewed_trace(toggles: int = 4) -> FlipTrace:
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
-def test_rehome_fires_and_preserves_identity(jobs):
+def test_skewed_trace_static_split_is_exact(jobs):
     trace = _skewed_trace()
     scheme = DegreePriority()
     serial = run_trace_sweep(trace, scheme=scheme, k=2)
     with collecting() as counters:
         sharded = run_sharded_trace(
             trace, scheme=scheme, k=2, shards=(2, 1), jobs=jobs,
-            clamp=False, rehome_factor=1.5,
+            clamp=False,
         )
+    # All churn on one shard changes the load, never the answer: the
+    # static split stays exact and the grid is never re-partitioned.
     assert _payload(serial) == _payload(sharded)
-    rehomed_steps = [s.step for s in sharded if s.rehomed]
-    # The first loaded window (step 1: dirty nodes 0..3, all owned by
-    # the left shard) trips the 1.5x skew gate and moves the split;
-    # the identical skew afterwards reproduces the same weighted split,
-    # so the re-home fires exactly once.
-    assert rehomed_steps == [1]
-    assert counters.shard_rehomes == 1
-
-
-def test_rehome_schedule_is_jobs_invariant():
-    trace = _skewed_trace()
-    scheme = DegreePriority()
-    flags = []
-    for jobs in (1, 2, 4):
-        sharded = run_sharded_trace(
-            trace, scheme=scheme, k=2, shards=(2, 1), jobs=jobs,
-            clamp=False, rehome_factor=1.5,
-        )
-        flags.append(tuple(s.rehomed for s in sharded))
-    assert flags[0] == flags[1] == flags[2]
-
-
-def test_rehome_disabled_with_none():
-    trace = _skewed_trace()
-    sharded = run_sharded_trace(
-        trace, scheme=DegreePriority(), k=2, shards=(2, 1),
-        rehome_factor=None,
-    )
-    assert not any(s.rehomed for s in sharded)
+    assert counters.shard_rehomes == 0

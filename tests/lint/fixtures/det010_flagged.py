@@ -8,8 +8,8 @@ def meddle(worker, fresh_topology):
     worker._sync_replica([], [])  # flagged: private step protocol, foreign
 
 
-def meddle_partial(sub, worker, replacement):
+def meddle_partial(sub, worker):
     sub._local_of[99] = 0  # flagged: local<->global mapping rewritten
     sub._global_nodes = ()  # flagged: id table swapped externally
     sub._subgraph.add_edge(1, 2)  # flagged: partial topology mutated directly
-    worker._rehome(replacement)  # flagged: private re-home protocol, foreign
+    worker._redecide(())  # flagged: private decide protocol, foreign
