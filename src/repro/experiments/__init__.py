@@ -35,7 +35,7 @@ from .sharded import (
     run_sharded_mobility_sweep,
     run_sharded_trace,
 )
-from .parallel import PointFailure, run_figure_parallel, run_panel_parallel
+from .parallel import PointFailure
 from .traffic import (
     TrafficPointFailure,
     TrafficSweepConfig,
@@ -91,8 +91,6 @@ __all__ = [
     "run_sharded_mobility_sweep",
     "run_sharded_trace",
     "PointFailure",
-    "run_figure_parallel",
-    "run_panel_parallel",
     "TrafficPointFailure",
     "TrafficSweepConfig",
     "run_traffic_sweep",

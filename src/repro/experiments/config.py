@@ -56,11 +56,17 @@ class RunSettings:
     effectively unbounded runs; benchmarks lower ``max_runs`` so the suite
     finishes quickly.  ``seed`` makes the whole sweep reproducible.
 
-    ``jobs`` selects the measurement backend: 1 (the default) runs points
-    serially in-process; N > 1 fans the ``(series, n)`` points out over a
-    pool of N worker processes.  Because every point derives its RNG from
-    a per-point digest (:func:`repro.experiments.runner.point_seed`),
+    ``jobs`` sizes the sweep pool
+    (:func:`repro.experiments.parallel.run_points`): 1 (the default)
+    runs points in-process; N > 1 fans the ``(series, n)`` points out
+    over N fork workers.  Because every point derives its RNG from a
+    per-point digest (:func:`repro.experiments.runner.point_seed`),
     results are byte-identical at any ``jobs`` value.
+
+    The stopping rule's own checks (``min_runs >= 2``, ``max_runs >=
+    min_runs``, ``0 < confidence < 1``) run here, once, so a bad setting
+    is reported as itself rather than as a point failing in every
+    worker.
 
     ``instrument`` turns on instrumentation counters
     (:class:`repro.instrument.InstrumentationCounters`): each measured
@@ -81,3 +87,11 @@ class RunSettings:
     def __post_init__(self) -> None:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.min_runs < 2:
+            raise ValueError(f"min_runs must be >= 2, got {self.min_runs}")
+        if self.max_runs < self.min_runs:
+            raise ValueError("max_runs must be >= min_runs")
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError(
+                f"confidence must be in (0, 1), got {self.confidence}"
+            )

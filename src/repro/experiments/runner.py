@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..algorithms.base import BroadcastProtocol
 from ..core.coverage import coverage_condition
@@ -30,6 +30,7 @@ from ..metrics.results import DataPoint, ResultTable, Series
 from ..metrics.stats import repeat_until_confident
 from ..sim.engine import SimulationEnvironment, run_broadcast
 from .config import FigureSpec, PanelSpec, RunSettings, SeriesSpec
+from .parallel import PointFailure, run_points
 
 __all__ = [
     "CoverageViolation",
@@ -41,6 +42,11 @@ __all__ = [
     "run_mobility_sweep",
     "run_trace_sweep",
 ]
+
+
+#: One figure point: indices into the panel list and its series, plus n
+#: — plain ints, so it crosses the process boundary trivially.
+_Task = Tuple[int, int, int]
 
 
 class CoverageViolation(AssertionError):
@@ -143,38 +149,13 @@ def run_panel(
 ) -> ResultTable:
     """Run every series of a panel over its node-count sweep.
 
-    With ``settings.jobs > 1`` the points fan out over a process pool;
-    the result is byte-identical to the serial run because every point
-    seeds its own RNG via :func:`point_seed`.
+    The points go through the sweep pool
+    (:func:`repro.experiments.parallel.run_points`): in-process at
+    ``settings.jobs == 1``, over that many fork workers otherwise.  The
+    result is byte-identical at any ``jobs`` because every point seeds
+    its own RNG via :func:`point_seed`.
     """
-    if settings.jobs > 1:
-        from .parallel import run_panel_parallel
-
-        return run_panel_parallel(panel, settings, progress)
-    table = ResultTable(
-        title=panel.title,
-        x_label="n",
-        y_label="forward nodes",
-    )
-    for spec in panel.series:
-        series = Series(label=spec.label)
-        for n in panel.ns:
-            # One RNG per point keeps every (series, n) measurement
-            # independent and order-agnostic — the same seeds the
-            # parallel harness hands its workers.
-            rng = random.Random(
-                point_seed(settings.seed, panel.title, spec.label, n, panel.degree)
-            )
-            point = measure_point(spec, n, panel.degree, settings, rng)
-            series.add(point)
-            if progress is not None:
-                progress(
-                    f"{panel.title} / {spec.label}: n={n} "
-                    f"mean={point.mean:.2f} (+-{point.half_width:.2f}, "
-                    f"{point.samples} runs)"
-                )
-        table.add_series(series)
-    return table
+    return _run_panels([panel], settings, progress)[0]
 
 
 def run_figure(
@@ -184,16 +165,73 @@ def run_figure(
 ) -> List[ResultTable]:
     """Run every panel of a figure.
 
-    With ``settings.jobs > 1`` all points of all panels share one process
-    pool (see :mod:`repro.experiments.parallel`); output is byte-identical
-    to the serial run at any worker count.
+    All points of all panels enter one sweep pool
+    (:mod:`repro.experiments.parallel`), so a slow panel cannot
+    serialise the sweep; tables come back in panel order and are
+    byte-identical at any ``settings.jobs``.
     """
-    settings = settings or RunSettings()
-    if settings.jobs > 1:
-        from .parallel import run_figure_parallel
+    return _run_panels(figure.panels, settings or RunSettings(), progress)
 
-        return run_figure_parallel(figure, settings, progress)
-    return [run_panel(panel, settings, progress) for panel in figure.panels]
+
+def _run_panels(
+    panels: Sequence[PanelSpec],
+    settings: RunSettings,
+    progress: Optional[Callable[[str], None]],
+) -> List[ResultTable]:
+    tasks: List[_Task] = [
+        (panel_index, series_index, n)
+        for panel_index, panel in enumerate(panels)
+        for series_index in range(len(panel.series))
+        for n in panel.ns
+    ]
+
+    def measure(task: _Task) -> DataPoint:
+        panel_index, series_index, n = task
+        panel = panels[panel_index]
+        spec = panel.series[series_index]
+        # One RNG per point keeps every (series, n) measurement
+        # independent and order-agnostic, whichever process runs it.
+        rng = random.Random(
+            point_seed(settings.seed, panel.title, spec.label, n, panel.degree)
+        )
+        return measure_point(spec, n, panel.degree, settings, rng)
+
+    def describe(task: _Task, point: DataPoint, redispatched: bool) -> str:
+        panel_index, series_index, n = task
+        panel = panels[panel_index]
+        return (
+            f"{panel.title} / {panel.series[series_index].label}: n={n} "
+            f"mean={point.mean:.2f} (+-{point.half_width:.2f}, "
+            f"{point.samples} runs)"
+            + (" [re-dispatched]" if redispatched else "")
+        )
+
+    def failure(task: _Task, worker_traceback: str) -> PointFailure:
+        panel_index, series_index, n = task
+        panel = panels[panel_index]
+        return PointFailure(
+            panel_title=panel.title,
+            label=panel.series[series_index].label,
+            n=n,
+            degree=panel.degree,
+            worker_traceback=worker_traceback,
+        )
+
+    results = run_points(
+        tasks, measure, settings.jobs, failure, describe, progress
+    )
+    tables: List[ResultTable] = []
+    for panel_index, panel in enumerate(panels):
+        table = ResultTable(
+            title=panel.title, x_label="n", y_label="forward nodes"
+        )
+        for series_index, spec in enumerate(panel.series):
+            series = Series(label=spec.label)
+            for n in panel.ns:
+                series.add(results[(panel_index, series_index, n)])
+            table.add_series(series)
+        tables.append(table)
+    return tables
 
 
 @dataclass(frozen=True)

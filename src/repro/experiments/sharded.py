@@ -78,6 +78,7 @@ from ..graph.sharding import ShardGrid, ShardSubgraph
 from ..graph.unit_disk import build_unit_disk_graph
 from ..instrument import InstrumentationCounters, collecting
 from ..instrument import _STACK as _COUNTER_STACK
+from .parallel import fork_context
 from .runner import _forward_decision
 
 __all__ = [
@@ -283,7 +284,7 @@ class _ForkShardPool:
 
     def __init__(
         self,
-        context,
+        context: multiprocessing.context.BaseContext,
         subgraphs: Dict[int, ShardSubgraph],
         scheme: PriorityScheme,
         k: int,
@@ -398,22 +399,13 @@ class _InlineShardPool:
         """Nothing to tear down in-process."""
 
 
-def _fork_context():
-    """The ``fork`` multiprocessing context, or ``None`` on platforms
-    without it (the driver then degrades to the in-process pool)."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return None
-
-
 def _open_pool(
     subgraphs: Dict[int, ShardSubgraph],
     scheme: PriorityScheme,
     k: int,
     workers: int,
 ):
-    context = _fork_context() if workers > 1 else None
+    context = fork_context() if workers > 1 else None
     if context is None:
         return _InlineShardPool(subgraphs, scheme, k)
     return _ForkShardPool(context, subgraphs, scheme, k, workers)

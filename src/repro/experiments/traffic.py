@@ -14,25 +14,23 @@ Poisson loads, one series per protocol, and reports per point:
   including the service-layer pair ``queue_depth_max`` /
   ``messages_dropped``.
 
-Determinism contract — identical to the figure harness
-(:mod:`repro.experiments.parallel`): every ``(protocol, rate)`` point
-derives its decision RNG from ``sha256("TrafficSweep|seed|label|rate")``
+Points run through the figure harness's sweep pool
+(:func:`repro.experiments.parallel.run_points`), so the determinism
+contract is the same: every ``(protocol, rate)`` point derives its
+decision RNG from ``sha256("TrafficSweep|seed|label|rate")``
 (:func:`traffic_point_seed`) and its arrival schedule from the traffic
 model's own seeded generator, so the assembled
 :class:`~repro.metrics.results.ResultTable` is byte-identical at any
-``jobs`` count.  Points fan out over a ``fork`` process pool (protocol
-factories may be lambdas — inherited, never pickled); a point that fails
-in a worker is re-dispatched once serially before surfacing as
-:class:`TrafficPointFailure`.
+``jobs`` count.  With ``jobs > 1`` points fan out over ``fork`` workers
+(protocol factories may be lambdas — inherited, never pickled); a point
+that fails in a worker is re-dispatched once serially before surfacing
+as :class:`TrafficPointFailure`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import random
-import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -48,6 +46,7 @@ from ..sim.service import (
     ServiceEngine,
 )
 from ..sim.traffic import PoissonTraffic
+from .parallel import run_points
 
 __all__ = [
     "TrafficSweepConfig",
@@ -111,6 +110,24 @@ class TrafficSweepConfig:
             raise ValueError(f"count must be positive, got {self.count}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        # The checks Message, MessageTable and ServiceEngine would make in
+        # every point, made once up front so a bad setting is reported as
+        # itself rather than as a failing point.
+        if self.size_units < 0:
+            raise ValueError(
+                f"size_units must be non-negative, got {self.size_units}"
+            )
+        if self.ttl is not None and self.ttl <= 0:
+            raise ValueError(f"ttl must be positive, got {self.ttl}")
+        if self.queue_capacity is not None and self.queue_capacity < 1:
+            raise ValueError(
+                f"queue capacity must be positive, got {self.queue_capacity}"
+            )
+        if self.tx_time_per_unit < 0:
+            raise ValueError(
+                "tx_time_per_unit must be non-negative, got "
+                f"{self.tx_time_per_unit}"
+            )
 
 
 class TrafficPointFailure(RuntimeError):
@@ -190,110 +207,6 @@ def _measure_point(
     )
 
 
-# Worker-side state, installed by the pool initializer (inherited through
-# fork, never pickled — protocol factories may be lambdas).
-_WORKER_GRAPH: Optional[Topology] = None
-_WORKER_PROTOCOLS: Optional[Sequence[ProtocolSpec]] = None
-_WORKER_CONFIG: Optional[TrafficSweepConfig] = None
-
-
-def _init_worker(
-    graph: Topology,
-    protocols: Sequence[ProtocolSpec],
-    config: TrafficSweepConfig,
-) -> None:
-    global _WORKER_GRAPH, _WORKER_PROTOCOLS, _WORKER_CONFIG
-    _WORKER_GRAPH = graph
-    _WORKER_PROTOCOLS = protocols
-    _WORKER_CONFIG = config
-
-
-def _worker_measure(task: _Task) -> Tuple[_Task, DataPoint]:
-    assert (
-        _WORKER_GRAPH is not None
-        and _WORKER_PROTOCOLS is not None
-        and _WORKER_CONFIG is not None
-    )
-    return task, _measure_point(
-        _WORKER_GRAPH, _WORKER_PROTOCOLS, _WORKER_CONFIG, task
-    )
-
-
-def _fork_context() -> Optional[multiprocessing.context.BaseContext]:
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return None
-
-
-def _measure_all(
-    graph: Topology,
-    protocols: Sequence[ProtocolSpec],
-    config: TrafficSweepConfig,
-    progress: Optional[Callable[[str], None]],
-) -> Dict[_Task, DataPoint]:
-    tasks: List[_Task] = [
-        (series_index, rate_index)
-        for series_index in range(len(protocols))
-        for rate_index in range(len(config.rates))
-    ]
-    results: Dict[_Task, DataPoint] = {}
-
-    def report(task: _Task, point: DataPoint) -> None:
-        if progress is None:
-            return
-        label = protocols[task[0]][0]
-        progress(
-            f"{label}: rate={point.x:g} goodput={point.mean:.4f} "
-            f"({point.samples} messages)"
-        )
-
-    context = _fork_context() if config.jobs > 1 else None
-    if context is None:
-        if config.jobs > 1 and progress is not None:
-            progress("fork start method unavailable; running points serially")
-        for task in tasks:
-            results[task] = _measure_point(graph, protocols, config, task)
-            report(task, results[task])
-        return results
-
-    workers = min(config.jobs, len(tasks)) or 1
-    failed_once: List[Tuple[_Task, BaseException]] = []
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=context,
-        initializer=_init_worker,
-        initargs=(graph, protocols, config),
-    ) as pool:
-        pending = {pool.submit(_worker_measure, task): task for task in tasks}
-        while pending:
-            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            for future in done:
-                task = pending.pop(future)
-                error = future.exception()
-                if error is not None:
-                    failed_once.append((task, error))
-                    continue
-                returned_task, point = future.result()
-                results[returned_task] = point
-                report(returned_task, point)
-    for task, error in failed_once:
-        try:
-            results[task] = _measure_point(graph, protocols, config, task)
-        except Exception as exc:
-            raise TrafficPointFailure(
-                label=protocols[task[0]][0],
-                rate=config.rates[task[1]],
-                worker_traceback="".join(
-                    traceback.format_exception(
-                        type(error), error, error.__traceback__
-                    )
-                ),
-            ) from exc
-        report(task, results[task])
-    return results
-
-
 def run_traffic_sweep(
     graph: Topology,
     protocols: Sequence[ProtocolSpec],
@@ -302,13 +215,41 @@ def run_traffic_sweep(
 ) -> ResultTable:
     """Offered-vs-delivered-load sweep over one deployment.
 
-    One series per protocol, one point per offered rate; assembly
-    follows spec order so worker completion order never leaks into the
-    table.  Byte-identical at any ``config.jobs`` value.
+    One series per protocol, one point per offered rate, measured
+    through the sweep pool (in-process at ``config.jobs == 1``, over
+    fork workers otherwise); assembly follows spec order so worker
+    completion order never leaks into the table.  Byte-identical at any
+    ``config.jobs`` value.
     """
     if not protocols:
         raise ValueError("protocols must be non-empty")
-    results = _measure_all(graph, protocols, config, progress)
+    tasks: List[_Task] = [
+        (series_index, rate_index)
+        for series_index in range(len(protocols))
+        for rate_index in range(len(config.rates))
+    ]
+
+    def describe(task: _Task, point: DataPoint, _redispatched: bool) -> str:
+        return (
+            f"{protocols[task[0]][0]}: rate={point.x:g} "
+            f"goodput={point.mean:.4f} ({point.samples} messages)"
+        )
+
+    def failure(task: _Task, worker_traceback: str) -> TrafficPointFailure:
+        return TrafficPointFailure(
+            label=protocols[task[0]][0],
+            rate=config.rates[task[1]],
+            worker_traceback=worker_traceback,
+        )
+
+    results = run_points(
+        tasks,
+        lambda task: _measure_point(graph, protocols, config, task),
+        config.jobs,
+        failure,
+        describe,
+        progress,
+    )
     table = ResultTable(
         title=(
             f"Broadcast service saturation (n={graph.node_count()}, "

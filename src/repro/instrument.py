@@ -20,8 +20,8 @@ active :func:`collecting` context and are a single ``if _STACK:`` check
 when no context is active, so an uninstrumented run pays (close to)
 nothing.  Contexts nest — an inner context captures a sub-measurement
 and merges into its parent on exit — and counters merge across runs and
-across the process pool (workers ship plain dicts back to the parent;
-see :mod:`repro.experiments.parallel`).
+across the sweep pool's workers (they ship plain dicts back to the
+parent; see :func:`repro.experiments.parallel.run_points`).
 
 Counter semantics: every field is a monotone sum except the fields in
 :data:`MAX_FIELDS` (high-water marks: the scheduler's maximum queue

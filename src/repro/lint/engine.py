@@ -262,7 +262,9 @@ def _filter_record(
 # (which hold unpicklable AST trees) are installed as worker globals by
 # the pool initializer and inherited through fork() without ever being
 # pickled; only chunk indices travel to the workers and only plain
-# Finding dataclasses travel back.
+# Finding dataclasses travel back.  ``_fork_context`` is a local copy of
+# ``parallel.fork_context`` because ``repro.lint`` must not import
+# ``repro.experiments``.
 
 _WORKER_RECORDS: Optional[List[_FileRecord]] = None
 _WORKER_CODES: Optional[Tuple[str, ...]] = None

@@ -1,25 +1,29 @@
-"""Tests for the process-parallel experiment harness.
+"""Tests for the sweep pool behind figure (and traffic) sweeps.
 
 The contract under test: results are byte-identical at any worker count,
-a point that fails in a worker is re-dispatched once in the parent, and
-a point that fails twice surfaces as a structured ``PointFailure``.
+a point that fails in a worker — or whose worker dies — is re-dispatched
+once in the parent, and a point that fails twice surfaces as a
+structured ``PointFailure``.
 """
 
+import contextlib
 import multiprocessing
+import os
+import random
+import signal
 
 import pytest
 
 from repro.algorithms.base import Timing
+from repro.algorithms.flooding import Flooding
 from repro.algorithms.generic import GenericSelfPruning
 from repro.experiments.config import PanelSpec, RunSettings, SeriesSpec
 from repro.experiments.export import tables_to_json
 from repro.experiments.figures import fig16_backoff
-from repro.experiments.parallel import (
-    PointFailure,
-    run_figure_parallel,
-    run_panel_parallel,
-)
+from repro.experiments.parallel import PointFailure
 from repro.experiments.runner import run_figure, run_panel
+from repro.experiments.traffic import TrafficSweepConfig, run_traffic_sweep
+from repro.graph.generators import random_connected_network
 
 FAST = dict(min_runs=4, max_runs=6, relative_half_width=0.5, seed=7)
 
@@ -37,6 +41,43 @@ def _worker_only_bomb():
 
 def _always_bomb():
     raise RuntimeError("injected persistent failure")
+
+
+def _dies_in_worker(factory):
+    # Kills the whole worker process (no exception, no cleanup), which
+    # breaks the pool; the parent's re-dispatch builds the protocol fine.
+    def build():
+        if multiprocessing.parent_process() is not None:
+            os._exit(3)
+        return factory()
+
+    return build
+
+
+def _figure_table(factory, jobs):
+    return run_panel(_panel(factory), RunSettings(**FAST, jobs=jobs))
+
+
+def _traffic_table(factory, jobs):
+    graph = random_connected_network(25, 6.0, random.Random(71)).topology
+    config = TrafficSweepConfig(
+        rates=(0.5, 2.0), count=10, seed=9, size_units=4, jobs=jobs
+    )
+    return run_traffic_sweep(graph, (("flooding", factory),), config)
+
+
+@contextlib.contextmanager
+def _no_hang(seconds: int = 60):
+    def hung(signum, frame):
+        raise AssertionError("sweep pool hung after a worker died")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _panel(factory, ns=(15, 20)) -> PanelSpec:
@@ -66,6 +107,30 @@ class TestDeterminism:
     def test_settings_reject_zero_jobs(self):
         with pytest.raises(ValueError):
             RunSettings(jobs=0)
+
+    @pytest.mark.parametrize(
+        "overrides, rejected",
+        [
+            (dict(min_runs=1), True),
+            (dict(min_runs=0), True),
+            (dict(min_runs=5, max_runs=4), True),
+            (dict(confidence=0.0), True),
+            (dict(confidence=1.0), True),
+            (dict(confidence=-0.5), True),
+            (dict(min_runs=2, max_runs=2), False),
+            (dict(confidence=0.999), False),
+        ],
+    )
+    def test_settings_reject_what_the_stopping_rule_rejects(
+        self, overrides, rejected
+    ):
+        # Rejected up front, not as a point failing in every worker; the
+        # boundary values the stopping rule accepts stay accepted.
+        if rejected:
+            with pytest.raises(ValueError):
+                RunSettings(**overrides)
+        else:
+            RunSettings(**overrides)
 
 
 class TestInstrumentedParallel:
@@ -99,7 +164,7 @@ class TestCrashRecovery:
     def test_worker_crash_is_redispatched_once(self):
         panel = _panel(_worker_only_bomb)
         messages = []
-        table = run_panel_parallel(
+        table = run_panel(
             panel, RunSettings(**FAST, jobs=2), progress=messages.append
         )
         # Every point failed in its worker, was retried in the parent, and
@@ -111,7 +176,7 @@ class TestCrashRecovery:
     def test_persistent_failure_surfaces_structured_error(self):
         panel = _panel(_always_bomb, ns=(15,))
         with pytest.raises(PointFailure) as excinfo:
-            run_panel_parallel(panel, RunSettings(**FAST, jobs=2))
+            run_panel(panel, RunSettings(**FAST, jobs=2))
         failure = excinfo.value
         assert failure.panel_title == "parallel test panel"
         assert failure.label == "FR"
@@ -121,13 +186,31 @@ class TestCrashRecovery:
         assert isinstance(failure.__cause__, RuntimeError)
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the sweep pool needs the fork start method",
+)
+@pytest.mark.parametrize(
+    "run_table, factory",
+    [(_figure_table, _fr_protocol), (_traffic_table, Flooding)],
+    ids=["figure", "traffic"],
+)
+def test_dead_worker_breaks_pool_and_every_point_is_redispatched(
+    run_table, factory
+):
+    reference = run_table(factory, jobs=1)
+    with _no_hang():
+        table = run_table(_dies_in_worker(factory), jobs=2)
+    assert tables_to_json([table]) == tables_to_json([reference])
+
+
 class TestProgressReporting:
     def test_progress_runs_in_parent(self):
         # The callback is a closure over a local list — unpicklable state
         # that must never cross the process boundary.
         messages = []
         figure = fig16_backoff(ns=[15], degrees=[6.0])
-        run_figure_parallel(
+        run_figure(
             figure, RunSettings(**FAST, jobs=2), progress=messages.append
         )
         assert len(messages) == 4  # two hop panels x two series x one n

@@ -176,6 +176,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             TrafficSweepConfig(rates=(1.0,), jobs=0)
 
+    @pytest.mark.parametrize(
+        "overrides, rejected",
+        [
+            (dict(ttl=0.0), True),
+            (dict(ttl=-1.0), True),
+            (dict(size_units=-1), True),
+            (dict(tx_time_per_unit=-0.5), True),
+            (dict(queue_capacity=0), True),
+            (dict(ttl=None, queue_capacity=None), False),
+            (dict(ttl=0.1, queue_capacity=1), False),
+            (dict(size_units=0, tx_time_per_unit=0.0), False),
+        ],
+    )
+    def test_rejects_what_the_service_rejects(self, overrides, rejected):
+        # Rejected up front, not as a point failing in every worker; the
+        # boundary values the service accepts stay accepted.
+        if rejected:
+            with pytest.raises(ValueError):
+                TrafficSweepConfig(rates=(1.0,), **overrides)
+        else:
+            TrafficSweepConfig(rates=(1.0,), **overrides)
+
     def test_rejects_empty_protocols(self, graph):
         with pytest.raises(ValueError):
             run_traffic_sweep(graph, (), _config())
