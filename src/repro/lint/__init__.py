@@ -9,15 +9,14 @@ private cache, delta and shard state changed only by its owner.  This
 package enforces them statically::
 
     python -m repro.lint src tests benchmarks
-    python -m repro.lint --check-baseline --jobs 4
+    python -m repro.lint --stats
     python -m repro.lint --sarif detlint.sarif
     repro-lint --list-rules
 
-Two rule families run over one shared parse:
+Two rule families run in one process over one shared parse:
 
 * the per-file rules DET001–DET003 and DET005–DET008 (a single module's
-  AST), which the ``--jobs N`` fork pool fans out with deterministically
-  merged output;
+  AST);
 * the project rules DET011–DET014, which consume the whole-run
   :class:`~repro.lint.project.Project` graph — symbol table with
   import-alias resolution (``lint/symtab.py``), project call graph
@@ -27,12 +26,10 @@ Two rule families run over one shared parse:
 
 Everything is stdlib-only (``ast`` + ``argparse``); see
 ``docs/API.md`` ("Static analysis") for the rule catalogue, the
-``# detlint: disable=DETxxx`` pragma syntax, the SARIF/code-scanning
-walkthrough, and how to regenerate the committed
-``detlint_baseline.json``.
+``# detlint: disable=DETxxx`` pragma syntax (the one way to suppress a
+finding), and the SARIF/code-scanning walkthrough.
 """
 
-from .baseline import fingerprint_findings, load_baseline, write_baseline
 from .engine import (
     LintRun,
     PragmaUse,
@@ -53,7 +50,7 @@ from .registry import (
     get_rule,
     per_file_rules,
 )
-from .sarif import render_sarif
+from .sarif import fingerprint_findings, render_sarif
 from . import rules  # noqa: F401  — importing registers DET001–DET008.
 from . import project_rules as _project_rules  # noqa: F401  — DET011–DET014.
 
@@ -75,7 +72,5 @@ __all__ = [
     "run_paths",
     "iter_python_files",
     "fingerprint_findings",
-    "load_baseline",
-    "write_baseline",
     "render_sarif",
 ]

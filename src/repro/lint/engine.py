@@ -1,13 +1,12 @@
 """File discovery, pragma handling, and the lint driver.
 
-The engine parses each file exactly once and runs two passes over the
-parsed records: the per-file rules (DET001–DET008), which can fan out
-over a ``--jobs N`` fork pool, and the project rules (DET011–DET014),
-which consume the :class:`~repro.lint.project.Project` graph built from
-*all* records in the parent.  Raw findings flow back to the parent,
-which applies pragma suppression centrally (so suppression hit counts
-are exact at any worker count) and sorts the merged result — output is
-byte-identical whatever ``--jobs`` value produced it.
+The engine parses each file exactly once and, in one process, runs two
+passes over the parsed records: the per-file rules (DET001–DET008) and
+the project rules (DET011–DET014), which consume the
+:class:`~repro.lint.project.Project` graph built from *all* records.
+Pragma suppression is applied to the merged raw findings, counting
+every hit, and the result is sorted, so the report depends only on the
+linted sources.
 
 ``# detlint:`` pragma comments:
 
@@ -24,7 +23,9 @@ byte-identical whatever ``--jobs`` value produced it.
     ``skip-file`` later in the file is inert (and reported as a stale
     pragma by ``--stats``).
 
-A file that fails to parse yields a single ``DET000`` finding rather
+Files are decoded as Python decodes a module: a PEP 263 coding cookie
+(or a UTF-8 BOM) names the encoding, UTF-8 otherwise.  A file that
+fails to decode or to parse yields a single ``DET000`` finding rather
 than crashing the run, so one broken file cannot hide the rest.
 ``DET000`` is not suppressible.
 """
@@ -32,7 +33,9 @@ than crashing the run, so one broken file cannot hide the rest.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -43,6 +46,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from .findings import Finding
@@ -52,7 +56,6 @@ from .registry import (
     ProjectRule,
     Rule,
     all_rules,
-    get_rule,
     path_parts,
 )
 
@@ -73,9 +76,10 @@ PRAGMA_PATTERN = re.compile(
     r"(?:\s*=\s*(?P<codes>[A-Z0-9,\s]+?))?\s*(?:#|$)"
 )
 
-#: Directory components never linted: bytecode caches, and the fixture
-#: corpus under ``tests/lint/fixtures`` whose files are *deliberate*
-#: violations for the linter's own test suite.
+#: Directory components never linted: bytecode caches.  The fixture
+#: corpus under ``tests/lint/fixtures``, whose files are *deliberate*
+#: violations for the linter's own test suite, is skipped by
+#: :func:`iter_python_files`.
 _SKIPPED_DIRS = ("__pycache__",)
 
 
@@ -119,7 +123,6 @@ class _FileRecord:
     """One parsed (or unparsable) input file, ready for the rule passes."""
 
     path: str
-    source: str
     context: Optional[LintContext]
     parse_finding: Optional[Finding]
     pragmas: List[PragmaUse]
@@ -157,21 +160,31 @@ def _covering_statement_line(
     return best[0] if best is not None else None
 
 
-def _build_record(path: str, source: str) -> _FileRecord:
+def _decode(data: bytes) -> str:
+    """Module source text, decoded and newline-translated like ``open()``."""
+    encoding, _lines = tokenize.detect_encoding(io.BytesIO(data).readline)
+    return io.TextIOWrapper(io.BytesIO(data), encoding=encoding).read()
+
+
+def _build_record(path: str, source: Union[str, bytes]) -> _FileRecord:
     try:
+        if isinstance(source, bytes):
+            source = _decode(source)
         tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
+    except (SyntaxError, ValueError) as exc:
+        # ValueError: undecodable bytes (UnicodeDecodeError), or a NUL
+        # byte, which Python 3.10's parser rejects with ValueError.
+        error = exc if isinstance(exc, SyntaxError) else SyntaxError(str(exc))
         return _FileRecord(
             path=path,
-            source=source,
             context=None,
             parse_finding=Finding(
                 path=path,
-                line=exc.lineno or 0,
-                col=exc.offset or 0,
+                line=error.lineno or 0,
+                col=error.offset or 0,
                 rule="DET000",
-                message=f"file does not parse: {exc.msg}",
-                snippet=(exc.text or "").strip(),
+                message=f"file does not parse: {error.msg}",
+                snippet=(error.text or "").strip(),
             ),
             pragmas=[],
             skip_pragma=None,
@@ -215,7 +228,6 @@ def _build_record(path: str, source: str) -> _FileRecord:
             suppress.setdefault(covered, []).append(pragma)
     return _FileRecord(
         path=path,
-        source=source,
         context=ctx,
         parse_finding=None,
         pragmas=pragmas,
@@ -256,106 +268,29 @@ def _filter_record(
     return kept
 
 
-# -- parallel front-end ------------------------------------------------
-#
-# The fork-pool pattern mirrors ``repro.experiments.parallel``: records
-# (which hold unpicklable AST trees) are installed as worker globals by
-# the pool initializer and inherited through fork() without ever being
-# pickled; only chunk indices travel to the workers and only plain
-# Finding dataclasses travel back.  ``_fork_context`` is a local copy of
-# ``parallel.fork_context`` because ``repro.lint`` must not import
-# ``repro.experiments``.
-
-_WORKER_RECORDS: Optional[List[_FileRecord]] = None
-_WORKER_CODES: Optional[Tuple[str, ...]] = None
-
-
-def _init_worker(
-    records: List[_FileRecord], codes: Tuple[str, ...]
-) -> None:
-    global _WORKER_RECORDS, _WORKER_CODES
-    _WORKER_RECORDS = records
-    _WORKER_CODES = codes
-
-
-def _lint_chunk(indices: List[int]) -> List[Tuple[int, List[Finding]]]:
-    assert _WORKER_RECORDS is not None and _WORKER_CODES is not None
-    rules = [get_rule(code) for code in _WORKER_CODES]
-    results: List[Tuple[int, List[Finding]]] = []
-    for index in indices:
-        record = _WORKER_RECORDS[index]
-        if record.context is None:
-            continue
-        results.append((index, _check_context(record.context, rules)))
-    return results
-
-
-def _fork_context():
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        return None
-
-
-def _registered(rules: Sequence[Rule]) -> bool:
-    """Whether every rule is the registry's own instance (fork-safe)."""
-    try:
-        return all(get_rule(rule.code) is rule for rule in rules)
-    except KeyError:
-        return False
-
-
-def _per_file_pass(
-    records: List[_FileRecord], file_rules: Sequence[Rule], jobs: int
-) -> Dict[int, List[Finding]]:
-    lintable = [i for i, r in enumerate(records) if r.context is not None]
-    results: Dict[int, List[Finding]] = {}
-    workers = min(jobs, len(lintable))
-    context = _fork_context() if workers > 1 else None
-    if context is not None and _registered(file_rules):
-        from concurrent.futures import ProcessPoolExecutor
-
-        codes = tuple(rule.code for rule in file_rules)
-        chunks = [lintable[offset::workers] for offset in range(workers)]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(records, codes),
-        ) as pool:
-            for chunk_result in pool.map(_lint_chunk, chunks):
-                for index, findings in chunk_result:
-                    results[index] = findings
-        return results
-    for index in lintable:
-        context_obj = records[index].context
-        assert context_obj is not None
-        results[index] = _check_context(context_obj, file_rules)
-    return results
-
-
 # -- drivers -----------------------------------------------------------
 
 
 def run_sources(
-    items: Sequence[Tuple[str, str]],
+    items: Sequence[Tuple[str, Union[str, bytes]]],
     rules: Optional[Sequence[Rule]] = None,
-    jobs: int = 1,
 ) -> LintRun:
     """Lint ``(path, source)`` pairs as one project; the core driver.
 
-    Findings from the per-file and project passes are merged, filtered
-    through pragmas in the parent (hit counts stay exact under any
-    ``jobs`` value), and globally sorted — the result is byte-identical
-    at any worker count.
+    A source given as ``bytes`` is decoded as Python decodes a module
+    file.  Findings from the per-file and project passes are merged,
+    filtered through pragmas (counting every suppression hit), and
+    globally sorted.
     """
     records = [_build_record(path, source) for path, source in items]
     selected = list(rules) if rules is not None else all_rules()
     file_rules = [r for r in selected if not isinstance(r, ProjectRule)]
     project_rules = [r for r in selected if isinstance(r, ProjectRule)]
-    per_file = _per_file_pass(records, file_rules, max(1, jobs))
+    per_file: Dict[int, List[Finding]] = {
+        index: _check_context(record.context, file_rules)
+        for index, record in enumerate(records)
+        if record.context is not None
+    }
     contexts = [r.context for r in records if r.context is not None]
     if project_rules and contexts:
         project = Project(contexts)
@@ -429,24 +364,23 @@ def iter_python_files(paths: Iterable[str]) -> Iterator[Path]:
 def run_paths(
     paths: Iterable[str],
     rules: Optional[Sequence[Rule]] = None,
-    jobs: int = 1,
 ) -> LintRun:
     """Lint every Python file under ``paths`` (files or directories).
 
     Paths in the findings are reported as given (relative stays
-    relative), normalised to forward slashes so baselines are portable.
+    relative), normalised to forward slashes so fingerprints are
+    portable.
     """
-    items: List[Tuple[str, str]] = []
-    for file_path in iter_python_files(paths):
-        normalised = "/".join(path_parts(str(file_path)))
-        items.append((normalised, file_path.read_text(encoding="utf-8")))
-    return run_sources(items, rules, jobs=jobs)
+    items = [
+        ("/".join(path_parts(str(file_path))), file_path.read_bytes())
+        for file_path in iter_python_files(paths)
+    ]
+    return run_sources(items, rules)
 
 
 def lint_paths(
     paths: Iterable[str],
     rules: Optional[Sequence[Rule]] = None,
-    jobs: int = 1,
 ) -> List[Finding]:
     """Findings for every Python file under ``paths``."""
-    return run_paths(paths, rules, jobs=jobs).findings
+    return run_paths(paths, rules).findings

@@ -1,7 +1,7 @@
 """The :class:`Finding` record every detlint rule emits.
 
-Kept in its own tiny module so rules, engine, reporters, and the
-baseline store can all import it without cycles.
+Kept in its own tiny module so rules, engine and reporters can all
+import it without cycles.
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ from typing import Dict
 class Finding:
     """One rule violation at one source location.
 
-    Ordering is ``(path, line, col, rule)`` so reports and the baseline
-    are stable regardless of rule execution order.  ``snippet`` is the
-    stripped source line — it anchors the baseline fingerprint, which
-    must survive unrelated line-number drift (see
-    :func:`repro.lint.baseline.fingerprint_findings`).
+    Ordering is ``(path, line, col, rule)`` so reports are stable
+    regardless of rule execution order.  ``snippet`` is the stripped
+    source line — it anchors the SARIF fingerprint, which must survive
+    unrelated line-number drift (see
+    :func:`repro.lint.sarif.fingerprint_findings`).
     """
 
     path: str

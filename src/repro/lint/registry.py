@@ -53,7 +53,7 @@ class LintContext:
         return self.parents.get(node)
 
     def snippet(self, node: ast.AST) -> str:
-        """The stripped source line a node starts on (baseline anchor)."""
+        """The stripped source line a node starts on (fingerprint anchor)."""
         line = getattr(node, "lineno", 0)
         if 1 <= line <= len(self.lines):
             return self.lines[line - 1].strip()

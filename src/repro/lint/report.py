@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Dict, List, Sequence, TextIO
+from typing import TYPE_CHECKING, Dict, Sequence, TextIO
 
 from .findings import Finding
 from .registry import all_rules
@@ -15,43 +15,25 @@ __all__ = ["render_human", "render_json", "render_rule_list", "render_stats"]
 
 
 def render_human(
-    stream: TextIO,
-    new: Sequence[Finding],
-    accepted: Sequence[Finding],
-    stale: Sequence[Dict[str, str]],
-    checked_files: int,
+    stream: TextIO, findings: Sequence[Finding], checked_files: int
 ) -> None:
     """``file:line:col: CODE message`` lines plus a one-line summary."""
-    for finding in new:
+    for finding in findings:
         stream.write(
             f"{finding.location()}: {finding.rule} {finding.message}\n"
         )
-    for entry in stale:
-        stream.write(
-            f"{entry['path']}: stale baseline entry {entry['fingerprint']} "
-            f"({entry['rule']}) no longer matches any finding\n"
-        )
-    summary = (
-        f"detlint: {checked_files} files, {len(new)} new finding(s), "
-        f"{len(accepted)} baselined, {len(stale)} stale baseline entr"
-        f"{'y' if len(stale) == 1 else 'ies'}\n"
+    stream.write(
+        f"detlint: {checked_files} files, {len(findings)} finding(s)\n"
     )
-    stream.write(summary)
 
 
 def render_json(
-    stream: TextIO,
-    new: Sequence[Finding],
-    accepted: Sequence[Finding],
-    stale: Sequence[Dict[str, str]],
-    checked_files: int,
+    stream: TextIO, findings: Sequence[Finding], checked_files: int
 ) -> None:
     """A machine-readable record of the whole run."""
     payload = {
         "checked_files": checked_files,
-        "new": [finding.to_dict() for finding in new],
-        "baselined": [finding.to_dict() for finding in accepted],
-        "stale_baseline_entries": list(stale),
+        "findings": [finding.to_dict() for finding in findings],
     }
     json.dump(payload, stream, indent=2, sort_keys=True)
     stream.write("\n")
@@ -64,17 +46,15 @@ def render_rule_list(stream: TextIO) -> None:
         stream.write(f"    {rule.description}\n")
 
 
-def render_stats(
-    stream: TextIO, run: "LintRun", baseline_size: int
-) -> bool:
+def render_stats(stream: TextIO, run: "LintRun") -> bool:
     """The ``--stats`` subreport; returns True when any pragma is stale.
 
     Reports per-rule counts over the run's (post-suppression) findings,
-    every pragma with its suppression hit count and ``file:line``
-    location, and the committed baseline size.  A pragma that
-    suppressed zero findings is *stale* — the violation it excused is
-    gone (or the pragma never matched) and it should be deleted; the
-    CLI turns stale pragmas into exit code 3 under ``--stats``.
+    and every pragma with its suppression hit count and ``file:line``
+    location.  A pragma that suppressed zero findings is *stale* — the
+    violation it excused is gone (or the pragma never matched) and it
+    should be deleted; the CLI turns stale pragmas into exit code 3
+    under ``--stats``.
     """
     stale = run.stale_pragmas()
     stream.write("detlint stats:\n")
@@ -96,16 +76,4 @@ def render_stats(
             f"    {pragma.path}:{pragma.line} {pragma.label()} "
             f"suppressed {pragma.hits} finding(s){marker}\n"
         )
-    stream.write(
-        f"  baseline: {baseline_size} "
-        f"entr{'y' if baseline_size == 1 else 'ies'}\n"
-    )
     return bool(stale)
-
-
-def count_by_rule(findings: Sequence[Finding]) -> List[str]:
-    """``CODE xN`` fragments for summary lines."""
-    counts: Dict[str, int] = {}
-    for finding in findings:
-        counts[finding.rule] = counts.get(finding.rule, 0) + 1
-    return [f"{code} x{counts[code]}" for code in sorted(counts)]

@@ -1,7 +1,7 @@
 """The per-file determinism rules DET001–DET008, tuned to this codebase.
 
 DET004 is retired.  Codes are never renumbered or reused, because
-pragmas and baseline fingerprints name them.
+pragmas and SARIF fingerprints name them.
 
 Every rule encodes one invariant the reproduction's determinism contract
 rests on (byte-identical sweeps at any ``--jobs N`` and either coverage

@@ -53,7 +53,7 @@ def test_cli_writes_sarif_file(tmp_path, monkeypatch, capsys):
     (package / "sample.py").write_text(AMBIENT, encoding="utf-8")
     target = tmp_path / "detlint.sarif"
     monkeypatch.chdir(tmp_path)
-    code = main(["--no-baseline", "--sarif", str(target), "src"])
+    code = main(["--sarif", str(target), "src"])
     capsys.readouterr()
     assert code == 1
     document = json.loads(target.read_text(encoding="utf-8"))
@@ -66,7 +66,7 @@ def test_cli_sarif_stdout_precedes_report(tmp_path, monkeypatch, capsys):
     package.mkdir(parents=True)
     (package / "clean.py").write_text("VALUE = 1\n", encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    code = main(["--no-baseline", "--sarif", "-", "src"])
+    code = main(["--sarif", "-", "src"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("{")

@@ -64,16 +64,15 @@ def test_stats_renders_and_stale_pragma_exits_3(
     monkeypatch.chdir(tmp_path)
 
     # Without --stats the stale pragma is not an error.
-    assert main(["--no-baseline", "src"]) == 0
+    assert main(["src"]) == 0
     capsys.readouterr()
 
-    code = main(["--no-baseline", "--stats", "src"])
+    code = main(["--stats", "src"])
     out = capsys.readouterr().out
     assert code == 3
     assert "pragmas: 2 total, 1 stale" in out
     assert "useful.py:5 disable=DET002 suppressed 1 finding(s)" in out
     assert "stale.py:1 disable=DET002 suppressed 0 finding(s)  [stale]" in out
-    assert "baseline: 0 entries" in out
 
 
 def test_stats_all_pragmas_live_exits_0(tmp_path, monkeypatch, capsys):
@@ -81,7 +80,7 @@ def test_stats_all_pragmas_live_exits_0(tmp_path, monkeypatch, capsys):
     package.mkdir(parents=True)
     (package / "useful.py").write_text(SUPPRESSED, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    assert main(["--no-baseline", "--stats", "src"]) == 0
+    assert main(["--stats", "src"]) == 0
     out = capsys.readouterr().out
     assert "pragmas: 1 total, 0 stale" in out
     assert "findings by rule: none" in out
