@@ -15,6 +15,11 @@ Three 50-seed property suites back the engine's contracts:
   never transmitted by that node afterwards, and no intact copy is
   ever delivered after the message's expiry time.
 
+A fourth golden suite pins concurrent multi-message runs under the
+jittered, colliding and ideal MACs — per-receiver arrival times,
+poisoned copies, TTL drops at delivery and queue backpressure — as
+per-seed fingerprints in ``golden_service_stream.json``.
+
 Plus focused unit tests for backpressure, horizons, the coverage
 kernel's shared epoch cache, and the run-once guard.
 """
@@ -36,6 +41,7 @@ from repro.instrument import collecting
 from repro.sim import engine as engine_module
 from repro.sim.engine import SimulationEnvironment
 from repro.sim.events import Deliver, Drop, Transmit, events_to_jsonl
+from repro.sim.mac import CollisionMac, IdealMac, JitterMac
 from repro.sim.service import ServiceEngine, service_seed
 from repro.sim.traffic import (
     Message,
@@ -218,6 +224,106 @@ def test_dropped_messages_stay_dropped(seed):
         for m in outcome.messages
     )
     assert total_drops == outcome.messages_dropped
+
+
+#: The multi-message suite: every (protocol, MAC) pairing once, tiny
+#: egress queues, short TTLs and big payloads so every drop path fires.
+STREAM_SEEDS = range(15)
+
+STREAM_MACS = (
+    lambda: JitterMac(jitter=0.5),
+    lambda: CollisionMac(jitter=0.4, window=0.1),
+    IdealMac,
+)
+
+#: The one seed cut off by a horizon instead of running to quiescence.
+STREAM_HORIZON_SEED = 7
+
+#: Drop kinds the suite must exercise somewhere across its seeds;
+#: ``ttl_expired@deliver`` is a copy that arrived after its TTL.
+STREAM_DROP_KINDS = (
+    "loss", "collision", "queue_full", "ttl_expired", "ttl_expired@deliver",
+)
+
+#: Per-seed fingerprints of :func:`_stream`.  After an *intentional*
+#: change to event or RNG order, regenerate with
+#: ``{str(seed): _stream_fingerprint(_stream(seed)) for seed in STREAM_SEEDS}``.
+with open(
+    os.path.join(os.path.dirname(__file__), "golden_service_stream.json")
+) as _handle:
+    GOLDEN_SERVICE_STREAM = json.load(_handle)
+
+
+def _stream(seed: int):
+    graph = _deployment(seed)
+    env, protocol = _prepared(graph, PROTOCOLS[seed % len(PROTOCOLS)])
+    traffic = PoissonTraffic(
+        rate=4.0, count=6, seed=seed, size_units=12, ttl=3.0
+    )
+    engine = ServiceEngine(
+        env,
+        protocol,
+        traffic,
+        rng=random.Random(seed ^ 0xBEEF),
+        mac=STREAM_MACS[seed % len(STREAM_MACS)](),
+        queue_capacity=1,
+        collect_trace=True,
+    )
+    return engine.run(horizon=6.0 if seed == STREAM_HORIZON_SEED else None)
+
+
+def _stream_fingerprint(outcome) -> dict:
+    """Digests of every per-message field and the event stream, plus a
+    plain tally of the drops so the suite's coverage is checkable."""
+    fields = {
+        "messages": [
+            {
+                "forward": sorted(m.forward_nodes),
+                "delivered": sorted(m.delivered),
+                "receipts": sorted(m.receipt_counts.items()),
+                "designations": sorted(
+                    [node, sorted(chosen)]
+                    for node, chosen in m.designations.items()
+                ),
+                "bytes": m.bytes_transmitted,
+                "completed_at": repr(m.completed_at),
+                "drops": sorted(m.drops.items()),
+            }
+            for m in outcome.messages
+        ],
+        "completion": repr(outcome.completion_time),
+        "queue_depth_max": outcome.queue_depth_max,
+        "messages_dropped": outcome.messages_dropped,
+    }
+    drops: dict = {}
+    for event in outcome.events:
+        if isinstance(event, Drop):
+            kind = event.reason
+            if kind == "ttl_expired" and event.sender != event.node:
+                kind = "ttl_expired@deliver"
+            drops[kind] = drops.get(kind, 0) + 1
+    return {
+        "outcome": _short(
+            json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        ),
+        "events": _short(events_to_jsonl(outcome.events)),
+        "drops": dict(sorted(drops.items())),
+    }
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_service_stream_is_byte_identical_to_golden(seed):
+    assert _stream_fingerprint(_stream(seed)) == GOLDEN_SERVICE_STREAM[str(seed)]
+
+
+def test_service_stream_golden_exercises_every_drop_path():
+    seen = set()
+    for entry in GOLDEN_SERVICE_STREAM.values():
+        seen.update(kind for kind, count in entry["drops"].items() if count)
+    assert set(STREAM_DROP_KINDS) <= seen
+    assert sorted(GOLDEN_SERVICE_STREAM, key=int) == [
+        str(seed) for seed in STREAM_SEEDS
+    ]
 
 
 class TestBackpressure:
