@@ -15,12 +15,17 @@ Two legs:
   oracle byte for byte:
   forward/delivered sets, receipt counts, designations, completion
   time, byte counts, and the typed event stream.  Any mismatch fails
-  the benchmark and is localised with a ``first_divergence`` JSON path.
+  the benchmark and is localised with a ``first_divergence`` JSON path
+  (:func:`bench_parallel.first_divergence`).
   (The engine's own event and RNG order is pinned by the golden traces
   under ``tests/``.)
 * **throughput** — the service drives Poisson streams over a large
   deployment (1000 nodes in full mode) at a ladder of offered loads and
-  records simulated messages per wall-clock second per point.
+  records simulated messages per wall-clock second per point.  Building
+  the deployment is timed apart (``fixture_seconds``): at 1000 nodes it
+  costs far more than the streams it serves.
+
+The record names its machine under ``env`` (cores, python, commit).
 
 ``--smoke`` shrinks both legs to seconds for the CI gate.
 """
@@ -30,7 +35,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import random
+import subprocess
 import sys
 import time
 from typing import Dict, List, Optional
@@ -39,6 +46,8 @@ sys.path.insert(
     0,
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
 )
+
+from bench_parallel import first_divergence
 
 from repro.algorithms.base import Timing
 from repro.algorithms.dominant_pruning import DominantPruning
@@ -70,36 +79,6 @@ FULL_RATES = (0.5, 2.0, 8.0)
 SMOKE_RATES = (0.5, 2.0, 8.0)
 
 SEED = 20030519
-
-
-def first_divergence(expected, actual, path="$"):
-    """The JSON path of the first byte difference, or ``None`` if equal."""
-    if type(expected) is not type(actual):
-        return (
-            f"{path}: type {type(expected).__name__} != "
-            f"{type(actual).__name__}"
-        )
-    if isinstance(expected, dict):
-        for key in sorted(set(expected) | set(actual)):
-            if key not in expected:
-                return f"{path}.{key}: only in actual payload"
-            if key not in actual:
-                return f"{path}.{key}: only in expected payload"
-            found = first_divergence(expected[key], actual[key], f"{path}.{key}")
-            if found is not None:
-                return found
-        return None
-    if isinstance(expected, list):
-        if len(expected) != len(actual):
-            return f"{path}: length {len(expected)} != {len(actual)}"
-        for index, (left, right) in enumerate(zip(expected, actual)):
-            found = first_divergence(left, right, f"{path}[{index}]")
-            if found is not None:
-                return found
-        return None
-    if expected != actual:
-        return f"{path}: expected={expected!r} actual={actual!r}"
-    return None
 
 
 def _outcome_payload(outcome) -> Dict:
@@ -179,7 +158,9 @@ def check_identity(n: int, degree: float, seeds: int) -> Dict:
 
 def measure_throughput(n: int, degree: float, count: int, rates) -> Dict:
     """Service messages per wall-clock second at each offered load."""
+    start = time.perf_counter()
     graph = random_connected_network(n, degree, random.Random(SEED)).topology
+    fixture_seconds = time.perf_counter() - start
     points = []
     for rate in rates:
         env = SimulationEnvironment(graph.copy())
@@ -210,7 +191,28 @@ def measure_throughput(n: int, degree: float, count: int, rates) -> Dict:
                 ),
             }
         )
-    return {"n": n, "degree": degree, "count": count, "points": points}
+    return {
+        "n": n,
+        "degree": degree,
+        "count": count,
+        "fixture_seconds": round(fixture_seconds, 4),
+        "points": points,
+    }
+
+
+def _git_sha() -> Optional[str]:
+    """The checkout's commit, or ``None`` outside a git work tree."""
+    try:
+        result = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return result.stdout.strip()
 
 
 def run_benchmark(smoke: bool) -> Dict:
@@ -227,6 +229,11 @@ def run_benchmark(smoke: bool) -> Dict:
     return {
         "benchmark": "bench_traffic",
         "mode": "smoke" if smoke else "full",
+        "env": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "git_sha": _git_sha(),
+        },
         "identity": identity,
         "throughput": throughput,
         "byte_identical": identity["byte_identical"],
@@ -264,17 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 1
     return 0
-
-
-def test_first_divergence_localises_the_mismatch():
-    """The gate's failure message names the first divergent JSON path."""
-    expected = {"events": ["a", "b"], "forward_nodes": [1, 2]}
-    actual = {"events": ["a", "c"], "forward_nodes": [1, 2]}
-    assert first_divergence(expected, expected) is None
-    detail = first_divergence(expected, actual)
-    assert detail == "$.events[1]: expected='b' actual='c'"
-    assert "length" in first_divergence([1], [1, 2])
-    assert "only in expected" in first_divergence({"a": 1}, {})
 
 
 def test_backends_match_the_sets_oracle(benchmark):

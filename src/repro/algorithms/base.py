@@ -166,9 +166,12 @@ class BroadcastProtocol(ABC):
         return frozenset()
 
     def decision_delay(self, ctx: NodeContext, rng: random.Random) -> float:
-        """Delay between first receipt and the status decision."""
-        if self.timing in (Timing.STATIC, Timing.FIRST_RECEIPT):
-            return 0.0
+        """Backoff between first receipt and the status decision.
+
+        Called only for the backoff timings (FRB, FRBD): the engine
+        schedules ``STATIC`` and ``FIRST_RECEIPT`` decisions at delay 0
+        itself, without building a context or calling this hook.
+        """
         if self.timing is Timing.FIRST_RECEIPT_BACKOFF:
             return rng.uniform(0.0, self.backoff_window)
         degree = max(1, len(ctx.neighbors()))

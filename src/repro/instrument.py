@@ -83,7 +83,9 @@ class InstrumentationCounters:
     mac_deliveries: int = 0
     mac_losses: int = 0
     mac_collisions: int = 0
-    # sim/scheduler.py
+    # sim/scheduler.py.  The service schedules one delivery event per
+    # (transmission, arrival time), so these count delivery batches, not
+    # per-receiver copies (``mac_deliveries`` counts those).
     scheduler_events: int = 0
     scheduler_max_queue_depth: int = 0
     # sim/service.py

@@ -54,9 +54,11 @@ class MacModel(ABC):
     def corrupted(self, receiver: int, arrival: float) -> bool:
         """Whether a previously scheduled copy got corrupted in flight.
 
-        Checked by the engine when the delivery event fires, so a later
-        transmission can retroactively destroy an earlier overlapping one
-        (both copies of a collision are garbage at the receiver).
+        Checked by the engine at that receiver's turn in its delivery
+        batch, so a later transmission — even one a receipt earlier in
+        the same batch triggered — can retroactively destroy an earlier
+        overlapping copy (both copies of a collision are garbage at the
+        receiver).
         """
         return False
 
@@ -124,7 +126,7 @@ class CollisionMac(MacModel):
     two copies land within ``window`` of each other at the same receiver,
     **both** are destroyed: the new one is reported lost immediately and
     the earlier one is poisoned, which the engine discovers through
-    :meth:`corrupted` when its delivery event fires.  This is a
+    :meth:`corrupted` at that receiver's turn in its delivery batch.  This is a
     simplified interference model — adequate for the
     redundancy-vs-reliability ablation, not a full 802.11 simulation.
     """

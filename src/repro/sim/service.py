@@ -23,8 +23,13 @@ kernel's per-epoch state (:func:`repro.core.views.epoch_cache`).
 
 Ordering contract: an idle node transmits synchronously at its decision
 instant, the egress queue and transmitter busy-window only engage when
-messages actually overlap, and traffic models draw from their own seeded
-generators, never the decision RNG.  The golden traces in
+messages actually overlap (an intent never overtakes one already
+queued), and traffic models draw from their own seeded generators, never
+the decision RNG.  A transmission schedules one delivery event per
+distinct arrival time (one under the ideal MAC); that event hands the
+copy to its receivers in sorted neighbor order, checking collision and
+TTL per receiver, and whatever a receipt schedules for the same instant
+runs after the whole batch.  The golden traces in
 ``tests/sim/test_events.py`` and ``tests/sim/golden_single_message.json``
 pin the resulting event and RNG order.
 """
@@ -38,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..algorithms.base import BroadcastProtocol, NodeContext
+from ..algorithms.base import BroadcastProtocol, NodeContext, Timing
 from ..instrument import InstrumentationCounters, collecting
 from ..instrument import _STACK as _COUNTER_STACK
 from .engine import BroadcastOutcome, SimulationEnvironment
@@ -402,6 +407,11 @@ class ServiceEngine:
             )
         self.bus = bus
         self._bus_on = bus.active
+        #: Decisions taken at first receipt, with no backoff to draw.
+        self._immediate = protocol.timing in (
+            Timing.STATIC,
+            Timing.FIRST_RECEIPT,
+        )
         self._collect_trace = collect_trace
         self._collect_counters = collect_counters
         self._tables: Dict[int, MessageTable] = {
@@ -613,7 +623,10 @@ class ServiceEngine:
         """Forward intent: transmit now if idle, else queue (or drop)."""
         table = self._tables[node]
         now = self.scheduler.now
-        if now < table.busy_until:
+        # Queue behind a busy transmitter *or* behind earlier intents: an
+        # intent arriving the instant the transmitter frees, before the
+        # armed drain fires, must not jump the FIFO.
+        if now < table.busy_until or table.queue_depth():
             state = table.state(message.message_id)
             if table.enqueue(message.message_id, designated):
                 state.queued = True
@@ -689,18 +702,27 @@ class ServiceEngine:
                     size_units=size,
                 )
             )
-        # Sorted delivery order keeps same-time tie-breaks well-defined.
+        # One delivery event per distinct arrival time, its receivers in
+        # sorted neighbor order: the scheduler's FIFO tie-break already
+        # ran one transmission's same-time copies back to back.
         neighbors = sorted(self.env.graph.neighbors(node))
+        batches: Dict[float, List[int]] = {}
         for receiver, arrival in self.mac.deliveries(
             node, now, neighbors, self.rng
         ):
             if arrival is None:
                 self._drop(mid, receiver, node, "loss")
                 continue
+            batch = batches.get(arrival)
+            if batch is None:
+                batches[arrival] = [receiver]
+            else:
+                batch.append(receiver)
+        for arrival, receivers in batches.items():
             self.scheduler.schedule_at(
                 arrival,
-                lambda m=message, r=receiver, p=packet, a=arrival: (
-                    self._deliver(m, r, p, a)
+                lambda m=message, p=packet, a=arrival, rs=receivers: (
+                    self._deliver_batch(m, p, a, rs)
                 ),
             )
 
@@ -742,84 +764,109 @@ class ServiceEngine:
 
     # ------------------------------------------------------------------
 
-    def _deliver(
-        self, message: Message, receiver: int, packet: Packet, arrival: float
+    def _deliver_batch(
+        self,
+        message: Message,
+        packet: Packet,
+        arrival: float,
+        receivers: List[int],
     ) -> None:
+        """One transmission's copies landing at ``arrival``, in order."""
         mid = message.message_id
         now = self.scheduler.now
-        if self.mac.corrupted(receiver, arrival):
-            # A later transmission collided with this copy in flight.
-            self._drop(mid, receiver, packet.sender, "collision")
+        sender = packet.sender
+        trail = packet.trail
+        expired = packet.expired(now)
+        corrupted = self.mac.corrupted
+        tables = self._tables
+        receipts = self._receipts[mid]
+        delivered = self._delivered[mid]
+        bus = self.bus if self._bus_on else None
+        for receiver in receivers:
+            # Per receiver: a later transmission — even one a receipt
+            # earlier in this batch triggered — may have poisoned it.
+            if corrupted(receiver, arrival):
+                self._drop(mid, receiver, sender, "collision")
+                continue
+            if expired:
+                self._drop(mid, receiver, sender, "ttl_expired")
+                continue
+            state = tables[receiver].state(mid)
+            if bus is not None:
+                bus.emit(
+                    Deliver(
+                        time=now, node=receiver, message_id=mid, sender=sender
+                    )
+                )
+            receipts[receiver] = receipts.get(receiver, 0) + 1
+            # Snooping: hearing the transmission marks the sender visited.
+            known_visited = state.known_visited
+            known_visited.add(sender)
+            state.last_packet = packet
+            for entry in trail:
+                known_visited.add(entry.node)
+                state.known_designated |= entry.designated
+                if receiver in entry.designated:
+                    state.designators.add(entry.node)
+            if not state.received:
+                state.received = True
+                state.first_packet = packet
+                delivered.add(receiver)
+                self._completed_at[mid] = now
+            if state.forwarded or state.queued or state.dropped:
+                continue
+            if state.decided:
+                if state.designators:
+                    self._react(message, receiver, state, packet)
+            elif not state.decision_pending:
+                self._react(message, receiver, state, packet)
+
+    def _react(
+        self,
+        message: Message,
+        node: int,
+        state: MessageState,
+        packet: Packet,
+    ) -> None:
+        """A receipt arms ``node``'s decision timer or designates it late.
+
+        Late designation after a non-forward decision: the strict rule
+        forces forwarding; the relaxed rule re-evaluates at the node's
+        raised (designated, S = 1.5) priority — its own earlier decision
+        used the lower threshold and is no longer authoritative.
+        """
+        protocol = self.protocol
+        if state.decided:
+            if protocol.strict_designation:
+                ctx = self._context(message, node)
+                self._forward(message, node, ctx, "forced-designation", packet)
+            elif protocol.relaxed_designation:
+                ctx = self._context(message, node)
+                if protocol.should_forward(ctx):
+                    self._forward(
+                        message, node, ctx, "relaxed-designation", packet
+                    )
             return
-        if packet.expired(now):
-            self._drop(mid, receiver, packet.sender, "ttl_expired")
-            return
-        table = self._tables[receiver]
-        state = table.state(mid)
+        state.decision_pending = True
+        if self._immediate:
+            # STATIC/FIRST_RECEIPT decide at once: no context, no backoff.
+            delay = 0.0
+        else:
+            delay = protocol.decision_delay(
+                self._context(message, node), self.rng
+            )
         if self._bus_on:
             self.bus.emit(
-                Deliver(
-                    time=now,
-                    node=receiver,
-                    message_id=mid,
-                    sender=packet.sender,
+                BackoffScheduled(
+                    time=self.scheduler.now,
+                    node=node,
+                    message_id=message.message_id,
+                    delay=delay,
                 )
             )
-        receipts = self._receipts[mid]
-        receipts[receiver] = receipts.get(receiver, 0) + 1
-        # Snooping: hearing the transmission marks the sender visited.
-        state.known_visited.add(packet.sender)
-        state.last_packet = packet
-        for entry in packet.trail:
-            state.known_visited.add(entry.node)
-            state.known_designated |= entry.designated
-            if receiver in entry.designated:
-                state.designators.add(entry.node)
-
-        if not state.received:
-            state.received = True
-            state.first_packet = packet
-            self._delivered[mid].add(receiver)
-            self._completed_at[mid] = now
-
-        if state.forwarded or state.queued or state.dropped:
-            return
-        if state.decided:
-            protocol = self.protocol
-            if state.designators and (
-                protocol.strict_designation or protocol.relaxed_designation
-            ):
-                # Late designation after a non-forward decision: the
-                # strict rule forces forwarding; the relaxed rule
-                # re-evaluates at the node's raised (designated, S = 1.5)
-                # priority — its own earlier decision used the lower
-                # threshold and is no longer authoritative.
-                ctx = self._context(message, receiver)
-                if protocol.strict_designation:
-                    self._forward(
-                        message, receiver, ctx, "forced-designation", packet
-                    )
-                elif protocol.should_forward(ctx):
-                    self._forward(
-                        message, receiver, ctx, "relaxed-designation", packet
-                    )
-            return
-        if not state.decision_pending:
-            state.decision_pending = True
-            ctx = self._context(message, receiver)
-            delay = self.protocol.decision_delay(ctx, self.rng)
-            if self._bus_on:
-                self.bus.emit(
-                    BackoffScheduled(
-                        time=now,
-                        node=receiver,
-                        message_id=mid,
-                        delay=delay,
-                    )
-                )
-            self.scheduler.schedule_in(
-                delay, lambda m=message, r=receiver: self._decide(m, r)
-            )
+        self.scheduler.schedule_in(
+            delay, lambda m=message, n=node: self._decide(m, n)
+        )
 
     # ------------------------------------------------------------------
 

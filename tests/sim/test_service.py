@@ -37,6 +37,7 @@ from repro.algorithms.flooding import Flooding
 from repro.algorithms.generic import GenericSelfPruning
 from repro.algorithms.mpr import MultipointRelay
 from repro.graph.generators import random_connected_network
+from repro.graph.topology import Topology
 from repro.instrument import collecting
 from repro.sim import engine as engine_module
 from repro.sim.engine import SimulationEnvironment
@@ -368,6 +369,56 @@ class TestBackpressure:
             "queue_full" not in m.drops for m in outcome.messages
         )
         assert outcome.queue_depth_max > 0
+
+
+    def test_intent_at_the_instant_the_transmitter_frees_waits_its_turn(self):
+        """A forward intent arriving exactly when the transmitter frees,
+        before the armed drain fires, queues behind earlier intents."""
+        graph = Topology()
+        graph.add_edge(0, 1)
+        env, protocol = _prepared(graph, Flooding)
+        # A 4-unit packet keeps the transmitter busy for 1.0.
+        script = [
+            Message(message_id=i, source=0, injected_at=at)
+            for i, at in enumerate((0.0, 0.5, 1.0))
+        ]
+        outcome = ServiceEngine(
+            env,
+            protocol,
+            ScriptedTraffic(script),
+            rng=random.Random(0),
+            tx_time_per_unit=0.25,
+            collect_trace=True,
+        ).run()
+        sent = [
+            (event.time, event.message_id)
+            for event in outcome.events
+            if isinstance(event, Transmit) and event.node == 0
+        ]
+        assert sent == [(0.0, 0), (1.0, 1), (2.0, 2)]
+
+
+class TestEventCount:
+    def test_one_event_per_transmission_arrival_not_per_receiver(self):
+        """Injections, one delivery batch per transmission (ideal MAC)
+        and one decision per first receipt — nothing per receiver."""
+        graph = random_connected_network(60, 18.0, random.Random(3)).topology
+        env, protocol = _prepared(
+            graph, lambda: GenericSelfPruning(Timing.FIRST_RECEIPT, hops=2)
+        )
+        outcome = ServiceEngine(
+            env,
+            protocol,
+            PoissonTraffic(rate=2.0, count=6, seed=5),
+            rng=random.Random(5),
+            tx_time_per_unit=0.0,
+            collect_counters=True,
+        ).run()
+        counters = outcome.counters
+        first_receipts = sum(len(m.delivered) - 1 for m in outcome.messages)
+        assert counters.scheduler_events == (
+            len(outcome.messages) + counters.transmissions + first_receipts
+        )
 
 
 class TestEpochCache:
