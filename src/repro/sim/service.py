@@ -407,10 +407,9 @@ class ServiceEngine:
             )
         self.bus = bus
         self._bus_on = bus.active
-        #: Decisions taken at first receipt, with no backoff to draw.
+        #: STATIC/FIRST_RECEIPT decide at first receipt: no backoff.
         self._immediate = protocol.timing in (
-            Timing.STATIC,
-            Timing.FIRST_RECEIPT,
+            Timing.STATIC, Timing.FIRST_RECEIPT
         )
         self._collect_trace = collect_trace
         self._collect_counters = collect_counters
