@@ -20,8 +20,10 @@ jittered, colliding and ideal MACs — per-receiver arrival times,
 poisoned copies, TTL drops at delivery and queue backpressure — as
 per-seed fingerprints in ``golden_service_stream.json``.
 
-Plus focused unit tests for backpressure, horizons, the coverage
-kernel's shared epoch cache, and the run-once guard.
+Plus focused unit tests for backpressure and egress FIFO order,
+collisions inside one delivery batch, the scheduler event count,
+horizons, the coverage kernel's shared epoch cache, and the run-once
+guard.
 """
 
 import hashlib
@@ -36,12 +38,13 @@ from repro.algorithms.dominant_pruning import DominantPruning
 from repro.algorithms.flooding import Flooding
 from repro.algorithms.generic import GenericSelfPruning
 from repro.algorithms.mpr import MultipointRelay
+from repro.algorithms.registry import create
 from repro.graph.generators import random_connected_network
 from repro.graph.topology import Topology
 from repro.instrument import collecting
 from repro.sim import engine as engine_module
 from repro.sim.engine import SimulationEnvironment
-from repro.sim.events import Deliver, Drop, Transmit, events_to_jsonl
+from repro.sim.events import Decide, Deliver, Drop, Transmit, events_to_jsonl
 from repro.sim.mac import CollisionMac, IdealMac, JitterMac
 from repro.sim.service import ServiceEngine, service_seed
 from repro.sim.traffic import (
@@ -396,6 +399,46 @@ class TestBackpressure:
             if isinstance(event, Transmit) and event.node == 0
         ]
         assert sent == [(0.0, 0), (1.0, 1), (2.0, 2)]
+
+
+class TestDeliveryBatch:
+    def test_forward_forced_early_in_a_batch_poisons_a_later_copy(self):
+        """Node 9's copies land at once; node 1, earlier in the batch, is
+        designated late and forwards on the spot, and its copies collide
+        with the ones nodes 3 and 6 have yet to take from the batch."""
+        graph = random_connected_network(10, 6.0, random.Random(40)).topology
+        env, protocol = _prepared(graph, lambda: create("hybrid-maxdeg"))
+        events = ServiceEngine(
+            env,
+            protocol,
+            SingleShot(0),
+            rng=random.Random(0),
+            mac=CollisionMac(window=1.2),
+            collect_trace=True,
+        ).run().events
+        forced = events.index(
+            Decide(
+                time=3.0,
+                node=1,
+                message_id=0,
+                forward=True,
+                reason="forced-designation",
+            )
+        )
+        for node in (3, 6):
+            dropped = events.index(
+                Drop(
+                    time=3.0,
+                    node=node,
+                    message_id=0,
+                    sender=9,
+                    reason="collision",
+                )
+            )
+            assert dropped > forced
+            assert Deliver(
+                time=3.0, node=node, message_id=0, sender=9
+            ) not in events
 
 
 class TestEventCount:
