@@ -20,9 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
+import subprocess
 import sys
 import time
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 sys.path.insert(
     0,
@@ -77,6 +79,28 @@ def first_divergence(serial, parallel, path="$"):
     if serial != parallel:
         return f"{path}: serial={serial!r} parallel={parallel!r}"
     return None
+
+
+def bench_env() -> Dict:
+    """The machine a record was measured on: cores, python and commit.
+
+    ``git_sha`` is ``None`` outside a git work tree.
+    """
+    try:
+        git_sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        git_sha = None
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "git_sha": git_sha,
+    }
 
 
 def _settings(jobs: int, smoke: bool) -> RunSettings:

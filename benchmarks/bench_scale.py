@@ -21,7 +21,8 @@ n ≈ 1k / 10k / 100k:
 
 Byte-identity gates use :func:`bench_parallel.first_divergence` so a
 failure names the first diverging edge / node instead of only reporting
-that *something* diverged.
+that *something* diverged.  The record names its machine under ``env``
+(cores, python, commit; :func:`bench_parallel.bench_env`).
 
 Run directly for the full record (written to ``BENCH_scale.json`` at the
 repo root so the perf trajectory is tracked across PRs)::
@@ -50,7 +51,7 @@ sys.path.insert(
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
 )
 
-from bench_parallel import first_divergence
+from bench_parallel import bench_env, first_divergence
 
 from repro.algorithms.generic import GenericStatic
 from repro.core.priority import IdPriority
@@ -253,6 +254,7 @@ def run_benchmark(repeats: int, smoke: bool) -> dict:
     record: dict = {
         "benchmark": "bench_scale",
         "mode": "smoke" if smoke else "full",
+        "env": bench_env(),
         "fixtures": {
             name: dict(FIXTURES[name], radius=RADIUS) for name in sizes
         },

@@ -35,9 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import random
-import subprocess
 import sys
 import time
 from typing import Dict, List, Optional
@@ -47,7 +45,7 @@ sys.path.insert(
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
 )
 
-from bench_parallel import first_divergence
+from bench_parallel import bench_env, first_divergence
 
 from repro.algorithms.base import Timing
 from repro.algorithms.dominant_pruning import DominantPruning
@@ -200,21 +198,6 @@ def measure_throughput(n: int, degree: float, count: int, rates) -> Dict:
     }
 
 
-def _git_sha() -> Optional[str]:
-    """The checkout's commit, or ``None`` outside a git work tree."""
-    try:
-        result = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    return result.stdout.strip()
-
-
 def run_benchmark(smoke: bool) -> Dict:
     if smoke:
         identity = check_identity(n=40, degree=6.0, seeds=4)
@@ -229,11 +212,7 @@ def run_benchmark(smoke: bool) -> Dict:
     return {
         "benchmark": "bench_traffic",
         "mode": "smoke" if smoke else "full",
-        "env": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "git_sha": _git_sha(),
-        },
+        "env": bench_env(),
         "identity": identity,
         "throughput": throughput,
         "byte_identical": identity["byte_identical"],

@@ -1,7 +1,7 @@
 """Broadcast protocols: the generic framework and every special case."""
 
 from .ahbp import AHBP
-from .base import BroadcastProtocol, Decision, NodeContext, Timing
+from .base import BroadcastProtocol, NodeContext, Timing
 from .dominant_pruning import (
     DominantPruning,
     PartialDominantPruning,
@@ -28,7 +28,6 @@ from .wu_li import WuLi
 __all__ = [
     "AHBP",
     "BroadcastProtocol",
-    "Decision",
     "NodeContext",
     "Timing",
     "DominantPruning",

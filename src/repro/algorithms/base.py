@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.engine import SimulationEnvironment
     from ..sim.packet import Packet
 
-__all__ = ["Timing", "Decision", "NodeContext", "BroadcastProtocol"]
+__all__ = ["Timing", "NodeContext", "BroadcastProtocol"]
 
 
 class Timing(enum.Enum):
@@ -47,14 +47,6 @@ class Timing(enum.Enum):
     FIRST_RECEIPT_BACKOFF = "frb"
     #: After a backoff proportional to the inverse of the node degree.
     FIRST_RECEIPT_BACKOFF_DEGREE = "frbd"
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of a node's status decision."""
-
-    forward: bool
-    designated: FrozenSet[int] = frozenset()
 
 
 @dataclass

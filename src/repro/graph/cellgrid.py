@@ -4,8 +4,10 @@ Pairwise unit-disk construction compares all ``n(n-1)/2`` point pairs, which
 caps every fixture near a hundred nodes.  A cell grid with cell size equal
 to the transmission radius restores locality: a point's within-radius
 partners can only live in its own cell or the eight surrounding ones, so
-construction, link diffing, and link counting all become
-O(n · local density) instead of O(n²).
+one scan, :func:`grid_pairs_within`, lists every within-radius pair with
+its squared distance in O(n · local density) instead of O(n²).
+Construction, link diffing and range calibration in
+:mod:`repro.graph.unit_disk` all read that one scan.
 
 The grid is a plain dict keyed by integer cell coordinates — only occupied
 cells exist, so memory is O(n) regardless of how sparse the deployment is.
@@ -53,8 +55,6 @@ __all__ = [
     "MIN_CELL_SIZE",
     "grid_is_exact",
     "grid_pairs_within",
-    "count_pairs_within",
-    "distances_within",
 ]
 
 #: Cell size used for ``radius == 0``.  Any two *distinct* points whose
@@ -173,13 +173,14 @@ class CellGrid:
 
 def grid_pairs_within(
     positions: Dict[int, Point], radius: float
-) -> Iterator[Tuple[int, int]]:
-    """All unordered pairs with distance <= ``radius``, via the grid.
+) -> Iterator[Tuple[float, int, int]]:
+    """``(distance², earlier, later)`` for every pair within ``radius``.
 
-    Pairs are yielded as ``(earlier, later)`` in the insertion order of
-    ``positions`` — the same enumeration order as the pairwise reference
-    scan, with the same exact float comparison deciding membership.  The
-    caller is responsible for checking :func:`grid_is_exact` first.
+    Each unordered pair is yielded once, grouped by the later endpoint in
+    the insertion order of ``positions`` — the same float comparison as
+    the pairwise reference decides membership, and the squared distance
+    comes along so range calibration needs no second scan.  The caller is
+    responsible for checking :func:`grid_is_exact` first.
     """
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
@@ -187,39 +188,6 @@ def grid_pairs_within(
     radius_sq = radius * radius
     for node, p in positions.items():
         for other in grid.candidates_then_insert(node, p):
-            if p.distance_squared_to(positions[other]) <= radius_sq:
-                yield other, node
-
-
-def count_pairs_within(positions: Dict[int, Point], radius: float) -> int:
-    """Number of unordered pairs with distance <= ``radius``.
-
-    The grid-based link counter behind transmitter-range calibration:
-    O(n · local density) time and O(n) memory, versus the O(n²) memory of
-    materialising every pairwise distance.
-    """
-    count = 0
-    grid = CellGrid(radius)
-    radius_sq = radius * radius
-    for node, p in positions.items():
-        for other in grid.candidates_then_insert(node, p):
-            if p.distance_squared_to(positions[other]) <= radius_sq:
-                count += 1
-    return count
-
-
-def distances_within(positions: Dict[int, Point], radius: float) -> List[float]:
-    """Squared distances of all pairs within ``radius``, unsorted.
-
-    Used by range calibration to materialise only the candidate pairs
-    around the link-count threshold instead of all n(n-1)/2 distances.
-    """
-    out: List[float] = []
-    grid = CellGrid(radius)
-    radius_sq = radius * radius
-    for node, p in positions.items():
-        for other in grid.candidates_then_insert(node, p):
             d = p.distance_squared_to(positions[other])
             if d <= radius_sq:
-                out.append(d)
-    return out
+                yield d, other, node

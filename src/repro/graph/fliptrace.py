@@ -35,7 +35,7 @@ from .unit_disk import UnitDiskGraph, build_unit_disk_graph
 __all__ = ["FlipStep", "FlipTrace", "record_flip_trace"]
 
 _FORMAT = "repro-fliptrace"
-_VERSION = 1
+_VERSION = 2
 
 Edge = Tuple[int, int]
 
@@ -110,6 +110,7 @@ class FlipTrace:
             "format": _FORMAT,
             "version": _VERSION,
             "radius": self.radius,
+            "steps": len(self.steps),
             "positions": {
                 str(node): [p.x, p.y] for node, p in self.positions.items()
             },
@@ -136,7 +137,8 @@ class FlipTrace:
 
         Steps must run ``0, 1, 2, ...``: a gap (a lost interior line)
         raises ``ValueError`` naming the expected step, as does a line
-        cut mid-JSON.  A trace cut after a whole step line still loads.
+        cut mid-JSON.  The header records the step count, so a trace cut
+        after a whole step line raises too, naming both counts.
         """
         iterator = iter(lines)
         try:
@@ -176,6 +178,11 @@ class FlipTrace:
                         (edge[0], edge[1]) for edge in payload["removed"]
                     ),
                 )
+            )
+        if len(steps) != header["steps"]:
+            raise ValueError(
+                f"flip trace truncated: header promises {header['steps']} "
+                f"steps, found {len(steps)}"
             )
         return FlipTrace(
             positions=positions,

@@ -9,15 +9,18 @@ operations live here.
 
 Builders
 --------
-Two interchangeable construction methods compute every operation:
+Every operation reads one pair scan, ``_pairs_within``, which yields
+``(distance², u, v)`` for the pairs within a radius.  Two interchangeable
+methods produce it:
 
 * ``grid`` (the default) — neighbor candidates come from a spatial-hash
-  cell grid (:mod:`repro.graph.cellgrid`, cell size = radius), so
-  construction, :func:`edge_flips`, and range calibration cost
-  O(n · local density) instead of O(n²) time (and calibration O(n) instead
-  of O(n²) memory).  Whenever :func:`~repro.graph.cellgrid.grid_is_exact`
-  cannot certify the geometry (non-finite or astronomical coordinates) the
-  grid transparently falls back to the pairwise scan.
+  cell grid (:func:`repro.graph.cellgrid.grid_pairs_within`, cell size =
+  radius), so construction, :func:`edge_flips`, and range calibration
+  cost O(n · local density) instead of O(n²) time (and calibration O(n)
+  instead of O(n²) memory).  Whenever
+  :func:`~repro.graph.cellgrid.grid_is_exact` cannot certify the geometry
+  (non-finite or astronomical coordinates) the scan falls back to the
+  pairwise one.
 * ``pairwise`` — the original all-pairs scan, kept as the executable
   reference.
 
@@ -34,14 +37,9 @@ import math
 import os
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .cellgrid import (
-    count_pairs_within,
-    distances_within,
-    grid_is_exact,
-    grid_pairs_within,
-)
+from .cellgrid import grid_is_exact, grid_pairs_within
 from .geometry import Point
 from .topology import Topology
 
@@ -84,13 +82,34 @@ def _resolve_method(method: Optional[str]) -> str:
     return method
 
 
-def _use_grid(
-    method: Optional[str], positions: Dict[int, Point], radius: float
-) -> bool:
-    """Whether to take the grid path (resolving env + exactness fallback)."""
-    return _resolve_method(method) == "grid" and grid_is_exact(
-        positions, radius
-    )
+def _pairs_within(
+    positions: Dict[int, Point], radius: float, method: Optional[str]
+) -> Iterator[Tuple[float, int, int]]:
+    """``(distance², u, v)`` for every pair within ``radius``.
+
+    The one pair scan behind every operation in this module: the cell
+    grid when ``method`` (or ``REPRO_UDG_BUILDER``) asks for it and
+    :func:`~repro.graph.cellgrid.grid_is_exact` certifies the geometry,
+    else the all-pairs reference.  Both yield the same pairs with the
+    same squared distances; only the order differs.
+    """
+    if _resolve_method(method) == "grid" and grid_is_exact(positions, radius):
+        return grid_pairs_within(positions, radius)
+    return _all_pairs_within(positions, radius)
+
+
+def _all_pairs_within(
+    positions: Dict[int, Point], radius: float
+) -> Iterator[Tuple[float, int, int]]:
+    """The pairwise reference scan: all n(n-1)/2 pairs, earlier first."""
+    nodes = list(positions)
+    radius_sq = radius * radius
+    for i, u in enumerate(nodes):
+        pu = positions[u]
+        for v in nodes[i + 1:]:
+            d = pu.distance_squared_to(positions[v])
+            if d <= radius_sq:
+                yield d, u, v
 
 
 @dataclass
@@ -148,19 +167,8 @@ def build_unit_disk_graph(
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     topology = Topology(nodes=positions)
-    if _use_grid(method, positions, radius):
-        for u, v in grid_pairs_within(positions, radius):
-            topology.add_edge(u, v)
-        return UnitDiskGraph(
-            topology=topology, positions=positions, radius=radius
-        )
-    nodes = list(positions)
-    radius_sq = radius * radius
-    for i, u in enumerate(nodes):
-        pu = positions[u]
-        for v in nodes[i + 1:]:
-            if pu.distance_squared_to(positions[v]) <= radius_sq:
-                topology.add_edge(u, v)
+    for _, u, v in _pairs_within(positions, radius, method):
+        topology.add_edge(u, v)
     return UnitDiskGraph(topology=topology, positions=positions, radius=radius)
 
 
@@ -174,54 +182,30 @@ def edge_flips(
     unit-disk graph induced by ``positions``/``radius``.
 
     The diff that drives :meth:`Topology.apply_delta` across mobility
-    steps.  Under the ``grid`` method, additions come from a cell-grid
-    scan of within-radius pairs and removals from re-checking only the
-    edges ``topology`` already has — O(n · local density + m) instead of
-    the O(n²) pairwise scan.  Both lists hold ``(min, max)`` pairs in
-    sorted order (the ordering :meth:`Topology.apply_delta` replays), and
-    both methods produce identical lists.  The node sets must match —
-    mobility moves nodes, it does not add or remove them.
+    steps.  Additions come from the pair scan of within-radius pairs and
+    removals from re-checking only the edges ``topology`` already has —
+    O(n · local density + m) under the ``grid`` method.  Both lists hold
+    ``(min, max)`` pairs in sorted order (the ordering
+    :meth:`Topology.apply_delta` replays), and both methods produce
+    identical lists.  The node sets must match — mobility moves nodes,
+    it does not add or remove them.
     """
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     if set(positions) != set(topology.nodes()):
         raise ValueError("positions and topology disagree on the node set")
-    added: List[Tuple[int, int]] = []
-    removed: List[Tuple[int, int]] = []
+    added = sorted(
+        (u, v) if u < v else (v, u)
+        for _, u, v in _pairs_within(positions, radius, method)
+        if not topology.has_edge(u, v)
+    )
     radius_sq = radius * radius
-    if _use_grid(method, positions, radius):
-        for u, v in grid_pairs_within(positions, radius):
-            if not topology.has_edge(u, v):
-                added.append((u, v) if u < v else (v, u))
-        for u, v in topology.edges():
-            if positions[u].distance_squared_to(positions[v]) > radius_sq:
-                removed.append((u, v))
-        added.sort()
-        removed.sort()
-        return added, removed
-    nodes = list(positions)
-    for i, u in enumerate(nodes):
-        pu = positions[u]
-        for v in nodes[i + 1:]:
-            linked = pu.distance_squared_to(positions[v]) <= radius_sq
-            if linked != topology.has_edge(u, v):
-                pair = (u, v) if u < v else (v, u)
-                (added if linked else removed).append(pair)
-    added.sort()
-    removed.sort()
+    removed = sorted(
+        (u, v)
+        for u, v in topology.edges()
+        if not positions[u].distance_squared_to(positions[v]) <= radius_sq
+    )
     return added, removed
-
-
-def _sorted_pair_distances_squared(positions: Dict[int, Point]) -> List[float]:
-    """All pairwise squared distances, ascending (pairwise reference)."""
-    nodes = list(positions)
-    distances = [
-        positions[u].distance_squared_to(positions[v])
-        for i, u in enumerate(nodes)
-        for v in nodes[i + 1:]
-    ]
-    distances.sort()
-    return distances
 
 
 def _diameter_bound(positions: Dict[int, Point]) -> float:
@@ -231,58 +215,52 @@ def _diameter_bound(positions: Dict[int, Point]) -> float:
     dx = max(xs) - min(xs)
     dy = max(ys) - min(ys)
     # The factor 2 absorbs every rounding in sqrt and in re-squaring the
-    # radius during counting: pairs at the true diameter must count.
+    # radius during the scan: pairs at the true diameter must count.
     return 2.0 * math.sqrt(dx * dx + dy * dy)
 
 
-def _grid_threshold_distances(
-    positions: Dict[int, Point], links: int
+def _threshold_distances(
+    positions: Dict[int, Point], links: int, method: Optional[str]
 ) -> Tuple[float, Optional[float]]:
-    """``(threshold, next_larger)`` squared distances via the cell grid.
+    """``(threshold, next_larger)`` squared distances for ``links`` links.
 
     ``threshold`` is the ``links``-th smallest pairwise squared distance
     and ``next_larger`` the smallest strictly greater one (None when the
-    threshold is the maximum) — the two quantities range calibration
-    needs, found by doubling the search radius until enough pairs fall
-    inside and materialising only those O(links) candidates instead of
-    all n(n-1)/2 distances.
+    threshold is the maximum).  Found by doubling a search radius, with
+    one pair scan per radius, until the scan holds ``links`` pairs and a
+    larger distance (or covers the whole deployment): only the pairs
+    within the search radius are sorted, not all n(n-1)/2 distances.  The
+    ``pairwise`` reference starts at the diameter bound, so it is one
+    sort of every pair distance.
     """
     diameter = _diameter_bound(positions)
-    if diameter == 0.0:
-        # Every position coincides: all pair distances are exactly 0.
-        return 0.0, None
-    n = len(positions)
-    max_links = n * (n - 1) // 2
-    # Density-scaled first guess: for uniform deployments the number of
-    # pairs within r grows like r², so this lands near the target count.
-    radius = diameter * math.sqrt(links / max_links)
-    radius = max(radius, diameter / 4294967296.0)
-    while count_pairs_within(positions, radius) < links:
-        radius = min(radius * 2.0, diameter)
-    distances = sorted(distances_within(positions, radius))
-    threshold = distances[links - 1]
+    if _resolve_method(method) == "pairwise":
+        radius = diameter
+    else:
+        # Density-scaled first guess: for uniform deployments the number
+        # of pairs within r grows like r², and the diameter bound
+        # overstates the extent, so the first scan usually holds `links`.
+        n = len(positions)
+        radius = diameter * math.sqrt(links / (n * (n - 1) // 2))
+        radius = max(radius, diameter / 4294967296.0)
     while True:
-        for d in distances[links:]:
-            if d > threshold:
-                # Everything outside the search radius is farther still,
-                # so the first in-radius exceedance is the global next.
-                return threshold, d
-        if radius >= diameter:
-            return threshold, None
+        distances = sorted(
+            d for d, _, _ in _pairs_within(positions, radius, method)
+        )
+        # A NaN diameter (non-finite positions) counts as covered too.
+        covered = not radius < diameter
+        if len(distances) >= links:
+            threshold = distances[links - 1]
+            for d in distances[links:]:
+                if d > threshold:
+                    # Everything outside the search radius is farther
+                    # still, so the first in-radius exceedance is global.
+                    return threshold, d
+            if covered:
+                return threshold, None
+        elif covered:
+            raise ValueError("cannot calibrate a range: non-finite positions")
         radius = min(radius * 2.0, diameter)
-        distances = sorted(distances_within(positions, radius))
-
-
-def _grid_min_distance(positions: Dict[int, Point]) -> float:
-    """The smallest pairwise squared distance, via the cell grid."""
-    diameter = _diameter_bound(positions)
-    if diameter == 0.0:
-        return 0.0
-    radius = diameter / len(positions)
-    while count_pairs_within(positions, radius) == 0:
-        radius = min(radius * 2.0, diameter)
-    # Any pair beyond the search radius is farther than everything found.
-    return min(distances_within(positions, radius))
 
 
 def range_for_link_count(
@@ -302,7 +280,7 @@ def range_for_link_count(
     pair) and a :class:`ValueError` is raised.
 
     Under the default ``grid`` method the threshold is located by a
-    doubling radius search over a grid-based link counter — O(n + links)
+    doubling radius search with one grid scan per radius — O(n + links)
     memory instead of materialising all n(n-1)/2 distances — and the
     result is byte-identical to the ``pairwise`` reference.
     """
@@ -314,35 +292,16 @@ def range_for_link_count(
         )
     if max_links == 0:
         return 0.0
-    # The grid search probes radii up to the deployment diameter, so
-    # exactness must hold at that scale, not just at the final radius.
-    use_grid = _resolve_method(method) == "grid" and grid_is_exact(
-        positions, _diameter_bound(positions)
+    threshold_sq, larger = _threshold_distances(
+        positions, max(links, 1), method
     )
     if links == 0:
-        if use_grid:
-            closest_sq = _grid_min_distance(positions)
-        else:
-            nodes = list(positions)
-            closest_sq = min(
-                positions[u].distance_squared_to(positions[v])
-                for i, u in enumerate(nodes)
-                for v in nodes[i + 1:]
-            )
-        if closest_sq == 0.0:
+        if threshold_sq == 0.0:
             raise ValueError(
                 "cannot realise 0 links: two nodes share a position "
                 "(every radius, including 0, links the coincident pair)"
             )
-        return math.sqrt(closest_sq) / 2.0
-    if use_grid:
-        threshold_sq, larger = _grid_threshold_distances(positions, links)
-    else:
-        distances_sq = _sorted_pair_distances_squared(positions)
-        threshold_sq = distances_sq[links - 1]
-        larger = next(
-            (d for d in distances_sq[links:] if d > threshold_sq), None
-        )
+        return math.sqrt(threshold_sq) / 2.0
     if larger is not None:
         radius_sq = (threshold_sq + larger) / 2.0
     else:

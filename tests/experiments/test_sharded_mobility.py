@@ -276,6 +276,8 @@ def test_fliptrace_rejects_truncated_lines():
         FlipTrace.from_jsonl_lines(lines[:3] + lines[4:])
     with pytest.raises(ValueError):
         FlipTrace.from_jsonl_lines(lines[:-1] + [lines[-1][:-5]])
+    with pytest.raises(ValueError, match="promises 6 steps, found 5"):
+        FlipTrace.from_jsonl_lines(lines[:-1])
 
 
 def test_fliptrace_flip_counts_round_trip():
@@ -290,6 +292,11 @@ def test_fliptrace_rejects_bad_header():
         FlipTrace.from_jsonl_lines([])
     with pytest.raises(ValueError):
         FlipTrace.from_jsonl_lines(['{"format": "other", "version": 1}'])
+    with pytest.raises(ValueError, match="unsupported repro-fliptrace version 1"):
+        FlipTrace.from_jsonl_lines(
+            ['{"format": "repro-fliptrace", "version": 1, "radius": 1.0, '
+             '"positions": {}}']
+        )
 
 
 # ----------------------------------------------------------------------

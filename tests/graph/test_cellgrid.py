@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.graph import unit_disk
 from repro.graph.cellgrid import (
     CellGrid,
     grid_is_exact,
@@ -167,6 +168,11 @@ def test_exactness_guard_rejects_non_finite_geometry():
         grid_is_exact(positions, -1.0)
     network = build_unit_disk_graph(positions, 1.0, method="grid")
     assert network.topology.edges() == []
+    # Calibration cannot rank a NaN distance: it raises, under both
+    # methods, instead of returning a NaN radius.
+    for method in ("grid", "pairwise"):
+        with pytest.raises(ValueError, match="non-finite"):
+            range_for_link_count(positions, 1, method=method)
 
 
 def test_grid_pairs_follow_insertion_order():
@@ -176,8 +182,25 @@ def test_grid_pairs_follow_insertion_order():
         9: Point(1.0, 0.0),
     }
     pairs = list(grid_pairs_within(positions, 2.0))
-    # (earlier, later) in dict insertion order, every pair exactly once.
-    assert pairs == [(7, 3), (7, 9), (3, 9)]
+    # (distance², earlier, later) in dict insertion order, every pair
+    # exactly once.
+    assert pairs == [(0.25, 7, 3), (1.0, 7, 9), (0.25, 3, 9)]
+
+
+def test_calibration_makes_one_scan_per_search_radius(monkeypatch):
+    calls = []
+
+    def counting_scan(positions, radius):
+        calls.append(radius)
+        return grid_pairs_within(positions, radius)
+
+    monkeypatch.setattr(unit_disk, "grid_pairs_within", counting_scan)
+    positions = random_points(200, Area(100, 100), random.Random(3))
+    radius, links = range_for_average_degree(positions, 6.0, method="grid")
+    # The density-scaled first radius already holds the 600 links and the
+    # next larger distance: one scan lists them, with no count pass.
+    assert len(calls) == 1
+    assert build_unit_disk_graph(positions, radius).link_count == links
 
 
 def test_cellgrid_near_scans_nine_cells():
