@@ -65,23 +65,6 @@ class PriorityScheme(ABC):
     #: re-decision per step, which is always safe.
     metric_locality: "int | None" = None
 
-    #: Hop radius of the *induced subgraph* needed to compute a node's
-    #: metric **value** exactly, or ``None`` when the metric is not
-    #: locally computable at all.  ``metric_of(v)`` must be a function
-    #: of the edges with both endpoints inside ``ball(v,
-    #: metric_value_radius)`` — 0 for id (no metric components), 1 for
-    #: degree (the edges incident to ``v``) and ncr (the edges inside
-    #: ``N[v]``).  Distinct from :attr:`metric_locality`: degree has
-    #: locality 0 (a flip only moves its own endpoints' degrees) yet
-    #: value radius 1 (computing ``deg(v)`` needs ``v``'s incident
-    #: edges, which leave the 0-ball).  The sharded partial-replica
-    #: driver re-decides a node on a shard only when the node's
-    #: ``k + max(metric_locality, metric_value_radius)`` ball lies
-    #: inside the shard's replica universe; schemes that leave this
-    #: ``None`` are rejected there (a partial replica cannot reproduce
-    #: their values).
-    metric_value_radius: "int | None" = None
-
     @abstractmethod
     def metrics(self, graph: Topology) -> Dict[int, Tuple[float, ...]]:
         """Metric tuple for every node of ``graph``."""
@@ -105,7 +88,6 @@ class IdPriority(PriorityScheme):
     arity = 0
     extra_rounds = 0
     metric_locality = 0
-    metric_value_radius = 0  # no metric components at all
 
     def metrics(self, graph: Topology) -> Dict[int, Tuple[float, ...]]:
         return {node: () for node in graph.nodes()}
@@ -118,7 +100,6 @@ class DegreePriority(PriorityScheme):
     arity = 1
     extra_rounds = 1
     metric_locality = 0
-    metric_value_radius = 1  # deg(v) reads v's incident edges
 
     def metrics(self, graph: Topology) -> Dict[int, Tuple[float, ...]]:
         return {node: (float(graph.degree(node)),) for node in graph.nodes()}
@@ -134,7 +115,6 @@ class NcrPriority(PriorityScheme):
     arity = 2
     extra_rounds = 2
     metric_locality = 1
-    metric_value_radius = 1  # ncr(v) reads the edges inside N[v]
 
     def metrics(self, graph: Topology) -> Dict[int, Tuple[float, ...]]:
         return {
@@ -161,10 +141,6 @@ class RandomEpochPriority(PriorityScheme):
     arity = 1
     extra_rounds = 1  # one exchange to advertise the drawn value
     metric_locality = 0  # drawn per epoch, independent of topology
-    #: The draw iterates sorted(graph.nodes()) in rank order, so a
-    #: node's value depends on the *whole* node set — not computable on
-    #: a partial replica.
-    metric_value_radius = None
 
     def __init__(self, seed: int = 0) -> None:
         self._seed = seed

@@ -31,7 +31,7 @@ from .runner import (
     run_trace_sweep,
 )
 from .sharded import (
-    ShardedStep,
+    ShardGroupFailure,
     run_sharded_mobility_sweep,
     run_sharded_trace,
 )
@@ -87,7 +87,7 @@ __all__ = [
     "run_mobility_sweep",
     "run_panel",
     "run_trace_sweep",
-    "ShardedStep",
+    "ShardGroupFailure",
     "run_sharded_mobility_sweep",
     "run_sharded_trace",
     "PointFailure",

@@ -24,9 +24,9 @@ table.  The ``traffic`` target runs the broadcast service's
 offered-vs-delivered-load saturation sweep (one series per protocol,
 latency p50/p95/p99 per point); it honours ``--jobs``, ``--seed``,
 ``--instrument`` and ``--format``.  The ``sharded-mobility`` target
-replays a random-waypoint trace through the sharded incremental engine
-(``--shards SX SY``, ``--jobs N``) and prints per-step re-decide,
-handoff, and boundary-flip statistics.
+replays a random-waypoint trace through the sharded incremental sweep
+(``--shards SX SY``, ``--jobs N``) and prints per-step forward-set
+sizes, re-decides and link flips.
 """
 
 from __future__ import annotations
@@ -179,24 +179,15 @@ def _run_sharded_mobility(args: argparse.Namespace) -> None:
         f"sharded mobility sweep: n={n} steps={steps} "
         f"shards={shards[0]}x{shards[1]} jobs={jobs}"
     )
-    header = (
-        f"{'step':>4}  {'forward':>7}  {'redecided':>9}  {'shard':>6}  "
-        f"{'handoff':>7}  {'boundary':>8}  {'flips':>5}"
-    )
-    print(header)
+    print(f"{'step':>4}  {'forward':>7}  {'redecided':>9}  {'flips':>5}")
     for step in results:
         print(
             f"{step.step:>4}  {len(step.forward):>7}  {step.redecided:>9}  "
-            f"{step.shard_redecides:>6}  {step.handoff_redecides:>7}  "
-            f"{step.boundary_flips:>8}  "
             f"{step.added_edges + step.removed_edges:>5}"
         )
     print(
         "totals: "
         f"redecided={sum(s.redecided for s in results)} "
-        f"shard_redecides={sum(s.shard_redecides for s in results)} "
-        f"handoff={sum(s.handoff_redecides for s in results)} "
-        f"boundary_flips={sum(s.boundary_flips for s in results)} "
         f"flips={sum(s.added_edges + s.removed_edges for s in results)}"
     )
 

@@ -1,7 +1,9 @@
 """The one point pool behind every experiment sweep.
 
-Figure sweeps (:func:`repro.experiments.runner.run_figure`) and traffic
-sweeps (:func:`repro.experiments.traffic.run_traffic_sweep`) are lists of
+Figure sweeps (:func:`repro.experiments.runner.run_figure`), traffic
+sweeps (:func:`repro.experiments.traffic.run_traffic_sweep`) and the
+sharded mobility driver's worker groups
+(:func:`repro.experiments.sharded.run_sharded_trace`) are lists of
 mutually independent measurement points; :func:`run_points` measures
 such a list at any ``jobs`` value.  Three properties make it safe to use
 for reproduction work:
@@ -18,8 +20,8 @@ for reproduction work:
   serially in the parent; a second failure surfaces as the caller's
   structured error (:class:`PointFailure` for figures).  At ``jobs=1``
   the measurement's own exception propagates unchanged.
-* **Pickle-safe progress** — workers only ship ``(task, DataPoint)``
-  tuples of plain ints and floats back to the parent; the parent renders
+* **Pickle-safe progress** — workers only ship ``(task, result)``
+  tuples of plain values back to the parent; the parent renders
   progress messages and invokes the (unpicklable) callback itself.
   Instrumentation counters ride inside each shipped ``DataPoint`` as a
   plain dict, collected per point in whichever process measured it —
@@ -49,13 +51,13 @@ from typing import (
     TypeVar,
 )
 
-from ..metrics.results import DataPoint
-
 __all__ = ["PointFailure", "fork_context", "run_points"]
 
 #: One unit of work: a caller-defined tuple of plain values, so it
 #: crosses the process boundary trivially and keys the results.
 Task = TypeVar("Task", bound=Hashable)
+#: What measuring one task returns (a ``DataPoint`` for figure sweeps).
+Result = TypeVar("Result")
 
 
 class PointFailure(RuntimeError):
@@ -97,27 +99,27 @@ def fork_context() -> Optional[multiprocessing.context.BaseContext]:
 # Worker-side state, installed by the pool initializer.  Under the fork
 # start method the initializer arguments are inherited, never pickled, so
 # ``measure`` may close over lambda protocol factories.
-_WORKER_MEASURE: Optional[Callable[[Hashable], DataPoint]] = None
+_WORKER_MEASURE: Optional[Callable[[Hashable], object]] = None
 
 
-def _init_worker(measure: Callable[[Hashable], DataPoint]) -> None:
+def _init_worker(measure: Callable[[Hashable], object]) -> None:
     global _WORKER_MEASURE
     _WORKER_MEASURE = measure
 
 
-def _worker_measure(task: Hashable) -> Tuple[Hashable, DataPoint]:
+def _worker_measure(task: Hashable) -> Tuple[Hashable, object]:
     assert _WORKER_MEASURE is not None
     return task, _WORKER_MEASURE(task)
 
 
 def run_points(
     tasks: Sequence[Task],
-    measure: Callable[[Task], DataPoint],
+    measure: Callable[[Task], Result],
     jobs: int,
     failure: Callable[[Task, str], Exception],
-    describe: Callable[[Task, DataPoint, bool], str],
+    describe: Callable[[Task, Result, bool], str],
     progress: Optional[Callable[[str], None]] = None,
-) -> Dict[Task, DataPoint]:
+) -> Dict[Task, Result]:
     """Measure every task, over ``jobs`` fork workers or in-process.
 
     ``failure(task, worker_traceback)`` builds the error raised when a
@@ -126,9 +128,9 @@ def run_points(
     in the parent.  Returns a task-to-point mapping; callers assemble
     tables in spec order, so completion order never leaks into results.
     """
-    results: Dict[Task, DataPoint] = {}
+    results: Dict[Task, Result] = {}
 
-    def report(task: Task, point: DataPoint, redispatched: bool) -> None:
+    def report(task: Task, point: Result, redispatched: bool) -> None:
         results[task] = point
         if progress is not None:
             progress(describe(task, point, redispatched))

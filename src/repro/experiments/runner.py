@@ -14,7 +14,16 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..algorithms.base import BroadcastProtocol
 from ..core.coverage import coverage_condition
@@ -295,9 +304,9 @@ def run_mobility_sweep(
     ``forward`` tuples either way.
 
     The sharded twin,
-    :func:`~repro.experiments.sharded.run_sharded_mobility_sweep`, fans
-    the incremental re-decisions out over a spatial shard grid with
-    byte-identical forward sets.
+    :func:`~repro.experiments.sharded.run_sharded_mobility_sweep`, splits
+    the incremental re-decisions across worker groups by spatial owner,
+    with byte-identical results.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
@@ -327,19 +336,23 @@ def _incremental_sweep_over(
     scheme: PriorityScheme,
     k: int,
     radius: Optional[int],
+    owned: Optional[AbstractSet[int]] = None,
 ) -> List[MobilityStep]:
     """The incremental decision loop over any SnapshotDelta stream.
 
-    Shared by the live-model sweep and the recorded-trace replay; the
-    sharded driver replicates this stale-set logic exactly (its
-    determinism contract depends on it).
+    Shared by the live-model sweep, the recorded-trace replay and the
+    sharded driver.  With ``owned`` the loop decides (and counts in
+    ``redecided``) only the stale nodes in that set, so ``forward``
+    lists owned nodes only; the stale set and the metric refreshes are
+    the serial ones, so a partition of the nodes into ``owned`` sets
+    yields forward sets whose union is the serial answer.
     """
     decisions: Dict[int, bool] = {}
     metrics: Optional[Dict[int, Tuple[float, ...]]] = None
     results: List[MobilityStep] = []
-    for snap in deltas:
+    for index, snap in enumerate(deltas):
         graph = snap.graph.topology
-        if not decisions:
+        if index == 0:
             stale = graph.nodes()  # first step: everything undecided
         elif snap.report is None:
             stale = []  # no link flipped; every cached decision stands
@@ -351,6 +364,8 @@ def _incremental_sweep_over(
             # Metric tables are O(n) for the built-in schemes — cheap
             # next to view extraction, and only rebuilt on flip steps.
             metrics = scheme.metrics(graph)
+        if owned is not None:
+            stale = [node for node in stale if node in owned]
         for node in stale:
             decisions[node] = _forward_decision(graph, node, k, scheme, metrics)
         results.append(
@@ -411,14 +426,23 @@ def run_trace_sweep(
 
     Replays the trace's flip stream through the exact decision loop of
     :func:`run_mobility_sweep` with ``incremental=True``, so a recorded
-    workload can A/B schemes — and serve as the serial oracle for the
+    workload can A/B schemes without re-running the mobility model.  The
     sharded driver (:func:`repro.experiments.sharded.run_sharded_trace`)
-    — without re-running the mobility model.
+    runs this same loop once per worker group, each deciding only the
+    nodes it owns.
     """
-    scheme = scheme or IdPriority()
+    return _replay_trace(trace, scheme or IdPriority(), k)
+
+
+def _replay_trace(
+    trace: FlipTrace,
+    scheme: PriorityScheme,
+    k: int,
+    owned: Optional[AbstractSet[int]] = None,
+) -> List[MobilityStep]:
     locality = scheme.metric_locality
     radius = None if locality is None else k + locality
     extra = () if radius is None else (radius,)
     return _incremental_sweep_over(
-        trace.replay(extra_radii=extra), scheme, k, radius
+        trace.replay(extra_radii=extra), scheme, k, radius, owned
     )

@@ -34,7 +34,7 @@ from .io import (
 )
 from .mobility import RandomWaypointModel, SnapshotDelta
 from .fliptrace import FlipStep, FlipTrace, record_flip_trace
-from .sharding import ShardAssignment, ShardGrid, ShardSubgraph
+from .sharding import ShardGrid
 
 __all__ = [
     "Area",
@@ -79,7 +79,5 @@ __all__ = [
     "FlipStep",
     "FlipTrace",
     "record_flip_trace",
-    "ShardAssignment",
     "ShardGrid",
-    "ShardSubgraph",
 ]

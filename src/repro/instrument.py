@@ -26,7 +26,7 @@ parent; see :func:`repro.experiments.parallel.run_points`).
 Counter semantics: every field is a monotone sum except the fields in
 :data:`MAX_FIELDS` (high-water marks: the scheduler's maximum queue
 depth, the service egress-queue peak, and the sharded driver's largest
-partial-replica node count), which merge by maximum.
+topology copy), which merge by maximum.
 """
 
 from __future__ import annotations
@@ -103,22 +103,17 @@ class InstrumentationCounters:
     #: schema.
     forward_set_reuses: int = 0
     # experiments/sharded.py (sharded mobility driver)
-    #: Re-decisions summed over shards — handoff copies included, so
-    #: this is >= the serial sweep's dirty-set total.
+    #: Re-decisions summed over worker groups; the groups split the
+    #: stale set, so this equals the serial sweep's ``redecided`` total.
     shard_redecides: int = 0
-    #: Re-decision copies beyond each dirty node's first routed shard
-    #: (the cross-shard handoff volume).
+    #: Always 0: every stale node is decided by exactly one group.  Kept
+    #: because the benchmark ledger reads it by key.
     shard_handoff_redecides: int = 0
-    #: Link flips whose endpoints' routed shard sets span >1 shard.
-    shard_boundary_flips: int = 0
-    #: Link flips applied across shard partial replicas — a flip routed
-    #: to ``m`` shard universes counts ``m`` times, so the gap to the
-    #: serial sweep's flip count is the routing duplication volume.
+    #: Link flips applied across worker groups: each group replays the
+    #: whole trace, so this is the trace's flip count times the groups.
     shard_flips_applied: int = 0
-    #: High-water node count of any single shard's partial replica
-    #: (merge: max).  ``replica_nodes_max < n`` is the proof that the
-    #: partial-replica bound was exercised rather than silently
-    #: bypassed by a full copy.
+    #: High-water node count of any group's topology copy (merge: max);
+    #: ``n``, since every group holds a full copy.
     replica_nodes_max: int = 0
     #: Always 0: the shard split is static, so the grid is never
     #: re-partitioned mid-sweep.  Kept because the benchmark ledger

@@ -6,7 +6,8 @@ deliver the packet to every node and (b) leave a forward node set that is
 a connected dominating set — the paper's definition of ensuring coverage.
 Runs under hypothesis so shrinking pinpoints minimal failing deployments,
 and exhaustively over every connected labelled graph on at most four
-nodes from every source, so no small topology is left to sampling.
+nodes from every source, plus every one on five nodes from source 0, so
+no small topology is left to sampling.
 """
 
 import itertools
@@ -25,20 +26,20 @@ from repro.sim.engine import SimulationEnvironment, run_broadcast
 from repro.sim.mac import IdealMac
 
 
-def _connected_graphs(max_nodes):
-    """Every connected labelled graph on ``range(n)``, ``n <= max_nodes``."""
-    for n in range(1, max_nodes + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            graph = Topology(nodes=range(n))
-            for bit, (u, v) in enumerate(pairs):
-                if mask >> bit & 1:
-                    graph.add_edge(u, v)
-            if graph.is_connected():
-                yield graph
+def _connected_graphs(n):
+    """Every connected labelled graph on ``range(n)``."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        graph = Topology(nodes=range(n))
+        for bit, (u, v) in enumerate(pairs):
+            if mask >> bit & 1:
+                graph.add_edge(u, v)
+        if graph.is_connected():
+            yield graph
 
 
-SMALL_GRAPHS = list(_connected_graphs(4))
+SMALL_GRAPHS = [graph for n in range(1, 5) for graph in _connected_graphs(n)]
+FIVE_NODE_GRAPHS = list(_connected_graphs(5))
 
 
 @pytest.mark.parametrize("protocol_name", names())
@@ -78,14 +79,19 @@ def test_protocol_ensures_coverage(protocol_name, seed, n, dense, scheme_name):
 
 @pytest.mark.parametrize("protocol", names())
 def test_protocol_covers_every_small_graph(protocol):
-    # OEIS A001187: 1, 1, 4 and 38 connected labelled graphs on 1..4 nodes.
+    # OEIS A001187: 1, 1, 4, 38 and 728 connected labelled graphs on
+    # 1..5 nodes.
     assert len(SMALL_GRAPHS) == 1 + 1 + 4 + 38
-    for graph in SMALL_GRAPHS:
-        for source in graph.nodes():
-            outcome = run_broadcast(
-                graph, create(protocol), source,
-                rng=random.Random(7), mac=IdealMac(),
-            )
-            where = f"{protocol} from {source} on {graph.edges()}"
-            assert outcome.delivered == set(graph.nodes()), where
-            assert is_cds(graph, outcome.forward_nodes), where
+    assert len(FIVE_NODE_GRAPHS) == 728
+    runs = [
+        (graph, source) for graph in SMALL_GRAPHS for source in graph.nodes()
+    ]
+    runs += [(graph, 0) for graph in FIVE_NODE_GRAPHS]
+    for graph, source in runs:
+        outcome = run_broadcast(
+            graph, create(protocol), source,
+            rng=random.Random(7), mac=IdealMac(),
+        )
+        where = f"{protocol} from {source} on {graph.edges()}"
+        assert outcome.delivered == set(graph.nodes()), where
+        assert is_cds(graph, outcome.forward_nodes), where

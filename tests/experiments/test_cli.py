@@ -62,10 +62,7 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         header = next(
             index for index, line in enumerate(lines)
-            if line.split() == [
-                "step", "forward", "redecided", "shard", "handoff",
-                "boundary", "flips",
-            ]
+            if line.split() == ["step", "forward", "redecided", "flips"]
         )
         rows = lines[header + 1:]
         assert len(rows) == 3 + 1  # one row per step, then the totals

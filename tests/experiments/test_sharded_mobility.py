@@ -1,6 +1,6 @@
-"""Property tests for the sharded incremental mobility engine.
+"""Property tests for the sharded incremental mobility driver.
 
-The determinism contract under test: merged sharded forward sets are
+The determinism contract under test: the merged sharded steps are
 byte-identical to the serial incremental path (and to the full-rebuild
 oracle) at **any** shard grid and worker count, on every coverage
 backend.  Each seed rotates through one (backend, grid, jobs) cell so 50
@@ -27,8 +27,8 @@ from repro.experiments import (
     run_sharded_trace,
     run_trace_sweep,
 )
-from repro.experiments import sharded as sharded_module
-from repro.experiments.sharded import _route_flips
+from repro.experiments import runner as runner_module
+from repro.experiments.sharded import ShardGroupFailure
 from repro.graph import (
     Area,
     FlipStep,
@@ -89,11 +89,9 @@ def test_sharded_matches_serial_and_rebuild(seed, monkeypatch):
         clamp=False,  # exercise real fork pools even on a 1-core box
     )
     assert _payload(serial) == _payload(rebuilt)
-    assert _payload(serial) == _payload(sharded)
-    # The sharded router re-decides exactly the serial dirty set (the
-    # handoff copies are extra work, never extra coverage).
-    assert [s.redecided for s in sharded] == [s.redecided for s in serial]
-    assert [s.time for s in sharded] == [s.time for s in serial]
+    # Steps, times, forward sets, flip counts and the re-decide counts:
+    # the worker groups split the serial dirty set between them.
+    assert sharded == serial
 
 
 def test_bad_jobs_rejected():
@@ -104,7 +102,7 @@ def test_bad_jobs_rejected():
 
 
 # ----------------------------------------------------------------------
-# Crafted handoff fixture: one flip's dirty ball spans three shards
+# Crafted chain fixture: one flip's dirty ball spans three shards
 # ----------------------------------------------------------------------
 
 
@@ -125,16 +123,12 @@ def _chain_trace() -> FlipTrace:
 
 def test_chain_fixture_geometry():
     trace = _chain_trace()
-    grid = ShardGrid(trace.positions, trace.radius, shape=(3, 1), halo_cells=2)
+    grid = ShardGrid(trace.positions, trace.radius, shape=(3, 1))
     assert grid._x_starts == [0, 5, 9, 13]
-    routed = grid.assign(trace.positions).routed
-    # Dirty ball of the (6, 7) flip at radius 2: nodes 4..9.
-    assert routed[4] == (0, 1)
-    assert routed[5] == (0, 1)
-    assert routed[6] == (0, 1)
-    assert routed[7] == (1, 2)
-    assert routed[8] == (1, 2)
-    assert routed[9] == (1, 2)
+    owners = [grid.owner_of(trace.positions[i]) for i in range(13)]
+    # The dirty ball of the (6, 7) flip at radius 2, nodes 4..9, has
+    # owners in all three shards.
+    assert owners == [0] * 5 + [1] * 4 + [2] * 4
 
 
 @pytest.mark.parametrize("jobs", JOBS)
@@ -142,23 +136,21 @@ def test_three_shard_handoff(jobs):
     trace = _chain_trace()
     scheme = DegreePriority()
     serial = run_trace_sweep(trace, scheme=scheme, k=2)
-    sharded = run_sharded_trace(
-        trace, scheme=scheme, k=2, shards=(3, 1), jobs=jobs, clamp=False
-    )
-    assert _payload(serial) == _payload(sharded)
+    with collecting() as counters:
+        sharded = run_sharded_trace(
+            trace, scheme=scheme, k=2, shards=(3, 1), jobs=jobs,
+            clamp=False,
+        )
+    assert sharded == serial
     middle = sharded[1]
     assert middle.removed_edges == 1
-    # Nodes 4..9 turn dirty; 4..6 route to shards {0, 1}, 7..9 to
-    # {1, 2} — six re-decisions, six handoff copies, and the flip's
-    # routed sets span all three shards.
+    # Nodes 4..9 turn dirty across all three shards; each is decided
+    # once, by its owner's group, with no handoff copies.
     assert middle.redecided == 6
-    assert middle.shard_redecides == 12
-    assert middle.handoff_redecides == 6
-    assert middle.boundary_flips == 1
-    restored = sharded[2]
-    assert restored.added_edges == 1
-    assert restored.boundary_flips == 1
+    assert sharded[2].added_edges == 1
     assert sharded[0].redecided == 13  # first step decides everyone
+    assert counters.shard_redecides == sum(s.redecided for s in serial)
+    assert counters.shard_handoff_redecides == 0
 
 
 needs_fork = pytest.mark.skipif(
@@ -181,57 +173,63 @@ def _no_hang(seconds: int = 60):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _sabotage_group(monkeypatch, fail):
+    """Run ``fail()`` when group 1's replay reaches step 1 (on two
+    workers and a (3, 1) grid, group 1 owns chain nodes 5..8)."""
+    sweep = runner_module._incremental_sweep_over
+
+    def sabotaged(deltas, scheme, k, radius, owned=None):
+        def watched():
+            for snap in deltas:
+                if snap.step == 1 and owned is not None and 5 in owned:
+                    fail()
+                yield snap
+
+        return sweep(watched(), scheme, k, radius, owned=owned)
+
+    monkeypatch.setattr(runner_module, "_incremental_sweep_over", sabotaged)
+
+
 def _run_chain_on_two_workers():
-    run_sharded_trace(
+    return run_sharded_trace(
         _chain_trace(), scheme=DegreePriority(), k=2, shards=(3, 1),
         jobs=2, clamp=False,
     )
 
 
 @needs_fork
-@pytest.mark.parametrize("victim", (0, 1))
-def test_worker_killed_between_steps_raises_typed_error(victim, monkeypatch):
-    """A worker SIGKILLed between steps 0 and 1 surfaces as the typed
-    ``RuntimeError`` naming the worker and step, not as the bare
-    ``BrokenPipeError`` of the driver's send, and never as a hang —
-    whether the dead worker is first or second in the fan-out."""
-    step_once = sharded_module._ForkShardPool.step
+def test_worker_killed_mid_sweep_is_redispatched(monkeypatch):
+    """A worker SIGKILLed mid-sweep breaks the pool; its group is
+    re-dispatched in the parent and the merged result still equals the
+    serial sweep, with no hang."""
+    serial = run_trace_sweep(_chain_trace(), scheme=DegreePriority(), k=2)
 
-    def step(pool, step, payloads):
-        if step == 1:
-            proc = pool._procs[victim]
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.join(timeout=5)
-        return step_once(pool, step, payloads)
+    def die():
+        if multiprocessing.parent_process() is not None:
+            os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setattr(sharded_module._ForkShardPool, "step", step)
-    with _no_hang(), pytest.raises(
-        RuntimeError,
-        match=rf"shard worker {victim} died at step 1 \(exitcode=-9\)",
-    ):
-        _run_chain_on_two_workers()
+    _sabotage_group(monkeypatch, die)
+    with _no_hang():
+        sharded = _run_chain_on_two_workers()
+    assert sharded == serial
 
 
 @needs_fork
-def test_worker_dying_mid_step_raises_typed_error(monkeypatch):
-    """A worker that exits while computing step 1 (after the driver's
-    send succeeded) surfaces on the receive as the same typed error."""
-    apply_step = sharded_module._ShardWorker.apply_step
-    calls = []
+def test_group_failing_twice_raises_typed_error(monkeypatch):
+    """A group that fails in its worker and again on the parent's retry
+    surfaces as a ``ShardGroupFailure`` naming the group."""
 
-    def dying_apply_step(worker, payloads):
-        calls.append(None)  # per process: each forked worker counts alone
-        if len(calls) == 2:
-            os._exit(3)
-        return apply_step(worker, payloads)
+    def bomb():
+        raise RuntimeError("injected group failure")
 
-    monkeypatch.setattr(
-        sharded_module._ShardWorker, "apply_step", dying_apply_step
-    )
+    _sabotage_group(monkeypatch, bomb)
     with _no_hang(), pytest.raises(
-        RuntimeError, match=r"shard worker 0 died at step 1 \(exitcode=3\)"
-    ):
+        ShardGroupFailure, match=r"shard worker group 1 failed after retry"
+    ) as excinfo:
         _run_chain_on_two_workers()
+    assert excinfo.value.group == 1
+    assert "injected group failure" in excinfo.value.worker_traceback
+    assert isinstance(excinfo.value.__cause__, RuntimeError)
 
 
 # ----------------------------------------------------------------------
@@ -300,29 +298,21 @@ def test_fliptrace_rejects_bad_header():
 
 
 # ----------------------------------------------------------------------
-# Partial replicas: flip routing, locality rejection, counters
+# Any scheme, counters
 # ----------------------------------------------------------------------
 
 
-def test_flip_outside_universe_is_never_shipped():
-    universes = {0: {0, 1, 2, 3}, 1: {3, 4, 5, 6}}
-    routed = _route_flips(universes, ((4, 5),), ((0, 1),))
-    # Each flip reaches exactly the shards holding BOTH endpoints.
-    assert routed == {0: ((), ((0, 1),)), 1: (((4, 5),), ())}
-    # An edge spanning two universes without a common holder ships
-    # nowhere: it exists in neither induced subgraph.
-    assert _route_flips(universes, ((2, 4),), ()) == {}
-    assert _route_flips(universes, (), ()) == {}
-
-
-def test_random_epoch_scheme_rejected_on_partial_replicas():
-    # The rank-ordered per-epoch draw reads the whole node set, so its
-    # values cannot be reproduced on a partial replica.
-    assert RandomEpochPriority.metric_value_radius is None
-    with pytest.raises(ValueError, match="metric_value_radius"):
-        run_sharded_mobility_sweep(
-            _model(7), 2, 1.0, scheme=RandomEpochPriority()
+def test_random_epoch_scheme_sharded_matches_serial():
+    # The rank-ordered per-epoch draw reads the whole node set; every
+    # group holds a full copy, so the sharded sweep reproduces it.
+    trace = record_flip_trace(_model(7), 4, 1.0)
+    serial = run_trace_sweep(trace, scheme=RandomEpochPriority(3), k=2)
+    for jobs in (1, 2):
+        sharded = run_sharded_trace(
+            trace, scheme=RandomEpochPriority(3), k=2, shards=(2, 2),
+            jobs=jobs, clamp=False,
         )
+        assert sharded == serial
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
@@ -340,26 +330,29 @@ def test_counters_jobs_invariant_and_serial_equal(jobs):
             trace, scheme=scheme, k=2, shards=(2, 2), jobs=jobs,
             clamp=False,
         )
-    assert _payload(serial) == _payload(base) == _payload(sharded)
-    # The per-shard partial replicas are jobs-invariant, so the merged
-    # counters must equal the jobs=1 totals field for field.
-    invariant = (
-        "shard_flips_applied",
-        "replica_nodes_max",
-        "shard_rehomes",
-        "shard_redecides",
-        "shard_handoff_redecides",
-        "shard_boundary_flips",
+    assert serial == base == sharded
+    # Each stale node is decided by exactly one group, so the
+    # decision-side work equals the serial sweep's at every jobs value.
+    decision_side = (
         "coverage_evaluations",
+        "component_decompositions",
+        "coverage_memo_hits",
+        "coverage_memo_misses",
+        "mask_floodfills",
     )
-    for field in invariant:
-        assert getattr(counters, field) == getattr(base_counters, field), field
-    # Owner-only shipping evaluates each stale node exactly once, so
-    # coverage work equals the serial sweep's.
-    assert counters.coverage_evaluations == (
-        serial_counters.coverage_evaluations
-    )
-    assert 0 < counters.replica_nodes_max <= 24
+    for field in decision_side:
+        serial_count = getattr(serial_counters, field)
+        assert getattr(base_counters, field) == serial_count, field
+        assert getattr(counters, field) == serial_count, field
+    redecided = sum(step.redecided for step in serial)
+    flips = sum(step.added_edges + step.removed_edges for step in serial)
+    assert counters.shard_redecides == base_counters.shard_redecides
+    assert counters.shard_redecides == redecided
+    assert counters.shard_flips_applied == flips * jobs  # one per group
+    assert base_counters.shard_flips_applied == flips
+    assert counters.replica_nodes_max == 24  # every group holds all n
+    assert counters.shard_handoff_redecides == 0
+    assert counters.shard_rehomes == 0
 
 
 # ----------------------------------------------------------------------
