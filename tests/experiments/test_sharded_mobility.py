@@ -173,15 +173,20 @@ def _no_hang(seconds: int = 60):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _sabotage_group(monkeypatch, fail):
-    """Run ``fail()`` when group 1's replay reaches step 1 (on two
-    workers and a (3, 1) grid, group 1 owns chain nodes 5..8)."""
+# On two workers and a (3, 1) grid, group 0 owns chain nodes 0..4 and
+# 9..12 (shards 0 and 2), group 1 owns nodes 5..8 (shard 1).
+_GROUP_MARKER = {0: 0, 1: 5}
+
+
+def _sabotage_group(monkeypatch, fail, group=1):
+    """Run ``fail()`` when ``group``'s replay reaches step 1."""
     sweep = runner_module._incremental_sweep_over
+    marker = _GROUP_MARKER[group]
 
     def sabotaged(deltas, scheme, k, radius, owned=None):
         def watched():
             for snap in deltas:
-                if snap.step == 1 and owned is not None and 5 in owned:
+                if snap.step == 1 and owned is not None and marker in owned:
                     fail()
                 yield snap
 
@@ -212,6 +217,30 @@ def test_worker_killed_mid_sweep_is_redispatched(monkeypatch):
     with _no_hang():
         sharded = _run_chain_on_two_workers()
     assert sharded == serial
+
+
+@needs_fork
+@pytest.mark.parametrize("victim", (0, 1))
+def test_worker_killed_between_steps_raises_typed_error(victim, monkeypatch):
+    """A worker SIGKILLed between steps 0 and 1 whose group fails again
+    on the parent's retry surfaces as a ``ShardGroupFailure`` naming
+    that group, not as a bare ``BrokenProcessPool`` and never as a
+    hang, whichever group the dead worker ran."""
+
+    def die_then_fail():
+        if multiprocessing.parent_process() is not None:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise RuntimeError("injected retry failure")
+
+    _sabotage_group(monkeypatch, die_then_fail, group=victim)
+    with _no_hang(), pytest.raises(
+        ShardGroupFailure,
+        match=rf"shard worker group {victim} failed after retry",
+    ) as excinfo:
+        _run_chain_on_two_workers()
+    assert excinfo.value.group == victim
+    assert "BrokenProcessPool" in excinfo.value.worker_traceback
+    assert isinstance(excinfo.value.__cause__, RuntimeError)
 
 
 @needs_fork
