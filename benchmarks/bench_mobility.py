@@ -47,8 +47,8 @@ from repro.core.conservative import conservative_forward_set
 from repro.core.coverage import coverage_condition
 from repro.core.priority import DegreePriority, IdPriority
 from repro.core.views import local_view
-from repro.experiments.runner import run_mobility_sweep
-from repro.experiments.sharded import run_sharded_mobility_sweep
+from repro.experiments.runner import run_mobility_sweep, run_trace_sweep
+from repro.graph.fliptrace import record_flip_trace
 from repro.graph.geometry import Area, random_points
 from repro.graph.mobility import RandomWaypointModel
 from repro.graph.unit_disk import range_for_average_degree
@@ -201,10 +201,11 @@ def run_delta_ab(smoke: bool, jobs: int = 4) -> dict:
     The equivalence gate compares the full per-step payload (forward
     sets and flip counts) with :func:`bench_parallel.first_divergence`,
     so a failure names the exact step and field that diverged.  A third
-    leg replays the same fixture through the sharded driver
-    (``shards=(2, 2)``) on a real fork pool — ``identity_jobs`` is at
-    least 2 even on a single-core box, matching ``bench_parallel``'s
-    convention — and holds it to the same gate.  Timing claims clamp to
+    leg records the same fixture's flip trace and replays it through
+    ``run_trace_sweep(..., jobs=identity_jobs)`` on a real fork pool —
+    ``identity_jobs`` is at least 2 even on a single-core box, matching
+    ``bench_parallel``'s convention, and ``run_trace_sweep`` never clamps
+    it to the core count — and holds it to the same gate.  Timing claims clamp to
     the core count (``jobs_effective``); identity claims do not.
     """
     steps = SMOKE_STEPS if smoke else FULL_STEPS
@@ -230,9 +231,9 @@ def run_delta_ab(smoke: bool, jobs: int = 4) -> dict:
             )
             rebuild_seconds = time.perf_counter() - start
             start = time.perf_counter()
-            sharded = run_sharded_mobility_sweep(
-                _delta_fixture(), steps, dt, scheme=DegreePriority(), k=2,
-                shards=(2, 2), jobs=identity_jobs,
+            sharded = run_trace_sweep(
+                record_flip_trace(_delta_fixture(), steps, dt),
+                scheme=DegreePriority(), k=2, jobs=identity_jobs,
             )
             sharded_seconds = time.perf_counter() - start
         finally:

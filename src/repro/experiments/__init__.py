@@ -23,17 +23,13 @@ from .report import (
 from .runner import (
     CoverageViolation,
     MobilityStep,
+    ShardGroupFailure,
     measure_point,
     point_seed,
     run_figure,
     run_mobility_sweep,
     run_panel,
     run_trace_sweep,
-)
-from .sharded import (
-    ShardGroupFailure,
-    run_sharded_mobility_sweep,
-    run_sharded_trace,
 )
 from .parallel import PointFailure
 from .traffic import (
@@ -88,8 +84,6 @@ __all__ = [
     "run_panel",
     "run_trace_sweep",
     "ShardGroupFailure",
-    "run_sharded_mobility_sweep",
-    "run_sharded_trace",
     "PointFailure",
     "TrafficPointFailure",
     "TrafficSweepConfig",

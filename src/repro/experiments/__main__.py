@@ -11,7 +11,7 @@ Examples::
     python -m repro.experiments fig11 --quick --instrument
     python -m repro.experiments overhead
     python -m repro.experiments traffic --rates 0.2 1.0 5.0 --jobs 4
-    python -m repro.experiments sharded-mobility --quick --shards 4 2 --jobs 4
+    python -m repro.experiments sharded-mobility --quick --jobs 4
 
 ``--quick`` shrinks the sweep and the repetition bounds so a figure runs
 in seconds; omit it for paper-precision runs (90% CI within ±1%).
@@ -24,9 +24,11 @@ table.  The ``traffic`` target runs the broadcast service's
 offered-vs-delivered-load saturation sweep (one series per protocol,
 latency p50/p95/p99 per point); it honours ``--jobs``, ``--seed``,
 ``--instrument`` and ``--format``.  The ``sharded-mobility`` target
-replays a random-waypoint trace through the sharded incremental sweep
-(``--shards SX SY``, ``--jobs N``) and prints per-step forward-set
-sizes, re-decides and link flips.
+records a random-waypoint flip trace, replays it through the
+incremental sweep split over ``--jobs N`` worker groups
+(:func:`~repro.experiments.runner.run_trace_sweep`) and prints per-step
+forward-set sizes, re-decides and link flips; everything below its
+header line is identical at any ``--jobs``.
 """
 
 from __future__ import annotations
@@ -156,14 +158,14 @@ def _run_sharded_mobility(args: argparse.Namespace) -> None:
     import random as _random
 
     from ..core.priority import DegreePriority
+    from ..graph.fliptrace import record_flip_trace
     from ..graph.geometry import Area, random_points
     from ..graph.mobility import RandomWaypointModel
     from ..graph.unit_disk import range_for_average_degree
-    from .sharded import run_sharded_mobility_sweep
+    from .runner import run_trace_sweep
 
     n = args.mobility_nodes if args.mobility_nodes else (300 if args.quick else 2000)
     steps = args.steps if args.steps else (10 if args.quick else 40)
-    shards = tuple(args.shards)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     rng = _random.Random(args.seed)
     positions = random_points(n, Area(), rng)
@@ -171,14 +173,11 @@ def _run_sharded_mobility(args: argparse.Namespace) -> None:
     model = RandomWaypointModel(
         positions, radius=radius, rng=rng, min_speed=0.02, max_speed=0.05
     )
-    results = run_sharded_mobility_sweep(
-        model, steps, 1.0,
-        scheme=DegreePriority(), k=2, shards=shards, jobs=jobs,
+    results = run_trace_sweep(
+        record_flip_trace(model, steps, 1.0),
+        scheme=DegreePriority(), k=2, jobs=jobs,
     )
-    print(
-        f"sharded mobility sweep: n={n} steps={steps} "
-        f"shards={shards[0]}x{shards[1]} jobs={jobs}"
-    )
+    print(f"sharded mobility sweep: n={n} steps={steps} jobs={jobs}")
     print(f"{'step':>4}  {'forward':>7}  {'redecided':>9}  {'flips':>5}")
     for step in results:
         print(
@@ -261,8 +260,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=20030519)
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for figure sweeps (1 = serial, 0 = all "
-        "cores); results are byte-identical at any value",
+        help="worker processes for figure, traffic and sharded-mobility "
+        "sweeps (1 = serial, 0 = all cores); results are byte-identical "
+        "at any value",
     )
     parser.add_argument(
         "--svg-dir", default="", help="fig9: directory for SVG renderings"
@@ -300,10 +300,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--protocols", nargs="+", default=["flooding", "dp", "pdp"],
         help="traffic: protocol registry names, one series each",
-    )
-    parser.add_argument(
-        "--shards", type=int, nargs=2, default=[2, 2], metavar=("SX", "SY"),
-        help="sharded-mobility: spatial shard grid (columns rows)",
     )
     parser.add_argument(
         "--steps", type=int, default=None,

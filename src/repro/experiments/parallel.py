@@ -2,9 +2,9 @@
 
 Figure sweeps (:func:`repro.experiments.runner.run_figure`), traffic
 sweeps (:func:`repro.experiments.traffic.run_traffic_sweep`) and the
-sharded mobility driver's worker groups
-(:func:`repro.experiments.sharded.run_sharded_trace`) are lists of
-mutually independent measurement points; :func:`run_points` measures
+worker groups of a trace sweep
+(:func:`repro.experiments.runner.run_trace_sweep` with ``jobs > 1``)
+are lists of mutually independent measurement points; :func:`run_points` measures
 such a list at any ``jobs`` value.  Three properties make it safe to use
 for reproduction work:
 

@@ -12,8 +12,10 @@ experiment harness doubles as a system-level correctness check.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 from typing import (
     AbstractSet,
     Callable,
@@ -34,7 +36,7 @@ from ..graph.generators import random_connected_network
 from ..graph.mobility import RandomWaypointModel, SnapshotDelta
 from ..graph.topology import Topology
 from ..graph.unit_disk import build_unit_disk_graph, edge_flips
-from ..instrument import collecting
+from ..instrument import InstrumentationCounters, active, collecting
 from ..metrics.results import DataPoint, ResultTable, Series
 from ..metrics.stats import repeat_until_confident
 from ..sim.engine import SimulationEnvironment, run_broadcast
@@ -44,6 +46,7 @@ from .parallel import PointFailure, run_points
 __all__ = [
     "CoverageViolation",
     "MobilityStep",
+    "ShardGroupFailure",
     "point_seed",
     "measure_point",
     "run_panel",
@@ -60,6 +63,16 @@ _Task = Tuple[int, int, int]
 
 class CoverageViolation(AssertionError):
     """A broadcast failed to reach every node under an ideal MAC."""
+
+
+class ShardGroupFailure(RuntimeError):
+    """A worker group's trace replay failed twice (original dispatch plus
+    one retry); the underlying exception is chained as ``__cause__``."""
+
+    def __init__(self, group: int, worker_traceback: str) -> None:
+        super().__init__(f"shard worker group {group} failed after retry")
+        self.group = group
+        self.worker_traceback = worker_traceback
 
 
 def point_seed(
@@ -303,10 +316,9 @@ def run_mobility_sweep(
     advance` draws), so equally-seeded models produce byte-identical
     ``forward`` tuples either way.
 
-    The sharded twin,
-    :func:`~repro.experiments.sharded.run_sharded_mobility_sweep`, splits
-    the incremental re-decisions across worker groups by spatial owner,
-    with byte-identical results.
+    To split the re-decisions over worker processes, record the trace
+    first: ``run_trace_sweep(record_flip_trace(model, steps, dt),
+    scheme, k, jobs=N)`` returns the same steps as the incremental path.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
@@ -340,12 +352,13 @@ def _incremental_sweep_over(
 ) -> List[MobilityStep]:
     """The incremental decision loop over any SnapshotDelta stream.
 
-    Shared by the live-model sweep, the recorded-trace replay and the
-    sharded driver.  With ``owned`` the loop decides (and counts in
-    ``redecided``) only the stale nodes in that set, so ``forward``
-    lists owned nodes only; the stale set and the metric refreshes are
-    the serial ones, so a partition of the nodes into ``owned`` sets
-    yields forward sets whose union is the serial answer.
+    Shared by the live-model sweep and the recorded-trace replay (one
+    loop per worker group at ``jobs > 1``).  With ``owned`` the loop
+    decides (and counts in ``redecided``) only the stale nodes in that
+    set, so ``forward`` lists owned nodes only; the stale set and the
+    metric refreshes are the serial ones, so a partition of the nodes
+    into ``owned`` sets yields forward sets whose union is the serial
+    answer.
     """
     decisions: Dict[int, bool] = {}
     metrics: Optional[Dict[int, Tuple[float, ...]]] = None
@@ -421,17 +434,70 @@ def run_trace_sweep(
     trace: FlipTrace,
     scheme: Optional[PriorityScheme] = None,
     k: int = 2,
+    jobs: int = 1,
 ) -> List[MobilityStep]:
-    """Serial incremental sweep over a recorded :class:`FlipTrace`.
+    """Incremental sweep over a recorded :class:`FlipTrace`.
 
     Replays the trace's flip stream through the exact decision loop of
     :func:`run_mobility_sweep` with ``incremental=True``, so a recorded
-    workload can A/B schemes without re-running the mobility model.  The
-    sharded driver (:func:`repro.experiments.sharded.run_sharded_trace`)
-    runs this same loop once per worker group, each deciding only the
-    nodes it owns.
+    workload can A/B schemes without re-running the mobility model.
+
+    With ``jobs > 1`` the re-decisions split over ``groups = min(jobs,
+    n)`` worker groups on the sweep pool
+    (:func:`repro.experiments.parallel.run_points`).  Group ``g`` owns
+    ``sorted(trace.positions)[g::groups]``; it replays the whole trace on
+    its own topology copy and decides only the stale nodes it owns.  A
+    node's decision reads only its k-hop view (Definition 2) and every
+    group sees the serial stale set and metric table, so the merged
+    steps — the sorted union of the groups' forward sets, the sum of
+    their ``redecided`` — equal the ``jobs=1`` steps byte for byte, for
+    every priority scheme.  A group whose worker raises or dies is
+    re-dispatched once in the parent; a second failure raises
+    :class:`ShardGroupFailure`.  Inside a
+    :func:`~repro.instrument.collecting` scope the groups' counters are
+    merged into it: decision-side counts equal the serial sweep's, and
+    topology-side counts (``delta_applies`` and the like) are the
+    serial ones times the groups.
     """
-    return _replay_trace(trace, scheme or IdPriority(), k)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    scheme = scheme or IdPriority()
+    nodes = sorted(trace.positions)
+    groups = min(jobs, len(nodes))
+    if groups <= 1:
+        return _replay_trace(trace, scheme, k)
+    owned = {group: frozenset(nodes[group::groups]) for group in range(groups)}
+    parent = os.getpid()
+
+    def replay(group: int) -> Tuple[List[MobilityStep], Optional[dict]]:
+        with collecting() as counters:
+            steps = _replay_trace(trace, scheme, k, owned[group])
+        # In the parent, leaving collecting() already merged the counts
+        # into the caller's scope; only a worker's counts travel back.
+        return steps, None if os.getpid() == parent else counters.as_dict()
+
+    results = run_points(
+        list(owned),
+        replay,
+        groups,
+        ShardGroupFailure,
+        lambda group, _result, _redispatched: f"shard group {group}",
+    )
+    scope = active()
+    if scope is not None:
+        for _steps, counts in results.values():
+            if counts is not None:
+                scope.merge(InstrumentationCounters.from_dict(counts))
+    return [
+        replace(
+            same_step[0],
+            forward=tuple(sorted(chain.from_iterable(
+                s.forward for s in same_step
+            ))),
+            redecided=sum(s.redecided for s in same_step),
+        )
+        for same_step in zip(*(results[group][0] for group in owned))
+    ]
 
 
 def _replay_trace(

@@ -34,7 +34,6 @@ from .io import (
 )
 from .mobility import RandomWaypointModel, SnapshotDelta
 from .fliptrace import FlipStep, FlipTrace, record_flip_trace
-from .sharding import ShardGrid
 
 __all__ = [
     "Area",
@@ -79,5 +78,4 @@ __all__ = [
     "FlipStep",
     "FlipTrace",
     "record_flip_trace",
-    "ShardGrid",
 ]

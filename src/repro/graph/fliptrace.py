@@ -12,8 +12,9 @@ A trace can be
 * **replayed** as a :meth:`~repro.graph.mobility.RandomWaypointModel.
   snapshot_deltas`-compatible stream (:meth:`FlipTrace.replay`), so the
   serial incremental sweep can A/B schemes on the *identical* workload
-  without re-running the mobility model, and each worker group of the
-  sharded driver can replay the whole trace on its own topology copy.
+  without re-running the mobility model, and each worker group of
+  ``run_trace_sweep(..., jobs=N)`` can replay the whole trace on its
+  own topology copy.
 
 Replayed :class:`~repro.graph.mobility.SnapshotDelta` entries carry the
 **base** positions throughout (adjacency is authoritative; per-step

@@ -25,8 +25,8 @@ parent; see :func:`repro.experiments.parallel.run_points`).
 
 Counter semantics: every field is a monotone sum except the fields in
 :data:`MAX_FIELDS` (high-water marks: the scheduler's maximum queue
-depth, the service egress-queue peak, and the sharded driver's largest
-topology copy), which merge by maximum.
+depth, the service egress-queue peak, and the retired
+``replica_nodes_max``), which merge by maximum.
 """
 
 from __future__ import annotations
@@ -99,25 +99,16 @@ class InstrumentationCounters:
     messages_dropped: int = 0
     #: Always 0: decisions are no longer reused across messages (the
     #: coverage kernel's epoch state carries that reuse; see
-    #: ``coverage_epoch_reuses``).  Kept so counter records keep one
-    #: schema.
+    #: ``coverage_epoch_reuses``).  Kept only because the benchmark
+    #: ledger reads it by key.
     forward_set_reuses: int = 0
-    # experiments/sharded.py (sharded mobility driver)
-    #: Re-decisions summed over worker groups; the groups split the
-    #: stale set, so this equals the serial sweep's ``redecided`` total.
+    # Always 0: nothing writes these; ``run_trace_sweep``'s steps carry
+    # the re-decide and flip counts.  Kept only because the benchmark
+    # ledger reads them by key.
     shard_redecides: int = 0
-    #: Always 0: every stale node is decided by exactly one group.  Kept
-    #: because the benchmark ledger reads it by key.
     shard_handoff_redecides: int = 0
-    #: Link flips applied across worker groups: each group replays the
-    #: whole trace, so this is the trace's flip count times the groups.
     shard_flips_applied: int = 0
-    #: High-water node count of any group's topology copy (merge: max);
-    #: ``n``, since every group holds a full copy.
     replica_nodes_max: int = 0
-    #: Always 0: the shard split is static, so the grid is never
-    #: re-partitioned mid-sweep.  Kept because the benchmark ledger
-    #: reads it by key.
     shard_rehomes: int = 0
     # sim/hello.py
     hello_messages: int = 0

@@ -5,7 +5,7 @@ local views; byte-identical sweep results at any ``--jobs N`` and either
 ``REPRO_COVERAGE_BACKEND``) hinge on coding invariants that no runtime
 test can enforce exhaustively: no unordered iteration feeding ordered
 decisions, no ambient RNG or wall-clock reads in simulation paths, and
-private cache, delta and shard state changed only by its owner.  This
+private cache and delta state changed only by its owner.  This
 package enforces them statically::
 
     python -m repro.lint src tests benchmarks

@@ -346,8 +346,6 @@ class _Owner(NamedTuple):
     route: str
     attrs: FrozenSet[str]
     methods: FrozenSet[str] = frozenset()
-    #: Mutators beyond the dict/set ones that change these attributes.
-    mutators: FrozenSet[str] = frozenset()
 
 
 @register
@@ -359,15 +357,12 @@ class OwnershipRule(Rule):
     description = (
         "Writes, del statements or mutator calls on another instance's "
         "private state, and calls to its private methods, outside the "
-        "module that owns that state.  Three owners: every instance's "
+        "module that owns that state.  Two owners: every instance's "
         "epoch-guarded caches (_query_cache, _cache_epoch, _epoch, "
-        "_derived_cache), Topology's adjacency and delta bookkeeping "
+        "_derived_cache) and Topology's adjacency and delta bookkeeping "
         "(_adj, _rows, _version, _all_dirty_version, _node_stamps; "
-        "_bump_epoch, _cached, _apply_delta_fast, _apply_delta_slow), "
-        "and the sharded driver's worker state (_replica, _shard_metrics, "
-        "_subgraph, _global_nodes, _local_of; _sync_replica, _redecide; "
-        "topology mutators count as mutators there).  "
-        "Caches, dirty tracking, shard replicas and a mask-built graph's "
+        "_bump_epoch, _cached, _apply_delta_fast, _apply_delta_slow).  "
+        "Caches, dirty tracking and a mask-built graph's "
         "lazily decoded adjacency stay coherent only while every change "
         "goes through the owner's API."
     )
@@ -396,21 +391,6 @@ class OwnershipRule(Rule):
             frozenset(
                 {"_bump_epoch", "_cached", "_apply_delta_fast",
                  "_apply_delta_slow"}
-            ),
-        ),
-        _Owner(
-            "sharded.py",
-            "the shard driver",
-            "route work through run_sharded_mobility_sweep / "
-            "run_sharded_trace",
-            frozenset(
-                {"_replica", "_shard_metrics", "_subgraph", "_global_nodes",
-                 "_local_of"}
-            ),
-            frozenset({"_sync_replica", "_redecide"}),
-            frozenset(
-                {"add_edge", "remove_edge", "add_node", "remove_node",
-                 "apply_delta"}
             ),
         ),
     )
@@ -457,7 +437,7 @@ class OwnershipRule(Rule):
                     f"call to the private {method}() on a foreign "
                     f"instance bypasses {row.owner}; {row.route}"
                 )
-            if method in self.MUTATORS or method in row.mutators:
+            if method in self.MUTATORS:
                 attribute = _foreign_attribute(func.value, row.attrs)
                 if attribute is not None:
                     return (

@@ -54,8 +54,7 @@ class TestCli:
         code = main(
             [
                 "sharded-mobility", "--quick",
-                "--mobility-nodes", "60", "--steps", "3",
-                "--shards", "2", "1", "--jobs", "1",
+                "--mobility-nodes", "60", "--steps", "3", "--jobs", "1",
             ]
         )
         assert code == 0

@@ -1,11 +1,11 @@
-"""Property tests for the sharded incremental mobility driver.
+"""Property tests for the trace sweep split over worker groups.
 
-The determinism contract under test: the merged sharded steps are
-byte-identical to the serial incremental path (and to the full-rebuild
-oracle) at **any** shard grid and worker count, on every coverage
-backend.  Each seed rotates through one (backend, grid, jobs) cell so 50
-seeds cover all 18 combinations several times over without a 900-case
-matrix.
+The determinism contract under test: ``run_trace_sweep(..., jobs=N)``
+merges its worker groups' steps into exactly the serial incremental
+path's steps (and the full-rebuild oracle's forward sets) at **any**
+worker count, on every coverage backend.  Each seed rotates through one
+(backend, jobs) cell so 50 seeds cover all 6 combinations several times
+over.
 """
 
 import contextlib
@@ -22,18 +22,15 @@ from repro.core.priority import (
     RandomEpochPriority,
 )
 from repro.experiments import (
+    ShardGroupFailure,
     run_mobility_sweep,
-    run_sharded_mobility_sweep,
-    run_sharded_trace,
     run_trace_sweep,
 )
 from repro.experiments import runner as runner_module
-from repro.experiments.sharded import ShardGroupFailure
 from repro.graph import (
     Area,
     FlipStep,
     FlipTrace,
-    ShardGrid,
     random_points,
     range_for_average_degree,
     record_flip_trace,
@@ -44,7 +41,6 @@ from repro.instrument import collecting
 
 SEEDS = range(50)
 BACKENDS = ("sets", "bitset")
-GRIDS = ((1, 1), (2, 2), (4, 2))
 JOBS = (1, 2, 4)
 
 
@@ -58,12 +54,8 @@ def _model(seed: int, n: int = 24) -> RandomWaypointModel:
 
 
 def _cell(seed: int):
-    """This seed's (backend, grid, jobs) cell of the rotation."""
-    return (
-        BACKENDS[seed % len(BACKENDS)],
-        GRIDS[(seed // 3) % 3],
-        JOBS[(seed // 9) % 3],
-    )
+    """This seed's (backend, jobs) cell of the rotation."""
+    return BACKENDS[seed % len(BACKENDS)], JOBS[(seed // 2) % len(JOBS)]
 
 
 def _payload(steps):
@@ -74,7 +66,7 @@ def _payload(steps):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sharded_matches_serial_and_rebuild(seed, monkeypatch):
-    backend, grid, jobs = _cell(seed)
+    backend, jobs = _cell(seed)
     monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
     scheme_factory = NcrPriority if seed % 5 == 0 else DegreePriority
     serial = run_mobility_sweep(
@@ -83,10 +75,9 @@ def test_sharded_matches_serial_and_rebuild(seed, monkeypatch):
     rebuilt = run_mobility_sweep(
         _model(seed), 5, 1.0, scheme=scheme_factory(), k=2, incremental=False
     )
-    sharded = run_sharded_mobility_sweep(
-        _model(seed), 5, 1.0,
-        scheme=scheme_factory(), k=2, shards=grid, jobs=jobs,
-        clamp=False,  # exercise real fork pools even on a 1-core box
+    sharded = run_trace_sweep(
+        record_flip_trace(_model(seed), 5, 1.0),
+        scheme=scheme_factory(), k=2, jobs=jobs,
     )
     assert _payload(serial) == _payload(rebuilt)
     # Steps, times, forward sets, flip counts and the re-decide counts:
@@ -95,14 +86,30 @@ def test_sharded_matches_serial_and_rebuild(seed, monkeypatch):
 
 
 def test_bad_jobs_rejected():
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_trace_sweep(record_flip_trace(_model(7), 2, 1.0), jobs=0)
     with pytest.raises(ValueError):
-        run_sharded_mobility_sweep(_model(7), 2, 1.0, jobs=0)
-    with pytest.raises(ValueError):
-        run_sharded_mobility_sweep(_model(7), -1, 1.0)
+        run_mobility_sweep(_model(7), -1, 1.0)
+
+
+def test_more_jobs_than_nodes_matches_serial():
+    # Five requested workers over three nodes: two would own nothing, so
+    # the sweep runs three one-node groups and still merges to serial.
+    positions = {i: Point(0.5 + i, 0.5) for i in range(3)}
+    trace = FlipTrace(
+        positions=positions,
+        radius=1.0,
+        steps=(
+            FlipStep(step=0, time=1.0, added=(), removed=()),
+            FlipStep(step=1, time=2.0, added=(), removed=((1, 2),)),
+        ),
+    )
+    serial = run_trace_sweep(trace, scheme=DegreePriority(), k=2)
+    assert run_trace_sweep(trace, scheme=DegreePriority(), k=2, jobs=5) == serial
 
 
 # ----------------------------------------------------------------------
-# Crafted chain fixture: one flip's dirty ball spans three shards
+# Crafted chain fixture: one flip's dirty ball spans every group
 # ----------------------------------------------------------------------
 
 
@@ -121,36 +128,21 @@ def _chain_trace() -> FlipTrace:
     return FlipTrace(positions=positions, radius=1.0, steps=steps)
 
 
-def test_chain_fixture_geometry():
-    trace = _chain_trace()
-    grid = ShardGrid(trace.positions, trace.radius, shape=(3, 1))
-    assert grid._x_starts == [0, 5, 9, 13]
-    owners = [grid.owner_of(trace.positions[i]) for i in range(13)]
-    # The dirty ball of the (6, 7) flip at radius 2, nodes 4..9, has
-    # owners in all three shards.
-    assert owners == [0] * 5 + [1] * 4 + [2] * 4
-
-
 @pytest.mark.parametrize("jobs", JOBS)
 def test_three_shard_handoff(jobs):
     trace = _chain_trace()
     scheme = DegreePriority()
     serial = run_trace_sweep(trace, scheme=scheme, k=2)
-    with collecting() as counters:
-        sharded = run_sharded_trace(
-            trace, scheme=scheme, k=2, shards=(3, 1), jobs=jobs,
-            clamp=False,
-        )
+    sharded = run_trace_sweep(trace, scheme=scheme, k=2, jobs=jobs)
     assert sharded == serial
     middle = sharded[1]
     assert middle.removed_edges == 1
-    # Nodes 4..9 turn dirty across all three shards; each is decided
-    # once, by its owner's group, with no handoff copies.
+    # Nodes 4..9 turn dirty; group g owns the nodes equal to g modulo
+    # jobs, so at every jobs value the ball spans all groups, and each
+    # node is decided once, by its owner's group.
     assert middle.redecided == 6
     assert sharded[2].added_edges == 1
     assert sharded[0].redecided == 13  # first step decides everyone
-    assert counters.shard_redecides == sum(s.redecided for s in serial)
-    assert counters.shard_handoff_redecides == 0
 
 
 needs_fork = pytest.mark.skipif(
@@ -173,9 +165,8 @@ def _no_hang(seconds: int = 60):
         signal.signal(signal.SIGALRM, previous)
 
 
-# On two workers and a (3, 1) grid, group 0 owns chain nodes 0..4 and
-# 9..12 (shards 0 and 2), group 1 owns nodes 5..8 (shard 1).
-_GROUP_MARKER = {0: 0, 1: 5}
+# On two workers group 0 owns the even chain nodes, group 1 the odd ones.
+_GROUP_MARKER = {0: 0, 1: 1}
 
 
 def _sabotage_group(monkeypatch, fail, group=1):
@@ -196,10 +187,7 @@ def _sabotage_group(monkeypatch, fail, group=1):
 
 
 def _run_chain_on_two_workers():
-    return run_sharded_trace(
-        _chain_trace(), scheme=DegreePriority(), k=2, shards=(3, 1),
-        jobs=2, clamp=False,
-    )
+    return run_trace_sweep(_chain_trace(), scheme=DegreePriority(), k=2, jobs=2)
 
 
 @needs_fork
@@ -290,9 +278,7 @@ def test_trace_replay_matches_live_sweep():
     live = run_mobility_sweep(_model(13), 5, 1.0, scheme=scheme, k=2)
     replayed = run_trace_sweep(trace, scheme=scheme, k=2)
     assert _payload(live) == _payload(replayed)
-    sharded = run_sharded_trace(
-        trace, scheme=scheme, k=2, shards=(2, 2), jobs=2, clamp=False
-    )
+    sharded = run_trace_sweep(trace, scheme=scheme, k=2, jobs=2)
     assert _payload(live) == _payload(sharded)
 
 
@@ -333,13 +319,12 @@ def test_fliptrace_rejects_bad_header():
 
 def test_random_epoch_scheme_sharded_matches_serial():
     # The rank-ordered per-epoch draw reads the whole node set; every
-    # group holds a full copy, so the sharded sweep reproduces it.
+    # group holds a full copy, so the split sweep reproduces it.
     trace = record_flip_trace(_model(7), 4, 1.0)
     serial = run_trace_sweep(trace, scheme=RandomEpochPriority(3), k=2)
-    for jobs in (1, 2):
-        sharded = run_sharded_trace(
-            trace, scheme=RandomEpochPriority(3), k=2, shards=(2, 2),
-            jobs=jobs, clamp=False,
+    for jobs in (2, 3):
+        sharded = run_trace_sweep(
+            trace, scheme=RandomEpochPriority(3), k=2, jobs=jobs
         )
         assert sharded == serial
 
@@ -350,16 +335,9 @@ def test_counters_jobs_invariant_and_serial_equal(jobs):
     scheme = DegreePriority()
     with collecting() as serial_counters:
         serial = run_trace_sweep(trace, scheme=scheme, k=2)
-    with collecting() as base_counters:
-        base = run_sharded_trace(
-            trace, scheme=scheme, k=2, shards=(2, 2), jobs=1, clamp=False
-        )
     with collecting() as counters:
-        sharded = run_sharded_trace(
-            trace, scheme=scheme, k=2, shards=(2, 2), jobs=jobs,
-            clamp=False,
-        )
-    assert serial == base == sharded
+        sharded = run_trace_sweep(trace, scheme=scheme, k=2, jobs=jobs)
+    assert serial == sharded
     # Each stale node is decided by exactly one group, so the
     # decision-side work equals the serial sweep's at every jobs value.
     decision_side = (
@@ -370,30 +348,32 @@ def test_counters_jobs_invariant_and_serial_equal(jobs):
         "mask_floodfills",
     )
     for field in decision_side:
-        serial_count = getattr(serial_counters, field)
-        assert getattr(base_counters, field) == serial_count, field
-        assert getattr(counters, field) == serial_count, field
-    redecided = sum(step.redecided for step in serial)
-    flips = sum(step.added_edges + step.removed_edges for step in serial)
-    assert counters.shard_redecides == base_counters.shard_redecides
-    assert counters.shard_redecides == redecided
-    assert counters.shard_flips_applied == flips * jobs  # one per group
-    assert base_counters.shard_flips_applied == flips
-    assert counters.replica_nodes_max == 24  # every group holds all n
-    assert counters.shard_handoff_redecides == 0
-    assert counters.shard_rehomes == 0
+        assert getattr(counters, field) == getattr(serial_counters, field), field
+    # Every group replays the whole trace on its own topology copy.
+    assert serial_counters.delta_applies > 0
+    assert counters.delta_applies == serial_counters.delta_applies * jobs
+    # Retired shard counters, kept only for the benchmark ledger.
+    for field in (
+        "forward_set_reuses",
+        "shard_redecides",
+        "shard_handoff_redecides",
+        "shard_flips_applied",
+        "replica_nodes_max",
+        "shard_rehomes",
+    ):
+        assert getattr(counters, field) == 0, field
 
 
 # ----------------------------------------------------------------------
-# Skewed load: every flip lands on one shard of a static split
+# Skewed load: every flip lands on one end of the chain
 # ----------------------------------------------------------------------
 
 
 def _skewed_trace(toggles: int = 4) -> FlipTrace:
     """A 13-node chain whose flips all hit the left end.
 
-    Every flip toggles the (0, 1) link, so the whole dirty load lands
-    in the left shard of a (2, 1) grid while the right shard idles.
+    Every flip toggles the (0, 1) link, so the whole dirty load lands on
+    nodes 0..3 while the rest of the chain idles.
     """
     positions = {i: Point(0.5 + i, 0.5) for i in range(13)}
     steps = [FlipStep(step=0, time=1.0, added=(), removed=())]
@@ -415,12 +395,7 @@ def test_skewed_trace_static_split_is_exact(jobs):
     trace = _skewed_trace()
     scheme = DegreePriority()
     serial = run_trace_sweep(trace, scheme=scheme, k=2)
-    with collecting() as counters:
-        sharded = run_sharded_trace(
-            trace, scheme=scheme, k=2, shards=(2, 1), jobs=jobs,
-            clamp=False,
-        )
-    # All churn on one shard changes the load, never the answer: the
-    # static split stays exact and the grid is never re-partitioned.
+    sharded = run_trace_sweep(trace, scheme=scheme, k=2, jobs=jobs)
+    # All churn at one end changes the load, never the answer: the
+    # static split stays exact.
     assert _payload(serial) == _payload(sharded)
-    assert counters.shard_rehomes == 0

@@ -18,8 +18,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 #: fixture pair (its stem, upper-cased) → (rule, virtual path the pair is
 #: linted under, expected finding count in the flagged file).  DET003's
-#: ownership table owns three pairs, one per owner; det009 and det010 are
-#: the pairs of the rules it absorbed.
+#: ownership table owns two pairs, one per owner; det009 is the pair of
+#: the rule it absorbed.
 CASES = {
     "DET001": ("DET001", "src/repro/algorithms/sample.py", 4),
     "DET002": ("DET002", "src/repro/sim/sample.py", 5),
@@ -29,7 +29,6 @@ CASES = {
     "DET007": ("DET007", "src/repro/metrics/sample.py", 2),
     "DET008": ("DET008", "src/repro/sim/sample.py", 2),
     "DET009": ("DET003", "src/repro/sim/sample.py", 4),
-    "DET010": ("DET003", "src/repro/experiments/sample.py", 8),
     "DET011": ("DET011", "src/repro/sim/sample.py", 5),
     "DET012": ("DET012", "src/repro/sim/sample.py", 2),
     "DET013": ("DET013", "src/repro/experiments/sample.py", 4),
