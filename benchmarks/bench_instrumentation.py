@@ -3,9 +3,8 @@
 The event-bus refactor promises that observability is (close to) free
 when disabled: the null bus skips event construction and counter sites
 are a single ``if _STACK:`` check.  This benchmark times the same sweep
-three ways — baseline (no bus, no counters), counters on, and a smaller
-recording-bus leg — and records the ratios so the trajectory is tracked
-across PRs::
+two ways — baseline (no bus, no counters) and counters on — and records
+the ratio so the trajectory is tracked over time::
 
     PYTHONPATH=src python benchmarks/bench_instrumentation.py
     PYTHONPATH=src python benchmarks/bench_instrumentation.py --smoke
@@ -14,20 +13,8 @@ across PRs::
 ``--gate`` exits non-zero when the counters-on run is slower than the
 baseline by more than the given factor (the CI smoke gate uses a
 generous factor because shared runners are noisy; the recorded full-run
-numbers are the authoritative measurement).
-
-Wall clocks on shared machines drift by 10–20% between sessions, so the
-cost of the refactor *itself* (no-op bus vs. the pre-refactor engine)
-cannot be judged against a number recorded in an earlier session.
-``--compare-src PATH`` measures it honestly: point PATH at a checkout of
-the pre-refactor tree (``git worktree add .bench_pre <commit>``) and the
-benchmark interleaves subprocess runs of both trees A/B/A/B in the same
-session, recording the median ratio::
-
-    git worktree add .bench_pre <pre-refactor-commit>
-    PYTHONPATH=src python benchmarks/bench_instrumentation.py \\
-        --compare-src .bench_pre/src
-    git worktree remove .bench_pre
+numbers are the authoritative measurement).  The record names its
+machine under ``env`` (cores, python, commit).
 """
 
 from __future__ import annotations
@@ -36,15 +23,16 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 sys.path.insert(
     0,
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
 )
+
+from bench_parallel import bench_env
 
 from repro.experiments.config import RunSettings
 from repro.experiments.figures import fig11_selection
@@ -52,13 +40,8 @@ from repro.experiments.runner import run_figure
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-#: Default output location: repo root, next to BENCH_parallel.json.
+#: Default output location: the repo root.
 DEFAULT_OUT = os.path.join(_REPO_ROOT, "BENCH_instrumentation.json")
-
-#: The pre-refactor serial wall clock recorded by bench_parallel.py — the
-#: full sweep here uses identical settings, so baseline_seconds compares
-#: directly against its serial_seconds.
-PARALLEL_RECORD = os.path.join(_REPO_ROOT, "BENCH_parallel.json")
 
 FULL_NS = (20, 40, 60, 80, 100)
 SMOKE_NS = (15, 20)
@@ -84,64 +67,6 @@ def _time_sweep(smoke: bool, instrument: bool) -> float:
     return time.perf_counter() - start
 
 
-#: Child process body for the A/B comparison: both trees run the exact
-#: same uninstrumented sweep in a fresh interpreter and print the wall
-#: clock of the sweep alone (imports excluded).
-_CHILD_SNIPPET = """\
-import sys, time
-sys.path.insert(0, {src!r})
-from repro.experiments.config import RunSettings
-from repro.experiments.figures import fig11_selection
-from repro.experiments.runner import run_figure
-settings = RunSettings(
-    min_runs={min_runs}, max_runs={max_runs},
-    relative_half_width={rhw}, seed=20030519,
-)
-figure = fig11_selection(ns={ns!r})
-start = time.perf_counter()
-run_figure(figure, settings)
-print(time.perf_counter() - start)
-"""
-
-
-def _run_child(src: str, smoke: bool, ns: Tuple[int, ...]) -> float:
-    if smoke:
-        min_runs, max_runs, rhw = 4, 6, 0.5
-    else:
-        min_runs, max_runs, rhw = 10, 25, 0.02
-    snippet = _CHILD_SNIPPET.format(
-        src=os.path.abspath(src), min_runs=min_runs, max_runs=max_runs,
-        rhw=rhw, ns=tuple(ns),
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", snippet],
-        check=True, capture_output=True, text=True,
-    )
-    return float(result.stdout.strip().splitlines()[-1])
-
-
-def compare_against(pre_src: str, smoke: bool, repeats: int) -> dict:
-    """Interleaved same-session A/B: ``pre_src`` tree vs. this tree."""
-    ns = SMOKE_NS if smoke else FULL_NS
-    current_src = os.path.join(_REPO_ROOT, "src")
-    pre: List[float] = []
-    post: List[float] = []
-    for _ in range(repeats):
-        pre.append(_run_child(pre_src, smoke, ns))
-        post.append(_run_child(current_src, smoke, ns))
-    pre_median = statistics.median(pre)
-    post_median = statistics.median(post)
-    return {
-        "compare_src": pre_src,
-        "pre_refactor_seconds": round(pre_median, 3),
-        "post_refactor_seconds": round(post_median, 3),
-        "vs_pre_refactor_ratio": (
-            round(post_median / pre_median, 4) if pre_median else None
-        ),
-        "vs_pre_refactor_basis": "same_session_interleaved_ab",
-    }
-
-
 def run_comparison(smoke: bool, repeats: int) -> dict:
     """Time the Fig. 11 sweep with instrumentation off and on."""
     ns = SMOKE_NS if smoke else FULL_NS
@@ -155,32 +80,17 @@ def run_comparison(smoke: bool, repeats: int) -> dict:
         instrumented.append(_time_sweep(smoke, instrument=True))
     base = statistics.median(baseline)
     inst = statistics.median(instrumented)
-    record = {
+    return {
         "benchmark": "bench_instrumentation",
         "figure": "fig11",
         "mode": "smoke" if smoke else "full",
         "ns": list(ns),
         "repeats": repeats,
-        "cpu_count": os.cpu_count(),
+        "env": bench_env(),
         "baseline_seconds": round(base, 3),
         "instrumented_seconds": round(inst, 3),
         "overhead_ratio": round(inst / base, 4) if base else None,
     }
-    if not smoke and os.path.exists(PARALLEL_RECORD):
-        # The full sweep uses bench_parallel's serial settings verbatim,
-        # so its recorded serial_seconds is a same-settings reference —
-        # but one from an earlier session, where machine drift dominates.
-        # ``--compare-src`` overrides this with the authoritative
-        # same-session A/B number.
-        with open(PARALLEL_RECORD, encoding="utf-8") as handle:
-            prior = json.load(handle)
-        if prior.get("mode") == "full":
-            reference = prior.get("serial_seconds")
-            record["pre_refactor_serial_seconds"] = reference
-            if reference:
-                record["vs_pre_refactor_ratio"] = round(base / reference, 4)
-                record["vs_pre_refactor_basis"] = "cross_session_record"
-    return record
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -204,19 +114,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="where to write the JSON record "
         "(default: BENCH_instrumentation.json)",
     )
-    parser.add_argument(
-        "--compare-src", default=None,
-        help="src/ directory of a pre-refactor checkout; interleaves "
-        "subprocess runs of both trees for a same-session refactor-cost "
-        "ratio",
-    )
     args = parser.parse_args(argv)
 
     record = run_comparison(args.smoke, max(1, args.repeats))
-    if args.compare_src:
-        record.update(
-            compare_against(args.compare_src, args.smoke, max(1, args.repeats))
-        )
     if args.gate is not None:
         record["gate_ratio"] = args.gate
         record["gate_passed"] = record["overhead_ratio"] <= args.gate

@@ -18,7 +18,7 @@ per period favour cheap views; many favour expensive, well-pruned ones —
 the crossover is the quantity the paper argues about qualitatively.
 
 :func:`measure_overhead_instrumented` closes the loop on the analytical
-model: it re-runs the same trials with instrumentation counters on and
+model: it runs the trials with instrumentation counters on and
 *simulates* the hello rounds message by message, so the table the report
 module renders puts measured hello beacons and measured transmissions
 next to the model's ``n * (k + extra_rounds)`` and mean-forward terms.
@@ -29,11 +29,11 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from ..algorithms.base import Timing
 from ..algorithms.generic import GenericSelfPruning
-from ..core.priority import PriorityScheme, scheme_by_name
+from ..core.priority import scheme_by_name
 from ..graph.generators import random_connected_network
 from ..instrument import collecting
 from ..sim.engine import SimulationEnvironment, run_broadcast
@@ -76,29 +76,11 @@ def measure_overhead(
     trials: int = 15,
     seed: int = 97,
 ) -> OverheadPoint:
-    """Measure one (k, scheme) configuration's cost ingredients."""
-    scheme = scheme_by_name(scheme_name)
-    rng = random.Random(seed)
-    forwards: List[float] = []
-    for trial in range(trials):
-        net = random_connected_network(n, degree, rng)
-        env = SimulationEnvironment(net.topology, scheme)
-        protocol = GenericSelfPruning(Timing.FIRST_RECEIPT, hops=hops)
-        protocol.prepare(env)
-        outcome = run_broadcast(
-            net.topology, protocol, rng.choice(net.topology.nodes()),
-            rng=random.Random(trial), env=env,
-        )
-        if len(outcome.delivered) != n:
-            raise AssertionError("broadcast failed coverage")
-        forwards.append(outcome.forward_count)
-    return OverheadPoint(
-        hops=hops,
-        scheme_name=scheme_name,
-        hello_rounds=hops + scheme.extra_rounds,
-        mean_forwards=statistics.mean(forwards),
-        n=n,
-    )
+    """Measure one (k, scheme) configuration's cost ingredients (the
+    ``point`` of :func:`measure_overhead_instrumented`)."""
+    return measure_overhead_instrumented(
+        hops, scheme_name, n=n, degree=degree, trials=trials, seed=seed
+    ).point
 
 
 @dataclass(frozen=True)
@@ -141,11 +123,11 @@ def measure_overhead_instrumented(
 ) -> MeasuredOverhead:
     """Measure one (k, scheme) configuration with counters on.
 
-    Runs the same deployments, sources, and broadcasts as
-    :func:`measure_overhead` (identical RNG draws, so ``point`` is
-    identical), additionally simulating one hello period of
-    ``k + extra_rounds`` beacon rounds per deployment, all inside a
-    :func:`repro.instrument.collecting` scope.
+    Simulates ``trials`` random deployments, each with one hello
+    period of ``k + extra_rounds`` beacon rounds and one broadcast from
+    a random source, all inside a :func:`repro.instrument.collecting`
+    scope.  The hello rounds draw no randomness, so ``point`` depends
+    only on the deployments, sources and broadcasts.
     """
     scheme = scheme_by_name(scheme_name)
     rng = random.Random(seed)

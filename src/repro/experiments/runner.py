@@ -369,7 +369,7 @@ def _incremental_sweep_over(
             stale = graph.nodes()  # first step: everything undecided
         elif snap.report is None:
             stale = []  # no link flipped; every cached decision stands
-        elif radius is None or not snap.report.fast_path:
+        elif radius is None:
             stale = graph.nodes()
         else:
             stale = sorted(snap.report.dirty_at(radius))

@@ -37,8 +37,8 @@ class SnapshotDelta:
 
     ``graph.topology`` is the *same mutable* :class:`Topology` object
     across every step of one :meth:`RandomWaypointModel.snapshot_deltas`
-    iteration — mutated in place through ``apply_delta`` so per-epoch
-    caches survive for every node outside the dirty set.  ``report`` is
+    iteration — mutated in place through ``apply_delta`` so its query
+    cache survives for every node outside the dirty set.  ``report`` is
     ``None`` on steps where no link flipped (the topology is untouched,
     caches survive verbatim).  ``flip_count`` is the total number of
     links that crossed the radius threshold this step

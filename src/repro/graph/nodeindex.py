@@ -13,17 +13,19 @@ per-edge set insert.
 is *stable* for the life of the index (positions follow the graph's node
 insertion order), so masks produced against the same index are mutually
 compatible; a change to the underlying graph's *node set* must produce a
-fresh index (see ``Topology.node_index`` — the index is memoised behind
-the topology's mutation epoch).  Edge-only deltas keep the index: the
-node universe is unchanged, so ``Topology.apply_delta`` patches just the
-affected adjacency rows of the cached mask table (:func:`patch_rows`)
-and every retained mask stays comparable across the delta.
+fresh index (see ``Topology.node_index`` — a structural mutation clears
+the topology's query cache, the index included).  Deltas keep the index:
+``Topology.apply_delta`` flips links among the existing nodes, so it
+patches just the affected adjacency rows of the cached mask table
+(:func:`patch_rows`) and every retained mask stays comparable across the
+delta.
 
 A k-hop view graph is born as a mask table: ``Topology.k_hop_view_graph``
-indexes the view by its BFS order (``tuple(bfs_distances(v, k))``, the
-view's node insertion order) and writes each row straight in view
-positions, so the view's masks never pass through node ids on their way
-to the coverage kernel.  Induced subgraphs are built the same way.
+indexes the view by the order of a truncated BFS from its centre (the
+view's node insertion order; the BFS itself is not kept, the index is
+its record) and writes each row straight in view positions, so the
+view's masks never pass through node ids on their way to the coverage
+kernel.  Induced subgraphs are built the same way.
 
 Masks are plain ``int`` values: share them freely, but treat any mask
 table obtained from a :class:`~repro.graph.topology.Topology` as a

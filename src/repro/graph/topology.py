@@ -15,21 +15,25 @@ needs:
 The structure is deliberately small and dependency-free; tests validate it
 against networkx oracles.
 
-Traversal results (:meth:`Topology.bfs_distances`,
-:meth:`Topology.k_hop_view_graph`, :meth:`Topology.neighbors`, and the
-degree aggregates) are memoised behind a mutation-epoch counter: every
-structural change (``add_edge``, ``remove_edge``, ``add_node`` of a new
-node, ``remove_node``) bumps the epoch and lazily drops the cache, so
-mobility snapshots and incremental edits stay correct while repeated
-queries on a static deployment — the experiment hot path — are free after
-the first computation.
+Traversal results (:meth:`Topology.k_hop_view_graph`,
+:meth:`Topology.neighbors`, the untruncated BFS behind
+:meth:`Topology.is_connected` and :meth:`Topology.eccentricity`, and the
+degree aggregates) are memoised in one query cache: every structural
+change (``add_edge``, ``remove_edge``, ``add_node`` of a new node,
+``remove_node``) advances :meth:`Topology.version_stamp` and clears the
+cache, so incremental edits stay correct while repeated queries on a
+static deployment — the experiment hot path — are free after the first
+computation.  :meth:`Topology.apply_delta` flips links among the
+existing nodes and evicts only the entries within reach of the flipped
+endpoints (paper Definition 2), so a mobility step keeps every view
+graph outside its dirty ball.
 
 The subset-algebra kernels (k-hop frontiers, connected components,
 priority metrics) run on the node-indexed bitmask layer of
 :mod:`repro.graph.nodeindex`: :meth:`Topology.node_index` pins a stable
 node → bit-position mapping and :meth:`Topology.adjacency_masks` caches
-one ``int`` neighbor mask per node, both invalidated by the same mutation
-epoch as every other memoised query.  Derived graphs — k-hop view graphs
+one ``int`` neighbor mask per node, both invalidated with every other
+memoised query.  Derived graphs — k-hop view graphs
 and induced subgraphs — are *mask-built*: they are born as their own
 ``(index, rows)`` table (:meth:`Topology._from_rows`), the membership,
 neighbor and degree queries answer from it, and the adjacency dict is
@@ -67,35 +71,22 @@ Edge = Tuple[int, int]
 class DeltaReport:
     """What one :meth:`Topology.apply_delta` call invalidated.
 
-    ``dirty_nodes`` is the union dirty set over every radius the delta
-    had to consider (sorted, so downstream consumers can iterate it
-    deterministically).  ``dirty_by_radius`` maps each considered radius
-    to its own dirty ball; it is ``None`` when the delta fell back to the
-    full-rebuild path, in which case *every* node is dirty at *every*
-    radius.  ``entries_retained``/``entries_evicted`` count query-cache
-    entries that survived/died (the patched mask table counts as
-    retained).
+    ``dirty_by_radius`` maps each radius the delta considered (every
+    radius with cached queries, plus the caller's ``extra_radii``) to its
+    dirty ball.
     """
 
-    fast_path: bool
-    dirty_nodes: Tuple[int, ...]
-    entries_retained: int
-    entries_evicted: int
-    dirty_by_radius: Optional[Mapping[int, FrozenSet[int]]]
+    dirty_by_radius: Mapping[int, FrozenSet[int]]
 
     def dirty_at(self, radius: int) -> FrozenSet[int]:
-        """The dirty set at ``radius`` — nodes whose cached radius-
-        ``radius`` queries (k-hop masks, truncated BFS, view graphs) may
-        have changed.
+        """The dirty set at ``radius`` — nodes whose radius-``radius``
+        queries (k-hop masks, view graphs) may have changed.
 
-        On the fallback path everything is dirty.  On the fast path the
-        radius must have been considered by the delta (it was either
+        The radius must have been considered by the delta (it was either
         present in the query cache or requested through ``extra_radii``);
         asking for an uncomputed radius raises ``KeyError`` rather than
         guessing.
         """
-        if self.dirty_by_radius is None:
-            return frozenset(self.dirty_nodes)
         try:
             return self.dirty_by_radius[radius]
         except KeyError as exc:
@@ -123,23 +114,12 @@ class Topology:
         #: until its first mutation; the read accessors answer from it
         #: without decoding :attr:`_adj`.  ``None`` on every other graph.
         self._rows: Optional[Tuple[NodeIndex, Tuple[int, ...]]] = None
-        #: Mutation epoch: bumped by every structural change so memoised
-        #: query results can be dropped lazily (see :meth:`_cached`).
-        self._epoch: int = 0
-        self._cache_epoch: int = 0
+        #: Memoised queries of the current version (see :meth:`_cached`).
         self._query_cache: Dict[Tuple, object] = {}
-        #: Monotone version stamp: bumped by every structural change
-        #: *including* :meth:`apply_delta` (which leaves ``_epoch``
-        #: untouched on the fast path so retained cache entries survive).
-        #: External caches record :meth:`version_stamp` and consult
-        #: :meth:`dirtied_since` to decide what to drop.
+        #: Monotone version stamp: bumped by every structural change,
+        #: :meth:`apply_delta` included.  External caches record
+        #: :meth:`version_stamp` and drop their entries when it moves.
         self._version: int = 0
-        #: Version at which *every* node was last dirtied (epoch bumps).
-        self._all_dirty_version: int = 0
-        #: Per-node version of the last delta whose dirty set contained
-        #: the node; pruned on epoch bumps (``_all_dirty_version``
-        #: dominates everything recorded before them).
-        self._node_stamps: Dict[int, int] = {}
         for node in nodes:
             self.add_node(node)
         for u, v in edges:
@@ -150,19 +130,11 @@ class Topology:
     # ------------------------------------------------------------------
 
     def _bump_epoch(self) -> None:
-        """Record a wholesale structural change (every node dirty).
-
-        The single chokepoint for epoch bumps: it advances the version
-        stamp in lockstep so external dirty-aware caches (views, the
-        simulation environment) observe full mutations exactly like
-        delta applications — just with an all-dirty node set.
-        """
-        self._epoch += 1
+        """Record a wholesale structural change: advance the version
+        stamp and clear every memoised query."""
         self._version += 1
-        self._all_dirty_version = self._version
         self._rows = None
-        if self._node_stamps:
-            self._node_stamps.clear()
+        self._query_cache.clear()
 
     def add_node(self, node: int) -> None:
         """Add ``node`` if not already present."""
@@ -243,14 +215,9 @@ class Topology:
     # ------------------------------------------------------------------
 
     def _cached(self, key: Tuple, compute):
-        """Return ``compute()`` memoised under ``key`` for the current epoch.
-
-        The cache is cleared lazily on first access after any mutation, so
-        mutators stay O(1) and a burst of edits costs one invalidation.
-        """
-        if self._cache_epoch != self._epoch:
-            self._query_cache.clear()
-            self._cache_epoch = self._epoch
+        """Return ``compute()`` memoised under ``key`` for the current
+        version (mutators clear the cache, :meth:`apply_delta` evicts
+        the dirty entries)."""
         cache = self._query_cache
         if key not in cache:
             if _COUNTER_STACK:
@@ -265,37 +232,15 @@ class Topology:
     # ------------------------------------------------------------------
 
     def version_stamp(self) -> int:
-        """A monotone stamp advanced by every structural change.
-
-        Unlike ``_epoch`` (which :meth:`apply_delta` deliberately leaves
-        untouched so the query cache survives), the version stamp moves
-        on *every* mutation.  External caches record it and later ask
-        :meth:`dirtied_since` which of their entries to drop.
-        """
+        """A monotone stamp advanced by every structural change,
+        :meth:`apply_delta` included.  External caches record it and
+        drop their entries when it moves."""
         return self._version
-
-    def node_stamp(self, node: int) -> int:
-        """The version at which ``node`` was last in a dirty set."""
-        stamp = self._node_stamps.get(node, 0)
-        if stamp < self._all_dirty_version:
-            return self._all_dirty_version
-        return stamp
-
-    def dirtied_since(self, node: int, version: int) -> bool:
-        """Whether ``node``'s neighborhood may have changed after
-        ``version`` (as returned by :meth:`version_stamp`).
-
-        Conservative: a node absent from the graph, or dirtied at *any*
-        radius the intervening deltas considered, reports ``True``.
-        """
-        if node not in self:
-            return True
-        return self.node_stamp(node) > version
 
     def _dirty_ball(self, seeds: Iterable[int], radius: int) -> Set[int]:
         """All nodes within ``radius`` hops of any seed, on the current
-        adjacency (seeds not currently in the graph are skipped)."""
-        seen = {node for node in seeds if node in self._adj}
+        adjacency."""
+        seen = set(seeds)
         frontier = list(seen)
         for _ in range(radius):
             grown: List[int] = []
@@ -317,9 +262,9 @@ class Topology:
         """A copy of the cached mask table with the endpoints' adjacency
         rows rebuilt from the (already mutated) adjacency dict.
 
-        Only endpoint rows can change under an edge-only delta, and the
-        node set is unchanged, so the :class:`NodeIndex` itself is
-        reused verbatim — masks built before and after the delta stay
+        Only endpoint rows can change under an edge delta, and the node
+        set is unchanged, so the :class:`NodeIndex` itself is reused
+        verbatim — masks built before and after the delta stay
         comparable.
         """
         index, masks = table
@@ -332,68 +277,43 @@ class Topology:
         self,
         added_edges: Iterable[Edge] = (),
         removed_edges: Iterable[Edge] = (),
-        added_nodes: Iterable[int] = (),
-        removed_nodes: Iterable[int] = (),
         extra_radii: Iterable[int] = (),
     ) -> DeltaReport:
-        """Apply a structural delta, evicting only dirty cache entries.
+        """Flip links among the existing nodes, evicting only dirty
+        cache entries.
 
         The locality argument (paper Definition 2): a cached radius-``r``
-        query for ``v`` — k-hop mask, truncated BFS, view graph — can
-        only change if some changed-edge endpoint lies within ``r`` hops
-        of ``v`` in the old *or* new graph, because a path of length
-        ``<= r`` from ``v`` through a changed edge reaches one of its
-        endpoints in ``< r`` hops, and an edge whose endpoints are both
-        on the exactly-``r`` ring is invisible in ``G_r(v)`` anyway.  So
-        the **fast path** (edge-only deltas between existing nodes)
-        computes, per radius present in the query cache (plus any
-        ``extra_radii`` the caller's own caches care about), the dirty
-        ball around the changed endpoints on the old and the new
-        adjacency, evicts exactly those entries, and patches the
-        endpoints' :meth:`adjacency_masks` rows in place under the
-        stable :class:`~repro.graph.nodeindex.NodeIndex`.
+        query for ``v`` — k-hop mask, view graph — can only change if
+        some changed-edge endpoint lies within ``r`` hops of ``v`` in the
+        old *or* new graph, because a path of length ``<= r`` from ``v``
+        through a changed edge reaches one of its endpoints in ``< r``
+        hops, and an edge whose endpoints are both on the exactly-``r``
+        ring is invisible in ``G_r(v)`` anyway.  So the delta computes,
+        per radius present in the query cache (plus any ``extra_radii``
+        the caller's own caches care about), the dirty ball around the
+        changed endpoints on the old and the new adjacency, evicts
+        exactly those entries, and patches the endpoints'
+        :meth:`adjacency_masks` rows in place under the stable
+        :class:`~repro.graph.nodeindex.NodeIndex`.
 
-        Node additions/removals (and edges naming unknown endpoints)
-        change the index capacity, so they **fall back** to the ordinary
-        mutators — a full epoch bump — and the report marks every node
-        dirty.  Correctness never depends on the fast path.
-
-        Deltas are validated before anything mutates: removed edges must
-        exist, added edges between existing nodes must be absent, added
-        nodes must be new, removed nodes must exist, and no edge may be
-        both added and removed.
+        Deltas are validated before anything mutates: every endpoint
+        must be a node of the graph, removed edges must exist, added
+        edges must be absent, and no edge may be both added and removed.
         """
         adds = list(dict.fromkeys(self._normalised(added_edges)))
         drops = list(dict.fromkeys(self._normalised(removed_edges)))
-        new_nodes = list(dict.fromkeys(added_nodes))
-        dead_nodes = list(dict.fromkeys(removed_nodes))
         radii = sorted(dict.fromkeys(extra_radii))
         for radius in radii:
             if radius < 0:
                 raise ValueError(f"radii must be non-negative, got {radius}")
-        self._validate_delta(adds, drops, new_nodes, dead_nodes)
-
-        fast = not new_nodes and not dead_nodes and all(
-            u in self._adj and v in self._adj for u, v in adds
-        )
-        if not fast:
-            return self._apply_delta_slow(adds, drops, new_nodes, dead_nodes)
+        self._validate_delta(adds, drops)
         if not adds and not drops:
             # Nothing changed: no version bump, nothing to evict.
-            if self._cache_epoch != self._epoch:
-                self._query_cache.clear()
-                self._cache_epoch = self._epoch
             if _COUNTER_STACK:
                 counters = _COUNTER_STACK[-1]
                 counters.delta_applies += 1
                 counters.cache_entries_retained += len(self._query_cache)
-            return DeltaReport(
-                fast_path=True,
-                dirty_nodes=(),
-                entries_retained=len(self._query_cache),
-                entries_evicted=0,
-                dirty_by_radius={radius: frozenset() for radius in radii},
-            )
+            return DeltaReport({radius: frozenset() for radius in radii})
         return self._apply_delta_fast(adds, drops, radii)
 
     @staticmethod
@@ -406,13 +326,7 @@ class Topology:
             result.append((u, v) if u < v else (v, u))
         return result
 
-    def _validate_delta(
-        self,
-        adds: List[Edge],
-        drops: List[Edge],
-        new_nodes: List[int],
-        dead_nodes: List[int],
-    ) -> None:
+    def _validate_delta(self, adds: List[Edge], drops: List[Edge]) -> None:
         overlap = set(adds) & set(drops)
         if overlap:
             raise ValueError(
@@ -421,50 +335,12 @@ class Topology:
         for u, v in drops:
             if not self.has_edge(u, v):
                 raise KeyError(f"edge ({u}, {v}) not in graph")
-        dead = set(dead_nodes)
-        for node in dead_nodes:
-            if node not in self._adj:
-                raise KeyError(f"node {node} not in graph")
-        for node in new_nodes:
-            if node in self._adj:
-                raise ValueError(f"node {node} already in graph")
         for u, v in adds:
-            if u in dead or v in dead:
-                raise ValueError(
-                    f"added edge ({u}, {v}) touches a removed node"
-                )
-            if u in self._adj and v in self._adj and self.has_edge(u, v):
+            for node in (u, v):
+                if node not in self:
+                    raise KeyError(f"node {node} not in graph")
+            if self.has_edge(u, v):
                 raise ValueError(f"edge ({u}, {v}) already in graph")
-
-    def _apply_delta_slow(
-        self,
-        adds: List[Edge],
-        drops: List[Edge],
-        new_nodes: List[int],
-        dead_nodes: List[int],
-    ) -> DeltaReport:
-        """Fallback: node-set changes go through the ordinary mutators
-        (full epoch bump; nothing is retained, everything is dirty)."""
-        for u, v in drops:
-            self.remove_edge(u, v)
-        for node in dead_nodes:
-            self.remove_node(node)
-        for node in new_nodes:
-            self.add_node(node)
-        for u, v in adds:
-            self.add_edge(u, v)
-        dirty = tuple(sorted(self._adj))
-        if _COUNTER_STACK:
-            counters = _COUNTER_STACK[-1]
-            counters.delta_applies += 1
-            counters.dirty_nodes_invalidated += len(dirty)
-        return DeltaReport(
-            fast_path=False,
-            dirty_nodes=dirty,
-            entries_retained=0,
-            entries_evicted=len(self._query_cache),
-            dirty_by_radius=None,
-        )
 
     def _apply_delta_fast(
         self,
@@ -472,12 +348,6 @@ class Topology:
         drops: List[Edge],
         extra_radii: List[int],
     ) -> DeltaReport:
-        # Flush a pending lazy clear first so the eviction scan only ever
-        # sees entries that are live for the current epoch.
-        if self._cache_epoch != self._epoch:
-            self._query_cache.clear()
-            self._cache_epoch = self._epoch
-
         endpoints = sorted({node for edge in adds + drops for node in edge})
         endpoint_set = set(endpoints)
 
@@ -485,10 +355,7 @@ class Topology:
         # any radius the caller's own caches are keyed on.
         radii = set(extra_radii)
         for key in self._query_cache:
-            tag = key[0]
-            if tag in ("k_hop_mask", "view_graph"):
-                radii.add(key[2])
-            elif tag == "bfs" and key[2] is not None:
+            if key[0] in ("k_hop_mask", "view_graph"):
                 radii.add(key[2])
 
         dirty: Dict[int, Set[int]] = {
@@ -505,7 +372,6 @@ class Topology:
             dirty[radius] |= self._dirty_ball(endpoints, radius)
 
         keep: Dict[Tuple, object] = {}
-        evicted = 0
         for key, value in self._query_cache.items():
             tag = key[0]
             if tag == "node_index":
@@ -513,45 +379,25 @@ class Topology:
             elif tag == "mask_table":
                 keep[key] = self._patched_mask_table(value, endpoints)  # type: ignore[arg-type]
             elif tag == "neighbors":
-                if key[1] in endpoint_set:
-                    evicted += 1
-                else:
+                if key[1] not in endpoint_set:
                     keep[key] = value
             elif tag in ("k_hop_mask", "view_graph"):
-                if key[1] in dirty[key[2]]:
-                    evicted += 1
-                else:
+                if key[1] not in dirty[key[2]]:
                     keep[key] = value
-            elif tag == "bfs":
-                if key[2] is None or key[1] in dirty[key[2]]:
-                    evicted += 1
-                else:
-                    keep[key] = value
-            else:
-                # max_degree and any future aggregate: evict, stay safe.
-                evicted += 1
+            # Untruncated BFS, max_degree and any future aggregate are
+            # evicted: they are global, not local to a dirty ball.
         self._query_cache = keep
-
         self._version += 1
-        dirty_union: Set[int] = set(endpoint_set)
-        for ball in dirty.values():
-            dirty_union |= ball
-        for node in dirty_union:
-            self._node_stamps[node] = self._version
 
         if _COUNTER_STACK:
             counters = _COUNTER_STACK[-1]
             counters.delta_applies += 1
-            counters.dirty_nodes_invalidated += len(dirty_union)
+            counters.dirty_nodes_invalidated += len(
+                endpoint_set.union(*dirty.values())
+            )
             counters.cache_entries_retained += len(keep)
         return DeltaReport(
-            fast_path=True,
-            dirty_nodes=tuple(sorted(dirty_union)),
-            entries_retained=len(keep),
-            entries_evicted=evicted,
-            dirty_by_radius={
-                radius: frozenset(dirty[radius]) for radius in sorted(radii)
-            },
+            {radius: frozenset(dirty[radius]) for radius in sorted(radii)}
         )
 
     # ------------------------------------------------------------------
@@ -559,12 +405,13 @@ class Topology:
     # ------------------------------------------------------------------
 
     def node_index(self) -> NodeIndex:
-        """The node-id → bit-position mapping for the current epoch.
+        """The node-id → bit-position mapping of the current node set.
 
         Positions follow node insertion order.  The index (like every
-        mask built against it) is memoised behind the mutation epoch: a
-        structural change produces a fresh index, so stale masks can
-        never be combined with fresh ones through this accessor.
+        mask built against it) is memoised: a change to the node set
+        produces a fresh index, so stale masks can never be combined
+        with fresh ones through this accessor, and an edge delta keeps
+        it (the node set is unchanged).
         """
         return self._cached(("node_index",), lambda: NodeIndex(self._adj))
 
@@ -572,7 +419,7 @@ class Topology:
         """``(index, masks)``: the per-node adjacency bitmask table.
 
         ``masks[index.position(v)]`` is the neighbor mask ``N(v)``.  The
-        table is memoised per epoch and shared between callers — treat
+        table is memoised per version and shared between callers — treat
         it as a read-only snapshot.
         """
         return self._cached(("mask_table",), self._mask_table_compute)
@@ -688,7 +535,7 @@ class Topology:
         return bool(rows[index.position(u)] & index.bit(v))
 
     def neighbors(self, node: int) -> FrozenSet[int]:
-        """The open neighbor set ``N(node)`` (memoised per epoch)."""
+        """The open neighbor set ``N(node)`` (memoised per version)."""
         if node not in self:
             raise KeyError(f"node {node} not in graph")
         return self._cached(
@@ -724,7 +571,7 @@ class Topology:
         return 2.0 * self.edge_count() / self.node_count()
 
     def max_degree(self) -> int:
-        """Largest degree; 0 on an empty graph (memoised per epoch)."""
+        """Largest degree; 0 on an empty graph (memoised per version)."""
         if not self._adj:
             return 0
         return self._cached(
@@ -746,26 +593,27 @@ class Topology:
     ) -> Dict[int, int]:
         """Hop distances from ``source`` to every reachable node.
 
-        With ``max_hops`` the search is truncated at that radius, which is
-        how k-hop neighborhoods are computed.  Memoised per epoch; the
-        returned dict is a private copy the caller may mutate.
+        With ``max_hops`` the search is truncated at that radius.  The
+        untruncated search is memoised per version (it backs
+        :meth:`is_connected` and :meth:`eccentricity`); the returned dict
+        is a private copy the caller may mutate either way.
         """
-        return dict(self._bfs_distances_cached(source, max_hops))
+        if max_hops is not None:
+            return self._bfs_distances_compute(source, max_hops)
+        return dict(self._bfs_distances_cached(source))
 
-    def _bfs_distances_cached(
-        self, source: int, max_hops: Optional[int]
-    ) -> Dict[int, int]:
-        """The shared memoised BFS result — callers must not mutate it."""
-        if source not in self._adj:
-            raise KeyError(f"node {source} not in graph")
+    def _bfs_distances_cached(self, source: int) -> Dict[int, int]:
+        """The shared memoised untruncated BFS — callers must not mutate
+        it."""
         return self._cached(
-            ("bfs", source, max_hops),
-            lambda: self._bfs_distances_compute(source, max_hops),
+            ("bfs", source), lambda: self._bfs_distances_compute(source, None)
         )
 
     def _bfs_distances_compute(
         self, source: int, max_hops: Optional[int]
     ) -> Dict[int, int]:
+        if source not in self._adj:
+            raise KeyError(f"node {source} not in graph")
         if _COUNTER_STACK:
             _COUNTER_STACK[-1].bfs_runs += 1
         distances: Dict[int, int] = {source: 0}
@@ -816,7 +664,7 @@ class Topology:
 
     def eccentricity(self, node: int) -> int:
         """Largest hop distance from ``node`` to any reachable node."""
-        return max(self._bfs_distances_cached(node, None).values())
+        return max(self._bfs_distances_cached(node).values())
 
     def diameter(self) -> int:
         """Largest eccentricity over all nodes (graph must be connected)."""
@@ -829,7 +677,7 @@ class Topology:
         if not self._adj:
             return True
         first = next(iter(self._adj))
-        return len(self._bfs_distances_cached(first, None)) == len(self._adj)
+        return len(self._bfs_distances_cached(first)) == len(self._adj)
 
     def connected_components(self) -> List[Set[int]]:
         """All connected components as node sets (mask flood-fill)."""
@@ -951,15 +799,16 @@ class Topology:
         are both exactly ``k`` hops away from ``v`` are invisible, because
         they were never reported in only ``k`` rounds of "hello" exchanges.
 
-        Built in one pass over the memoised truncated BFS as a mask-built
-        graph (:meth:`_from_rows`): the view's index is the BFS order
+        Built in one pass over a truncated BFS as a mask-built graph
+        (:meth:`_from_rows`): the view's index is the BFS order
         ``tuple(bfs_distances(v, k))``, and each row is the parent row
         ``N(u)`` restricted to ``N_k(v)`` — to ``N_{k-1}(v)`` when ``u``
         lies on the outermost ring — remapped to view positions.  The
         view's :meth:`adjacency_masks` is that table, so the coverage
         kernel never decodes or re-encodes it.
 
-        Memoised per epoch; the returned view graph is shared between
+        Memoised per version (the BFS is not: the view's index already
+        holds its order); the returned view graph is shared between
         callers and must be treated as a read-only snapshot.
         """
         if k < 0:
@@ -970,7 +819,7 @@ class Topology:
         )
 
     def _k_hop_view_graph_compute(self, node: int, k: int) -> "Topology":
-        distances = self._bfs_distances_cached(node, k)
+        distances = self._bfs_distances_compute(node, k)
         bit = {u: 1 << position for position, u in enumerate(distances)}
         inner = {u for u, hops_u in distances.items() if hops_u < k}
         adj = self._adj

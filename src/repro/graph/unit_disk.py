@@ -208,15 +208,17 @@ def edge_flips(
     return added, removed
 
 
-def _diameter_bound(positions: Dict[int, Point]) -> float:
-    """An upper bound on the largest pairwise distance (0 if degenerate)."""
+#: Head room of the first calibration radius over the uniform-density
+#: estimate, so the first scan usually holds ``links`` pairs despite the
+#: edge effect (pairs near the border have fewer partners).
+_FIRST_RADIUS_MARGIN = 1.3
+
+
+def _extent(positions: Dict[int, Point]) -> Tuple[float, float]:
+    """The ``(width, height)`` of the deployment's bounding box."""
     xs = [p.x for p in positions.values()]
     ys = [p.y for p in positions.values()]
-    dx = max(xs) - min(xs)
-    dy = max(ys) - min(ys)
-    # The factor 2 absorbs every rounding in sqrt and in re-squaring the
-    # radius during the scan: pairs at the true diameter must count.
-    return 2.0 * math.sqrt(dx * dx + dy * dy)
+    return max(xs) - min(xs), max(ys) - min(ys)
 
 
 def _threshold_distances(
@@ -233,15 +235,26 @@ def _threshold_distances(
     ``pairwise`` reference starts at the diameter bound, so it is one
     sort of every pair distance.
     """
-    diameter = _diameter_bound(positions)
+    dx, dy = _extent(positions)
+    # An upper bound on the largest pairwise distance: the factor 2
+    # absorbs every rounding in sqrt and in re-squaring the radius during
+    # the scan, so pairs at the true diameter count.
+    diameter = 2.0 * math.sqrt(dx * dx + dy * dy)
     if _resolve_method(method) == "pairwise":
         radius = diameter
     else:
-        # Density-scaled first guess: for uniform deployments the number
-        # of pairs within r grows like r², and the diameter bound
-        # overstates the extent, so the first scan usually holds `links`.
+        # Density-scaled first guess: on a uniform deployment of area A
+        # about C(n,2)·πr²/A pairs lie within r, so solve for `links`
+        # pairs and add a margin.  A zero-area (collinear) box scales the
+        # diameter bound instead.
         n = len(positions)
-        radius = diameter * math.sqrt(links / (n * (n - 1) // 2))
+        share = links / (n * (n - 1) // 2)
+        area = dx * dy
+        if area > 0.0:
+            radius = _FIRST_RADIUS_MARGIN * math.sqrt(share * area / math.pi)
+            radius = min(radius, diameter)
+        else:
+            radius = diameter * math.sqrt(share)
         radius = max(radius, diameter / 4294967296.0)
     while True:
         distances = sorted(

@@ -358,10 +358,9 @@ class OwnershipRule(Rule):
         "Writes, del statements or mutator calls on another instance's "
         "private state, and calls to its private methods, outside the "
         "module that owns that state.  Two owners: every instance's "
-        "epoch-guarded caches (_query_cache, _cache_epoch, _epoch, "
-        "_derived_cache) and Topology's adjacency and delta bookkeeping "
-        "(_adj, _rows, _version, _all_dirty_version, _node_stamps; "
-        "_bump_epoch, _cached, _apply_delta_fast, _apply_delta_slow).  "
+        "version-guarded caches (_query_cache, _derived_cache) and "
+        "Topology's adjacency and delta bookkeeping (_adj, _rows, "
+        "_version; _bump_epoch, _cached, _apply_delta_fast).  "
         "Caches, dirty tracking and a mask-built graph's "
         "lazily decoded adjacency stay coherent only while every change "
         "goes through the owner's API."
@@ -374,24 +373,16 @@ class OwnershipRule(Rule):
         _Owner(
             None,
             "the owning instance",
-            "mutate through the owner's API so the epoch guard sees it",
-            frozenset(
-                {"_query_cache", "_cache_epoch", "_epoch", "_derived_cache"}
-            ),
+            "mutate through the owner's API so the version guard sees it",
+            frozenset({"_query_cache", "_derived_cache"}),
         ),
         _Owner(
             "topology.py",
             "Topology",
             "apply structural changes through apply_delta or the public "
             "mutators",
-            frozenset(
-                {"_version", "_all_dirty_version", "_node_stamps", "_adj",
-                 "_rows"}
-            ),
-            frozenset(
-                {"_bump_epoch", "_cached", "_apply_delta_fast",
-                 "_apply_delta_slow"}
-            ),
+            frozenset({"_version", "_adj", "_rows"}),
+            frozenset({"_bump_epoch", "_cached", "_apply_delta_fast"}),
         ),
     )
 

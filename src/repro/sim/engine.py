@@ -35,9 +35,13 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..algorithms.base import BroadcastProtocol
-from ..core import status as st
 from ..core.priority import PriorityScheme, IdPriority
-from ..core.views import EpochCache, View, share_epoch_cache
+from ..core.views import (
+    EpochCache,
+    View,
+    _restrict_status,
+    share_epoch_cache,
+)
 from ..graph.topology import Topology
 from ..instrument import InstrumentationCounters
 from .events import EventBus, SimEvent
@@ -169,16 +173,9 @@ class SimulationEnvironment:
                 EpochCache(),
             )
             self._view_metrics[id(view_graph)] = entry
-        status: Dict[int, float] = {}
-        for node in designated:
-            if node in view_graph:
-                status[node] = st.DESIGNATED
-        for node in visited:
-            if node in view_graph:
-                status[node] = st.VISITED
         view = View(
             graph=view_graph,
-            status=status,
+            status=_restrict_status(visited, designated, view_graph),
             metrics=entry[1],
             metric_padding=self.scheme.padding(),
         )

@@ -203,6 +203,22 @@ def test_calibration_makes_one_scan_per_search_radius(monkeypatch):
     assert build_unit_disk_graph(positions, radius).link_count == links
 
 
+def test_first_calibration_scan_is_sized_by_area(monkeypatch):
+    scans = []
+
+    def counting_scan(positions, radius):
+        pairs = list(grid_pairs_within(positions, radius))
+        scans.append(len(pairs))
+        return iter(pairs)
+
+    monkeypatch.setattr(unit_disk, "grid_pairs_within", counting_scan)
+    positions = random_points(1000, Area(100, 100), random.Random(4))
+    _radius, links = range_for_average_degree(positions, 6.0, method="grid")
+    # The first radius comes from the box area, not the diameter, so the
+    # scan lists a small multiple of the 3,000 links it has to rank.
+    assert links <= scans[0] <= 3 * links
+
+
 def test_cellgrid_near_scans_nine_cells():
     grid = CellGrid(1.0)
     for node, point in enumerate(

@@ -95,10 +95,19 @@ class TestCacheSemantics:
     def test_duplicate_add_edge_keeps_cache(self):
         graph = Topology.path(4)
         graph.bfs_distances(0)
-        epoch = graph._epoch
+        version = graph.version_stamp()
         graph.add_edge(0, 1)  # already present: no structural change
         graph.add_node(2)  # already present
-        assert graph._epoch == epoch
+        assert graph.version_stamp() == version
+        assert list(graph._query_cache) == [("bfs", 0)]
+
+    def test_view_graph_is_its_only_cache_entry(self):
+        """The view's truncated BFS is not memoised beside it: the
+        view's node index already holds the BFS order."""
+        graph = Topology.path(6)
+        view = graph.k_hop_view_graph(2, 2)
+        assert list(graph._query_cache) == [("view_graph", 2, 2)]
+        assert view.node_index().nodes == (2, 1, 3, 0, 4)
 
     def test_mutation_invalidates_view_graph(self):
         graph = Topology.path(5)

@@ -8,9 +8,9 @@ positions — adjacency, node-index order, mask tables, k-hop view graphs,
 and the forward sets the generic scheme derives from them, byte-identical
 under both coverage backends.
 
-Plus directed unit tests for the machinery itself: fallback conditions,
-empty deltas, validation atomicity, version/node stamps, no-flip snapshot
-reuse, and the instrumentation counters.
+Plus directed unit tests for the machinery itself: dirty balls, empty
+deltas, validation atomicity, the version stamp, no-flip snapshot reuse,
+and the instrumentation counters.
 """
 
 import random
@@ -150,12 +150,12 @@ class TestFastPath:
     def test_report_shape(self):
         graph = _path_graph()
         _warm(graph)
+        before = len(graph._query_cache)
         report = graph.apply_delta(added_edges=[(0, 2)], extra_radii=(3,))
-        assert report.fast_path
-        assert report.dirty_by_radius is not None
-        assert 0 in report.dirty_nodes and 2 in report.dirty_nodes
-        assert report.entries_retained > 0
-        assert report.entries_evicted > 0
+        # The cached radius (2) and the requested one (3), nothing else.
+        assert sorted(report.dirty_by_radius) == [2, 3]
+        assert {0, 2} <= report.dirty_at(2)
+        assert 0 < len(graph._query_cache) < before
         # Radius-3 ball around {0, 2} on a path: nodes 0..5.
         assert report.dirty_at(3) == frozenset(range(6))
 
@@ -175,39 +175,33 @@ class TestFastPath:
     def test_epoch_untouched_cache_retained(self):
         graph = _path_graph()
         _warm(graph)
-        before = graph._epoch
+        v0 = graph.version_stamp()
         far = graph.k_hop_view_graph(9, 2)
         graph.apply_delta(added_edges=[(0, 2)])
-        assert graph._epoch == before
+        assert graph.version_stamp() == v0 + 1
         # The far node's cached view survived as the same object.
         assert graph.k_hop_view_graph(9, 2) is far
-
-    def test_version_and_node_stamps(self):
-        graph = _path_graph()
-        v0 = graph.version_stamp()
-        report = graph.apply_delta(added_edges=[(0, 2)], extra_radii=(1,))
-        assert graph.version_stamp() == v0 + 1
-        for node in report.dirty_nodes:
-            assert graph.dirtied_since(node, v0)
-        assert not graph.dirtied_since(9, v0)
-        assert graph.dirtied_since(42, v0)  # unknown node: conservative
+        # Global entries (untruncated BFS, max degree) do not.
+        assert ("max_degree",) not in graph._query_cache
+        assert not [key for key in graph._query_cache if key[0] == "bfs"]
 
     def test_full_mutation_dirties_everything(self):
         graph = _path_graph()
+        _warm(graph)
+        graph.is_connected()
         v0 = graph.version_stamp()
         graph.add_edge(0, 5)
-        assert graph.version_stamp() > v0
-        assert all(graph.dirtied_since(node, v0) for node in graph.nodes())
+        assert graph.version_stamp() == v0 + 1
+        assert graph._query_cache == {}
 
     def test_empty_delta_is_noop(self):
         graph = _path_graph()
         _warm(graph)
         v0 = graph.version_stamp()
+        cached = dict(graph._query_cache)
         report = graph.apply_delta(extra_radii=(2,))
-        assert report.fast_path
-        assert report.dirty_nodes == ()
-        assert report.entries_evicted == 0
-        assert report.dirty_at(2) == frozenset()
+        assert report.dirty_by_radius == {2: frozenset()}
+        assert graph._query_cache == cached
         assert graph.version_stamp() == v0
 
     def test_counters(self):
@@ -216,38 +210,17 @@ class TestFastPath:
         with collecting() as counters:
             report = graph.apply_delta(added_edges=[(0, 2)])
         assert counters.delta_applies == 1
-        assert counters.dirty_nodes_invalidated == len(report.dirty_nodes)
-        assert counters.cache_entries_retained == report.entries_retained
+        # One cached radius (2), whose ball holds the endpoints.
+        assert counters.dirty_nodes_invalidated == len(report.dirty_at(2))
+        assert counters.cache_entries_retained == len(graph._query_cache)
 
 
 # ----------------------------------------------------------------------
-# Fallback path and validation
+# Validation
 # ----------------------------------------------------------------------
 
 
 class TestFallbackAndValidation:
-    def test_node_addition_falls_back(self):
-        graph = _path_graph()
-        _warm(graph)
-        report = graph.apply_delta(added_nodes=[99])
-        assert not report.fast_path
-        assert report.dirty_by_radius is None
-        assert report.dirty_nodes == tuple(sorted(graph.nodes()))
-        assert report.dirty_at(7) == frozenset(graph.nodes())
-        assert 99 in graph.nodes()
-
-    def test_node_removal_falls_back(self):
-        graph = _path_graph()
-        report = graph.apply_delta(removed_nodes=[0])
-        assert not report.fast_path
-        assert 0 not in graph.nodes()
-
-    def test_edge_with_unknown_endpoint_falls_back(self):
-        graph = _path_graph()
-        report = graph.apply_delta(added_edges=[(0, 99)])
-        assert not report.fast_path
-        assert graph.has_edge(0, 99)
-
     @pytest.mark.parametrize(
         "kwargs, exc",
         [
@@ -255,11 +228,12 @@ class TestFallbackAndValidation:
             (dict(added_edges=[(0, 1)]), ValueError),
             (dict(added_edges=[(2, 0)], removed_edges=[(0, 2)]), ValueError),
             (dict(added_edges=[(3, 3)]), ValueError),
-            (dict(added_nodes=[4]), ValueError),
-            (dict(removed_nodes=[77]), KeyError),
-            (dict(added_nodes=[50], removed_nodes=[5],
-                  added_edges=[(5, 50)]), ValueError),
+            (dict(removed_edges=[(4, 4)]), ValueError),
+            (dict(added_edges=[(0, 99)]), KeyError),
+            (dict(added_edges=[(0, 2), (1, 0)]), ValueError),
             (dict(added_edges=[(0, 2)], extra_radii=(-1,)), ValueError),
+            (dict(added_edges=[(0, 2), (5, 50)]), KeyError),
+            (dict(added_edges=[(77, 2)], removed_edges=[(0, 1)]), KeyError),
         ],
     )
     def test_invalid_deltas_rejected_atomically(self, kwargs, exc):
@@ -268,13 +242,16 @@ class TestFallbackAndValidation:
         v0 = graph.version_stamp()
         with pytest.raises(exc):
             graph.apply_delta(**kwargs)
+        assert graph.nodes() == list(range(10))
         assert sorted(graph.edges()) == edges_before
         assert graph.version_stamp() == v0
 
     def test_duplicate_entries_coalesce(self):
         graph = _path_graph()
-        report = graph.apply_delta(added_edges=[(0, 2), (2, 0)])
-        assert report.fast_path
+        report = graph.apply_delta(
+            added_edges=[(0, 2), (2, 0)], extra_radii=(0,)
+        )
+        assert report.dirty_at(0) == frozenset({0, 2})
         assert graph.has_edge(0, 2)
 
 

@@ -303,7 +303,7 @@ class TestMaskBuiltViews:
         far = graph.k_hop_view_graph(10, 2)
         far_rows = far.adjacency_masks()
         report = graph.apply_delta(added_edges=[(0, 3)])
-        assert report.fast_path
+        assert 1 in report.dirty_at(2) and 10 not in report.dirty_at(2)
         assert graph.k_hop_view_graph(10, 2) is far
         assert far.adjacency_masks() is far_rows
         assert not _decoded(far)
@@ -325,7 +325,7 @@ class TestMaskBuiltViews:
         assert 0 not in view and len(view) == 4
         other = Topology.path(6).k_hop_view_graph(2, 2).copy()
         view = Topology.path(6).k_hop_view_graph(2, 2)
-        assert view.apply_delta(added_edges=[(0, 4)]).fast_path
+        assert view.apply_delta(added_edges=[(0, 4)]).dirty_by_radius == {}
         other.add_edge(0, 4)
         assert view.has_edge(0, 4) and view.degree(4) == 2
         assert view.neighbors(0) == frozenset({1, 4})

@@ -15,4 +15,4 @@ class OwnStamps:
 
 def rewire(graph, added, removed):
     report = graph.apply_delta(added_edges=added, removed_edges=removed)
-    return report.dirty_nodes
+    return report.dirty_by_radius
