@@ -23,8 +23,8 @@ from __future__ import annotations
 import enum
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, FrozenSet, Optional, Set, Tuple
 
 from ..core.views import View
 from ..graph.topology import Topology

@@ -18,7 +18,7 @@ visited nodes ("each node also knows the second last visited node").
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
+from typing import FrozenSet, Optional, Set
 
 from ..core.coverage import coverage_condition, strong_coverage_condition
 from .base import BroadcastProtocol, NodeContext, Timing

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Set
 
-from ..core.views import View
 from .base import BroadcastProtocol, NodeContext, Timing
 from .sba import uncovered_neighbors
 from .wu_li import is_marked, rule1_applies, rule2_applies

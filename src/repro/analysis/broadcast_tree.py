@@ -9,7 +9,7 @@ its branching factors show how the protocol spreads duty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..sim.engine import BroadcastOutcome
 from ..sim.events import Deliver

@@ -15,7 +15,7 @@ order and :func:`format_decision_timeline` renders them for humans.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.coverage import (
     coverage_condition,

@@ -25,7 +25,7 @@ tests for both endpoint topologies).  The price is a larger forward set
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set
 
 from ..graph.topology import Topology
 from .coverage import coverage_condition

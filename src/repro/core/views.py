@@ -21,7 +21,7 @@ engine, which *builds* fresh views as knowledge accumulates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from ..graph.nodeindex import NodeIndex
 from ..graph.topology import Topology

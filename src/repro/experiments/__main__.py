@@ -44,7 +44,6 @@ from .report import (
     format_fig9,
     format_overhead_comparison,
     format_table1,
-    run_and_format_figure,
     run_fig9_sample,
     run_overhead_comparison,
 )

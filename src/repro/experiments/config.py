@@ -9,8 +9,8 @@ renders them, and the benchmarks wrap them with reduced repetition knobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 from ..algorithms.base import BroadcastProtocol
 

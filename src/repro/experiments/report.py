@@ -20,7 +20,7 @@ from ..algorithms.generic import GenericSelfPruning, GenericStatic
 from ..algorithms.registry import table1_rows
 from ..graph.generators import random_connected_network
 from ..graph.unit_disk import UnitDiskGraph
-from ..metrics.results import ResultTable, format_table
+from ..metrics.results import format_table
 from ..sim.engine import SimulationEnvironment, run_broadcast
 from ..core.priority import IdPriority
 from ..viz.ascii_plot import ascii_chart

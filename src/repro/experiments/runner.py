@@ -27,7 +27,6 @@ from typing import (
     Tuple,
 )
 
-from ..algorithms.base import BroadcastProtocol
 from ..core.coverage import coverage_condition
 from ..core.priority import IdPriority, PriorityScheme, scheme_by_name
 from ..core.views import local_view

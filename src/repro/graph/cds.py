@@ -16,7 +16,7 @@ visited nodes form a CDS (Theorem 1).  This module provides:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set
 
 from .topology import Topology
 

@@ -10,7 +10,7 @@ derived sparse backbone graph, so the library covers that substrate too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from .topology import Topology
 

@@ -17,7 +17,6 @@ import random
 from typing import Optional
 
 from .geometry import Area, grid_points, random_points
-from .topology import Topology
 from .unit_disk import UnitDiskGraph, build_unit_disk_graph, range_for_average_degree
 
 __all__ = [

@@ -11,8 +11,8 @@ All fixtures use node ids as 0-hop priorities, matching the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Tuple
+from dataclasses import dataclass
+from typing import FrozenSet
 
 from .topology import Topology
 

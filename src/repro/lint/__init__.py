@@ -15,10 +15,11 @@ package enforces them statically::
 
 Two rule families run in one process over one shared parse:
 
-* the per-file rules DET001–DET003 and DET005–DET008 (a single module's
-  AST);
-* the project rules DET011–DET014, which consume the whole-run
-  :class:`~repro.lint.project.Project` graph — symbol table with
+* the per-file rules DET001, DET003, DET005, DET007 and DET008 (a
+  single module's AST);
+* the project rules DET002, DET011, DET013 and DET014, which consume
+  the whole-run :class:`~repro.lint.project.Project` graph — symbol
+  table with
   import-alias resolution (``lint/symtab.py``), project call graph
   (``lint/callgraph.py``), and the flow-sensitive seed-lineage
   analysis (``lint/lineage.py``) classifying every
@@ -51,8 +52,10 @@ from .registry import (
     per_file_rules,
 )
 from .sarif import fingerprint_findings, render_sarif
-from . import rules  # noqa: F401  — importing registers DET001–DET008.
-from . import project_rules as _project_rules  # noqa: F401  — DET011–DET014.
+# Importing the rule modules registers them: DET001/003/005/007/008 per
+# file, DET002/011/013/014 over the project.
+from . import rules  # noqa: F401
+from . import project_rules as _project_rules  # noqa: F401
 
 __all__ = [
     "Finding",

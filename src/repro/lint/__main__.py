@@ -12,8 +12,10 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from . import rules as _rules  # noqa: F401  — registers DET001–DET008.
-from . import project_rules as _project_rules  # noqa: F401  — DET011–DET014.
+# Importing the rule modules registers them: DET001/003/005/007/008 per
+# file, DET002/011/013/014 over the project.
+from . import rules as _rules  # noqa: F401
+from . import project_rules as _project_rules  # noqa: F401
 from .engine import run_paths
 from .report import render_human, render_json, render_rule_list, render_stats
 from .sarif import render_sarif
@@ -26,9 +28,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based determinism & invariant linter for the repro "
-            "simulation stack (per-file rules DET001-DET008 plus the "
-            "interprocedural seed-lineage / call-graph rules "
-            "DET011-DET014)."
+            "simulation stack (per-file rules DET001, DET003, DET005, "
+            "DET007, DET008 plus the interprocedural entropy, "
+            "seed-lineage, fork-payload and JSON rules DET002, DET011, "
+            "DET013, DET014)."
         ),
     )
     parser.add_argument(

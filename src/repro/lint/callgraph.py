@@ -5,7 +5,7 @@ Edges connect qualified function names
 ``repro.sim.service.service_seed``); calls that resolve to a class go to
 its ``__init__`` when one exists.  Calls that resolve outside the
 project (``time.time``, ``hashlib.sha256``, ``random.random``) are kept
-separately as *external* names — DET012 classifies those as entropy
+separately as *external* names — DET002 classifies those as entropy
 primitives and asks which sim-scope functions can transitively reach
 one, and the seed-lineage analysis uses them to recognise sha256 helper
 functions.
@@ -15,7 +15,7 @@ pseudo-caller so that ``SHARED = random.Random(42)`` at import time
 still participates in reachability.
 
 Adjacency lists are sorted at build time, so every traversal —
-including the shortest-chain reconstruction embedded in DET012
+including the shortest-chain reconstruction embedded in DET002
 messages — is deterministic regardless of dict iteration order.
 """
 

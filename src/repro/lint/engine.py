@@ -1,8 +1,9 @@
 """File discovery, pragma handling, and the lint driver.
 
 The engine parses each file exactly once and, in one process, runs two
-passes over the parsed records: the per-file rules (DET001–DET008) and
-the project rules (DET011–DET014), which consume the
+passes over the parsed records: the per-file rules (DET001, DET003,
+DET005, DET007, DET008) and the project rules (DET002, DET011, DET013,
+DET014), which consume the
 :class:`~repro.lint.project.Project` graph built from *all* records.
 Pragma suppression is applied to the merged raw findings, counting
 every hit, and the result is sorted, so the report depends only on the

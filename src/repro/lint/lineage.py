@@ -19,8 +19,8 @@ classified by where its seed came from:
 
 ``ambient``
     No argument (or ``None``): the generator seeds from the OS — the
-    determinism failure DET002 catches for ``random.random()``, here in
-    constructor form.
+    determinism failure DET002 catches for ``random.random()`` (under
+    any import alias, and up the call chain), here in constructor form.
 
 ``derived``/``unknown``
     The seed arrives through a parameter, attribute, subscript, or a
@@ -37,10 +37,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .callgraph import CallGraph, iter_scoped_calls
-from .symtab import ModuleInfo, SymbolTable, dotted_name
+from .symtab import ModuleInfo, SymbolTable
 
 __all__ = [
     "LITERAL",

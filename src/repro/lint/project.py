@@ -18,10 +18,13 @@ from typing import Dict, List, Sequence, Set
 from .callgraph import CallGraph
 from .lineage import SeedLineage
 from .registry import LintContext, path_parts
-from .rules import SIM_SCOPE
 from .symtab import SymbolTable
 
-__all__ = ["Project"]
+__all__ = ["Project", "SIM_SCOPE"]
+
+#: Packages whose files run inside a broadcast simulation: DET002's path
+#: scope, and the roots of the sim-reaching classification.
+SIM_SCOPE = ("sim", "core", "algorithms", "experiments")
 
 
 class Project:

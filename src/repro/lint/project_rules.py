@@ -1,50 +1,195 @@
-"""The DET011–DET014 interprocedural rules over the project graph.
+"""The project rules DET002, DET011, DET013 and DET014.
 
 These rules consume the :class:`~repro.lint.project.Project` built once
 per run — symbol table, call graph, and seed lineage — rather than a
-single file's AST, which is what lets them trace a literal seed through
-a default argument, follow a wall-clock read through an import alias
-the syntactic DET002 cannot see, and resolve a class crossing a Pipe
-to its (non-)frozen definition in another module.
+single file's AST.  That is what lets them follow a wall-clock read
+through an import alias (``import time as clock``) and up the call
+chain into sim scope, trace a literal seed through a default argument,
+and resolve a class crossing a fork boundary to its (non-)frozen
+definition in another module.
+
+Retired codes (DET004, DET006, DET009, DET010, DET012) are never
+renumbered or reused, because pragmas and SARIF fingerprints name them.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, Optional, Set, Tuple
 
 from .callgraph import iter_scoped_calls
 from .findings import Finding
 from .lineage import AMBIENT, LITERAL, _last_assignment
-from .registry import ProjectRule, path_parts, register
-from .rules import AmbientEntropyRule, KwargsPayloadRule, SIM_SCOPE
+from .project import SIM_SCOPE
+from .registry import LintContext, ProjectRule, path_parts, register
 from .symtab import ModuleInfo
 
 __all__ = ["is_entropy_external"]
 
+#: ``time`` functions that read a clock.
+CLOCK_CALLS = frozenset(
+    {
+        "time",
+        "time_ns",
+        "perf_counter",
+        "perf_counter_ns",
+        "monotonic",
+        "monotonic_ns",
+        "process_time",
+        "process_time_ns",
+    }
+)
+#: ``datetime``/``date`` constructors that read the wall clock.
+NOW_CALLS = frozenset({"now", "utcnow", "today"})
+DATETIME_ROOTS = frozenset({"datetime", "date"})
+
 
 def is_entropy_external(name: str) -> bool:
-    """Whether an external dotted call name is an ambient-entropy read.
+    """Whether a resolved dotted call name is an ambient-entropy read.
 
-    Mirrors DET002's catalogue (module RNG draws, wall-clock reads,
-    ``os.urandom``) but operates on *resolved* names, so
-    ``import time as clock; clock.time()`` is recognised.
+    The one catalogue of entropy primitives: module RNG draws (anything
+    on ``random`` but ``random.Random``), clock reads, ``datetime.now``
+    and friends, ``os.urandom``, ``secrets`` and ``uuid``.  Names arrive
+    resolved through the symbol table, so ``import time as clock;
+    clock.time()`` is judged as ``time.time``.
     """
     parts = name.split(".")
     root, leaf = parts[0], parts[-1]
     if root == "random" and len(parts) >= 2:
         return parts[1] not in ("Random",)
     if root == "time":
-        return leaf in AmbientEntropyRule.CLOCK_CALLS
+        return leaf in CLOCK_CALLS
     if name == "os.urandom":
         return True
     if root in ("secrets", "uuid") and len(parts) >= 2:
         return True
-    if leaf in AmbientEntropyRule.NOW_CALLS and any(
-        part in AmbientEntropyRule.DATETIME_ROOTS for part in parts[:-1]
+    if leaf in NOW_CALLS and any(
+        part in DATETIME_ROOTS for part in parts[:-1]
     ):
         return True
     return False
+
+
+def _entropy_message(name: str) -> str:
+    root = name.split(".")[0]
+    if root == "random":
+        return (
+            f"{name}() draws from the shared module RNG; thread a "
+            "random.Random instance instead"
+        )
+    if root in ("os", "secrets", "uuid"):
+        return (
+            f"{name}() is OS entropy; thread a seeded random.Random "
+            "instead"
+        )
+    return (
+        f"{name}() reads the wall clock inside a simulation path; "
+        "results must not depend on it"
+    )
+
+
+@register
+class AmbientEntropyRule(ProjectRule):
+    """DET002: ambient RNG / wall-clock reads in or reached from sim scope."""
+
+    code = "DET002"
+    name = "ambient-entropy"
+    description = (
+        "Inside sim/, core/, algorithms/ or experiments/: a call that "
+        "resolves, through any import alias, to a module RNG draw "
+        "(random.* but random.Random), a clock read (time.time, "
+        "perf_counter, ...), datetime.now, os.urandom, secrets or uuid; "
+        "a `from random|time import` that binds one; or a function that "
+        "reaches one only through its callees, possibly in a module "
+        "outside that scope (the message names the shortest call "
+        "chain).  Simulation paths must draw from a threaded "
+        "random.Random and the simulation clock so runs replay "
+        "byte-identically."
+    )
+
+    def applies_to(self, path: str) -> bool:
+        return self._in_dirs(path, SIM_SCOPE)
+
+    def check_project(self, project) -> Iterator[Finding]:
+        graph = project.callgraph
+        sinks: Set[str] = {
+            owner
+            for owner, names in graph.externals.items()
+            if owner in project.symtab.functions
+            and any(is_entropy_external(n) for n in names)
+        }
+        for module_name in project.modules_sorted():
+            module = project.symtab.modules[module_name]
+            if not self.applies_to(module.path):
+                continue
+            ctx = project.contexts[module.path]
+            for call, _scope, class_name in iter_scoped_calls(module):
+                name = project.symtab.resolve_call(
+                    module, call.func, class_name
+                )
+                if name is not None and is_entropy_external(name):
+                    yield ctx.finding(self, call, _entropy_message(name))
+            for node in ast.walk(module.tree):
+                if isinstance(node, ast.ImportFrom):
+                    yield from self._check_import(ctx, node)
+            if sinks:
+                yield from self._check_chains(project, module, ctx, sinks)
+
+    def _check_import(
+        self, ctx: LintContext, node: ast.ImportFrom
+    ) -> Iterator[Finding]:
+        if node.module == "random":
+            bad = [a.name for a in node.names if a.name != "Random"]
+            if bad:
+                yield ctx.finding(
+                    self,
+                    node,
+                    f"importing {', '.join(bad)} from random binds the "
+                    "shared module RNG; import Random and thread an "
+                    "instance",
+                )
+        elif node.module == "time":
+            bad = [a.name for a in node.names if a.name in CLOCK_CALLS]
+            if bad:
+                yield ctx.finding(
+                    self,
+                    node,
+                    f"importing {', '.join(bad)} from time pulls wall-clock "
+                    "reads into a simulation path",
+                )
+
+    def _check_chains(
+        self, project, module: ModuleInfo, ctx: LintContext, sinks: Set[str]
+    ) -> Iterator[Finding]:
+        """Functions that reach an entropy read only through callees."""
+        graph = project.callgraph
+        functions = sorted(
+            (
+                info
+                for info in project.symtab.functions.values()
+                if info.module == module.name
+            ),
+            key=lambda info: (info.node.lineno, info.qualname),
+        )
+        for info in functions:
+            if info.qualname in sinks:
+                continue  # its direct read is already flagged per call
+            chain = graph.reach(info.qualname, sinks)
+            if chain is None:
+                continue
+            primitive = sorted(
+                n
+                for n in graph.externals.get(chain[-1], ())
+                if is_entropy_external(n)
+            )[0]
+            names = [project.symtab.functions[q].name for q in chain]
+            yield ctx.finding(
+                self,
+                info.node,
+                f"{info.name}() reaches {primitive}() via "
+                f"{' -> '.join(names)}; thread a seeded "
+                "random.Random / simulation clock through the chain",
+            )
 
 
 @register
@@ -116,113 +261,64 @@ class SeedLineageRule(ProjectRule):
 
 
 @register
-class TransitiveEntropyRule(ProjectRule):
-    """DET012: sim-scope functions transitively reaching ambient entropy."""
-
-    code = "DET012"
-    name = "transitive-ambient-entropy"
-    description = (
-        "A function in sim scope (sim/ core/ algorithms/ experiments/) "
-        "with no direct entropy read of its own — that is DET002's job "
-        "— but a project call chain that reaches a wall-clock or "
-        "global-RNG primitive, possibly through an import alias or a "
-        "helper in a module DET002's path scope never sees.  The run "
-        "result depends on when/where it executes; thread a seeded "
-        "random.Random or the simulation clock through the chain."
-    )
-
-    def applies_to(self, path: str) -> bool:
-        return self._in_dirs(path, SIM_SCOPE)
-
-    def check_project(self, project) -> Iterator[Finding]:
-        graph = project.callgraph
-        sinks: Set[str] = {
-            owner
-            for owner, names in graph.externals.items()
-            if owner in project.symtab.functions
-            and any(is_entropy_external(n) for n in names)
-        }
-        if not sinks:
-            return
-        for module_name in project.modules_sorted():
-            module = project.symtab.modules[module_name]
-            if not self.applies_to(module.path):
-                continue
-            ctx = project.contexts[module.path]
-            functions = sorted(
-                (
-                    info
-                    for info in project.symtab.functions.values()
-                    if info.module == module_name
-                ),
-                key=lambda info: (info.node.lineno, info.qualname),
-            )
-            for info in functions:
-                if info.qualname in sinks:
-                    continue  # direct reads are DET002's finding
-                chain = graph.reach(info.qualname, sinks)
-                if chain is None or len(chain) < 2:
-                    continue
-                primitive = sorted(
-                    n
-                    for n in graph.externals.get(chain[-1], ())
-                    if is_entropy_external(n)
-                )[0]
-                names = [
-                    project.symtab.functions[q].name for q in chain
-                ]
-                yield ctx.finding(
-                    self,
-                    info.node,
-                    f"{info.name}() reaches {primitive}() via "
-                    f"{' -> '.join(names)}; thread a seeded "
-                    "random.Random / simulation clock through the chain",
-                )
-
-
-@register
 class ForkBoundaryPayloadRule(ProjectRule):
     """DET013: unstable or unpicklable payloads crossing fork boundaries."""
 
     code = "DET013"
     name = "fork-boundary-payload"
     description = (
-        "An object sent across a fork/Pipe/Queue boundary "
-        "(.send()/.put()) that is not in the picklable-frozen "
+        "In a module that imports multiprocessing or concurrent, a "
+        "positional or keyword argument of a pool dispatch (submit, map, "
+        "starmap, apply_async, ...) or of a Pipe/Queue send (.send(), "
+        ".put(), .put_nowait()) that is not in the picklable-frozen "
         "allowlist: lambdas and generators fail to pickle at all, sets "
         "pickle in iteration order (diverging payload bytes for equal "
-        "payloads), locals() ships unordered state, and a non-frozen "
-        "project class can be mutated after the snapshot the worker "
-        "sees.  Ship tuples, sorted collections, or frozen dataclasses."
+        "payloads), locals() and the enclosing function's **kwargs carry "
+        "the caller's unordered state and keyword order, and a "
+        "non-frozen project class can be mutated after the snapshot the "
+        "worker sees.  Ship tuples, sorted collections, or frozen "
+        "dataclasses."
     )
 
-    SEND_METHODS = frozenset({"send", "put", "put_nowait"})
+    BOUNDARY_METHODS = frozenset(
+        {
+            "submit",
+            "apply_async",
+            "map",
+            "map_async",
+            "imap",
+            "imap_unordered",
+            "starmap",
+            "starmap_async",
+            "send",
+            "put",
+            "put_nowait",
+        }
+    )
     #: Class names accepted across the boundary even though the
     #: analyser cannot prove them frozen (extend as payload types are
     #: audited); frozen dataclasses and NamedTuple/tuple/Enum
     #: subclasses are allowlisted structurally.
     PICKLABLE_FROZEN = frozenset({"Finding"})
 
-    def applies_to(self, path: str) -> bool:
-        return "tests" not in path_parts(path)
-
     def check_project(self, project) -> Iterator[Finding]:
         for module_name in project.modules_sorted():
             module = project.symtab.modules[module_name]
-            if not self.applies_to(module.path):
-                continue
-            if not KwargsPayloadRule._imports_multiprocessing(module.tree):
+            if not _imports_multiprocessing(module.tree):
                 continue
             ctx = project.contexts[module.path]
             for call, scope, class_name in iter_scoped_calls(module):
                 if not (
                     isinstance(call.func, ast.Attribute)
-                    and call.func.attr in self.SEND_METHODS
+                    and call.func.attr in self.BOUNDARY_METHODS
                 ):
                     continue
-                for argument in call.args:
+                kwargs = _enclosing_kwargs(project, module, scope)
+                for argument in call.args + [
+                    keyword.value for keyword in call.keywords
+                ]:
                     offense = self._first_offense(
-                        project, module, argument, class_name
+                        project, module, argument, class_name, kwargs
                     )
                     if offense is not None:
                         yield ctx.finding(
@@ -240,6 +336,7 @@ class ForkBoundaryPayloadRule(ProjectRule):
         module: ModuleInfo,
         payload: ast.AST,
         class_name: Optional[str],
+        kwargs: Set[str],
     ) -> Optional[str]:
         for node in ast.walk(payload):
             if isinstance(node, ast.Lambda):
@@ -248,6 +345,8 @@ class ForkBoundaryPayloadRule(ProjectRule):
                 return "a generator (unpicklable)"
             if isinstance(node, (ast.Set, ast.SetComp)):
                 return "a set (pickles in iteration order)"
+            if isinstance(node, ast.Name) and node.id in kwargs:
+                return f"**{node.id} (caller keyword order)"
             if isinstance(node, ast.Call):
                 if (
                     isinstance(node.func, ast.Name)
@@ -273,6 +372,34 @@ class ForkBoundaryPayloadRule(ProjectRule):
                             "NamedTuple and not allowlisted)"
                         )
         return None
+
+
+def _imports_multiprocessing(tree: ast.Module) -> bool:
+    """Whether the module imports ``multiprocessing`` or ``concurrent``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            roots = [(node.module or "").split(".")[0]]
+        else:
+            continue
+        if any(root in ("multiprocessing", "concurrent") for root in roots):
+            return True
+    return False
+
+
+def _enclosing_kwargs(
+    project, module: ModuleInfo, scope: Tuple[str, ...]
+) -> Set[str]:
+    """The ``**kwargs`` names of every function enclosing ``scope``."""
+    names: Set[str] = set()
+    for depth in range(1, len(scope) + 1):
+        info = project.symtab.functions.get(
+            ".".join((module.name,) + scope[:depth])
+        )
+        if info is not None and info.node.args.kwarg is not None:
+            names.add(info.node.args.kwarg.arg)
+    return names
 
 
 @register

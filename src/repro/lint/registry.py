@@ -113,8 +113,8 @@ class ProjectRule(Rule):
     file in it.  :meth:`applies_to` still narrows by path — the engine
     and the rule itself consult it before attributing a finding to a
     file — but the *analysis* always spans every parsed module, which
-    is what lets DET011 trace a seed through an import alias into
-    another file.
+    is what lets DET002 follow a clock read up a call chain and DET011
+    trace a seed through an import alias into another file.
     """
 
     def check(self, ctx: LintContext) -> Iterable[Finding]:

@@ -1,7 +1,10 @@
-"""The per-file determinism rules DET001–DET008, tuned to this codebase.
+"""The per-file determinism rules DET001, DET003, DET005, DET007 and
+DET008, tuned to this codebase.
 
-DET004 is retired.  Codes are never renumbered or reused, because
-pragmas and SARIF fingerprints name them.
+The ambient-entropy rule DET002 needs the symbol table and call graph,
+so it is a project rule (``lint/project_rules.py``).  DET004 is retired.
+Codes are never renumbered or reused, because pragmas and SARIF
+fingerprints name them.
 
 Every rule encodes one invariant the reproduction's determinism contract
 rests on (byte-identical sweeps at any ``--jobs N`` and either coverage
@@ -21,10 +24,6 @@ from .findings import Finding
 from .registry import LintContext, Rule, path_parts, register
 
 __all__ = ["is_unordered_expr"]
-
-#: Packages whose files run inside a broadcast simulation — the scope of
-#: the ambient-entropy and iteration-order rules.
-SIM_SCOPE = ("sim", "core", "algorithms", "experiments")
 
 #: Methods known (in this codebase) to return ``set``/``frozenset``
 #: values: ``Topology.neighbors``, k-hop queries, and the stdlib set
@@ -224,116 +223,6 @@ class UnorderedIterationRule(Rule):
         return value is None or isinstance(value, ast.Constant)
 
 
-@register
-class AmbientEntropyRule(Rule):
-    """DET002: ambient RNG / wall-clock reads in simulation paths."""
-
-    code = "DET002"
-    name = "ambient-entropy"
-    description = (
-        "Module-level random.*, time.* clock reads, datetime.now, or "
-        "os.urandom inside sim/, core/, algorithms/, or experiments/ — "
-        "simulation paths must draw from a threaded random.Random "
-        "instance so runs replay byte-identically."
-    )
-
-    CLOCK_CALLS = frozenset(
-        {
-            "time",
-            "time_ns",
-            "perf_counter",
-            "perf_counter_ns",
-            "monotonic",
-            "monotonic_ns",
-            "process_time",
-            "process_time_ns",
-        }
-    )
-    NOW_CALLS = frozenset({"now", "utcnow", "today"})
-    DATETIME_ROOTS = frozenset({"datetime", "date"})
-
-    def applies_to(self, path: str) -> bool:
-        return self._in_dirs(path, SIM_SCOPE)
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                yield from self._check_attribute_call(ctx, node)
-            elif isinstance(node, ast.ImportFrom):
-                yield from self._check_import(ctx, node)
-
-    def _check_attribute_call(
-        self, ctx: LintContext, node: ast.Call
-    ) -> Iterator[Finding]:
-        func = node.func
-        assert isinstance(func, ast.Attribute)
-        base = func.value
-        if isinstance(base, ast.Name):
-            if base.id == "random" and func.attr != "Random":
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"random.{func.attr}() draws from the shared module "
-                    "RNG; thread a random.Random instance instead",
-                )
-                return
-            if base.id == "time" and func.attr in self.CLOCK_CALLS:
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"time.{func.attr}() reads the wall clock inside a "
-                    "simulation path; results must not depend on it",
-                )
-                return
-            if base.id == "os" and func.attr == "urandom":
-                yield ctx.finding(
-                    self,
-                    node,
-                    "os.urandom() is OS entropy; thread a seeded "
-                    "random.Random instead",
-                )
-                return
-        if func.attr in self.NOW_CALLS and self._rooted_in_datetime(base):
-            yield ctx.finding(
-                self,
-                node,
-                f"{func.attr}() reads the wall clock inside a simulation "
-                "path; results must not depend on it",
-            )
-
-    def _rooted_in_datetime(self, base: ast.AST) -> bool:
-        if isinstance(base, ast.Name):
-            return base.id in self.DATETIME_ROOTS
-        if isinstance(base, ast.Attribute):
-            return base.attr in self.DATETIME_ROOTS
-        return False
-
-    def _check_import(
-        self, ctx: LintContext, node: ast.ImportFrom
-    ) -> Iterator[Finding]:
-        if node.module == "random":
-            bad = [a.name for a in node.names if a.name != "Random"]
-            if bad:
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"importing {', '.join(bad)} from random binds the "
-                    "shared module RNG; import Random and thread an "
-                    "instance",
-                )
-        elif node.module == "time":
-            bad = [a.name for a in node.names if a.name in self.CLOCK_CALLS]
-            if bad:
-                yield ctx.finding(
-                    self,
-                    node,
-                    f"importing {', '.join(bad)} from time pulls wall-clock "
-                    "reads into a simulation path",
-                )
-
-
 class _Owner(NamedTuple):
     """One row of :class:`OwnershipRule`'s table: private state and the
     only module allowed to touch it on a foreign instance."""
@@ -515,105 +404,6 @@ class FrozenEventRule(Rule):
                     and keyword.value.value is True
                 )
         return True
-
-
-@register
-class KwargsPayloadRule(Rule):
-    """DET006: **kwargs dicts shipped into multiprocessing payloads."""
-
-    code = "DET006"
-    name = "kwargs-in-worker-payload"
-    description = (
-        "A captured **kwargs dict (or locals()) passed into a pool "
-        "dispatch call — the dict's iteration order is the caller's "
-        "keyword order, so two call sites produce different payload "
-        "bytes for the same logical work item; pass an explicit, "
-        "field-ordered tuple or dataclass instead."
-    )
-
-    DISPATCH = frozenset(
-        {
-            "submit",
-            "apply_async",
-            "map",
-            "map_async",
-            "imap",
-            "imap_unordered",
-            "starmap",
-            "starmap_async",
-        }
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if not self._imports_multiprocessing(ctx.tree):
-            return
-        for function in ast.walk(ctx.tree):
-            if not isinstance(
-                function, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                continue
-            kwarg = function.args.kwarg
-            kwarg_name = kwarg.arg if kwarg is not None else None
-            for node in ast.walk(function):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self.DISPATCH
-                ):
-                    continue
-                if kwarg_name is not None and self._mentions_name(
-                    node, kwarg_name
-                ):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"**{kwarg_name} captured into a "
-                        f".{node.func.attr}() payload relies on caller "
-                        "keyword order; ship an explicit tuple/dataclass",
-                    )
-                elif self._passes_locals(node):
-                    yield ctx.finding(
-                        self,
-                        node,
-                        f"locals() shipped into .{node.func.attr}() is "
-                        "unordered state; ship an explicit tuple/dataclass",
-                    )
-
-    @staticmethod
-    def _imports_multiprocessing(tree: ast.Module) -> bool:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                if any(
-                    alias.name.split(".")[0]
-                    in ("multiprocessing", "concurrent")
-                    for alias in node.names
-                ):
-                    return True
-            elif isinstance(node, ast.ImportFrom):
-                root = (node.module or "").split(".")[0]
-                if root in ("multiprocessing", "concurrent"):
-                    return True
-        return False
-
-    @staticmethod
-    def _mentions_name(call: ast.Call, name: str) -> bool:
-        for argument in list(call.args) + [kw.value for kw in call.keywords]:
-            for node in ast.walk(argument):
-                if isinstance(node, ast.Name) and node.id == name:
-                    return True
-        return False
-
-    @staticmethod
-    def _passes_locals(call: ast.Call) -> bool:
-        for argument in list(call.args) + [kw.value for kw in call.keywords]:
-            for node in ast.walk(argument):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "locals"
-                ):
-                    return True
-        return False
 
 
 @register

@@ -1,13 +1,14 @@
 """Project-level module and symbol tables with import-alias resolution.
 
-detlint's original rules reason about one file at a time; the
-interprocedural rules (DET011 seed lineage, DET012 call-graph entropy
-reachability, DET013 fork-boundary payloads) need to know *what a name
-means* across the whole ``src/repro`` tree: which module a local alias
-refers to, which function a call resolves to, and which classes are
-frozen dataclasses.  The :class:`SymbolTable` answers those questions
-from one parse pass per module — no imports are executed, so analysing
-a broken or side-effectful module is always safe.
+detlint's per-file rules reason about one file at a time; the project
+rules (DET002 ambient entropy through aliases and call chains, DET011
+seed lineage, DET013 fork-boundary payloads, DET014 JSON stability)
+need to know *what a name means* across the whole ``src/repro`` tree:
+which module a local alias refers to, which function a call resolves
+to, and which classes are frozen dataclasses.  The :class:`SymbolTable`
+answers those questions from one parse pass per module — no imports
+are executed, so analysing a broken or side-effectful module is always
+safe.
 
 Resolution is deliberately syntactic: ``from ..graph.topology import
 Topology`` binds ``Topology -> repro.graph.topology.Topology`` whether

@@ -11,7 +11,7 @@ routing state.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Iterable, List, Optional, Set
 
 from ..graph.cds import is_cds
 from ..graph.topology import Topology

@@ -68,14 +68,13 @@ class SimulationEnvironment:
         self.graph = graph
         self.scheme = scheme or IdPriority()
         self.metrics = self.scheme.metrics(graph)
-        self._view_cache: Dict[Tuple[int, Optional[int]], Topology] = {}
         self._two_hop_cache: Dict[int, FrozenSet[int]] = {}
         #: Per-view-graph metric restriction and epoch cache (see
         #: :func:`repro.core.views.epoch_cache`), keyed by graph identity
         #: (a strong reference to the graph is kept alongside, so an id
         #: can never be recycled under the cache).  Scheme-specific —
-        #: reset by :meth:`with_scheme`, unlike the topology-only view
-        #: caches.
+        #: reset by :meth:`with_scheme`, unlike the topology-only
+        #: two-hop cache.
         self._view_metrics: Dict[
             int, Tuple[Topology, Dict[int, Tuple[float, ...]], EpochCache]
         ] = {}
@@ -86,15 +85,14 @@ class SimulationEnvironment:
     def with_scheme(self, scheme: PriorityScheme) -> "SimulationEnvironment":
         """A sibling environment with a different priority scheme.
 
-        Shares the (topology-only) view caches, so rotating priorities
-        per broadcast — e.g. ``RandomEpochPriority`` for fairness — costs
+        Shares the (topology-only) view graphs and two-hop sets, so
+        rotating priorities per broadcast — e.g. ``RandomEpochPriority`` for fairness — costs
         only one metrics pass.
         """
         sibling = SimulationEnvironment.__new__(SimulationEnvironment)
         sibling.graph = self.graph
         sibling.scheme = scheme
         sibling.metrics = scheme.metrics(self.graph)
-        sibling._view_cache = self._view_cache
         sibling._two_hop_cache = self._two_hop_cache
         sibling._view_metrics = {}
         sibling._graph_version = self.graph.version_stamp()
@@ -107,12 +105,12 @@ class SimulationEnvironment:
         :meth:`~repro.graph.topology.Topology.apply_delta` or the plain
         mutators); this environment notices through the graph's
         :meth:`~repro.graph.topology.Topology.version_stamp` and drops
-        its derived caches.  The drop is wholesale but cheap: these are
-        latency caches over the topology's own dirty-retained query
-        cache, so re-fetching an entry for a node outside the dirty set
-        is an O(1) dictionary hit there — only genuinely dirty entries
-        get recomputed.  Clearing happens in place because
-        :meth:`with_scheme` siblings share the cache dicts by reference.
+        its derived caches.  The view graphs are not among them: they
+        live only in the topology's dirty-retained query cache, which
+        keeps every entry outside the dirty set.  The two-hop sets are
+        rebuilt on demand from the k-hop masks cached there.  Clearing happens in place
+        because :meth:`with_scheme` siblings share the two-hop dict by
+        reference.
         Called automatically by the accessors; callers that read
         :attr:`metrics` directly after mutating the graph should call
         this first.
@@ -121,23 +119,21 @@ class SimulationEnvironment:
         if stamp == self._graph_version:
             return
         self._graph_version = stamp
-        self._view_cache.clear()
         self._two_hop_cache.clear()
         self._view_metrics.clear()
         self.metrics = self.scheme.metrics(self.graph)
 
     def view_graph(self, node: int, hops: Optional[int]) -> Topology:
-        """``G_k(node)``, or the full graph when ``hops`` is ``None``."""
+        """``G_k(node)``, or the full graph when ``hops`` is ``None``.
+
+        The topology memoises each view graph once per version, so
+        repeated calls (and :meth:`with_scheme` siblings) share one
+        object until a delta dirties it.
+        """
         self.sync_topology()
-        key = (node, hops)
-        cached = self._view_cache.get(key)
-        if cached is None:
-            if hops is None:
-                cached = self.graph
-            else:
-                cached = self.graph.k_hop_view_graph(node, hops)
-            self._view_cache[key] = cached
-        return cached
+        if hops is None:
+            return self.graph
+        return self.graph.k_hop_view_graph(node, hops)
 
     def two_hop_set(self, node: int) -> FrozenSet[int]:
         """``N2(node)`` on the deployment graph (for TDP piggybacking)."""

@@ -31,7 +31,7 @@ import hashlib
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..algorithms.base import BroadcastProtocol
 from ..graph.topology import Topology

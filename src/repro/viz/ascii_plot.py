@@ -7,7 +7,7 @@ figures show, with no plotting dependency.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from ..metrics.results import ResultTable
 

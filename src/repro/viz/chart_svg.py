@@ -8,9 +8,9 @@ to the paper's originals without any plotting dependency.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
-from ..metrics.results import ResultTable, Series
+from ..metrics.results import ResultTable
 
 __all__ = ["chart_svg"]
 

@@ -1,4 +1,4 @@
-"""DET002 fixture: entropy threaded through an explicit Random."""
+"""DET002 fixture: entropy and the clock threaded through as parameters."""
 
 import random
 from random import Random
@@ -15,3 +15,16 @@ def make_rng(seed: int) -> Random:
 def scramble(items, rng: Random):
     rng.shuffle(items)
     return items
+
+
+def _stamp(clock):
+    return clock()
+
+
+def record_round(state, now):
+    state.append(now)
+    return state
+
+
+def drive(state, clock):
+    return record_round(state, _stamp(clock))

@@ -210,14 +210,22 @@ def test_det011_fires_outside_sim_dirs_only_when_sim_reaching():
 
 
 def test_det012_chain_crosses_modules():
+    """DET002 (which absorbed DET012) flags the aliased read where it
+    happens and each caller with its cross-module chain."""
     findings = lint_sources(sorted(CHAIN.items()))
-    assert [f.rule for f in findings] == ["DET012", "DET012"]
+    assert [f.rule for f in findings] == ["DET002", "DET002", "DET002"]
     assert [f.path for f in findings] == [
+        "src/repro/sim/clockmod.py",
         "src/repro/sim/driver.py",
         "src/repro/sim/driver.py",
     ]
-    assert "middle() reaches time.time" in findings[0].message
-    assert "top() reaches time.time" in findings[1].message
+    assert "time.time() reads the wall clock" in findings[0].message
+    assert "middle() reaches time.time() via middle -> stamp" in (
+        findings[1].message
+    )
+    assert "top() reaches time.time() via top -> middle -> stamp" in (
+        findings[2].message
+    )
 
 
 def test_real_sim_tree_has_no_interprocedural_findings(monkeypatch):

@@ -19,24 +19,23 @@ FIXTURES = Path(__file__).parent / "fixtures"
 #: fixture pair (its stem, upper-cased) → (rule, virtual path the pair is
 #: linted under, expected finding count in the flagged file).  DET003's
 #: ownership table owns two pairs, one per owner; det009 is the pair of
-#: the rule it absorbed.
+#: the rule it absorbed.  The det002 and det013 pairs also hold the cases
+#: of the retired DET012 and DET006.
 CASES = {
     "DET001": ("DET001", "src/repro/algorithms/sample.py", 4),
-    "DET002": ("DET002", "src/repro/sim/sample.py", 5),
+    "DET002": ("DET002", "src/repro/sim/sample.py", 9),
     "DET003": ("DET003", "src/repro/experiments/sample.py", 4),
     "DET005": ("DET005", "src/repro/sim/events.py", 3),
-    "DET006": ("DET006", "src/repro/experiments/sample.py", 3),
     "DET007": ("DET007", "src/repro/metrics/sample.py", 2),
     "DET008": ("DET008", "src/repro/sim/sample.py", 2),
     "DET009": ("DET003", "src/repro/sim/sample.py", 4),
     "DET011": ("DET011", "src/repro/sim/sample.py", 5),
-    "DET012": ("DET012", "src/repro/sim/sample.py", 2),
-    "DET013": ("DET013", "src/repro/experiments/sample.py", 4),
+    "DET013": ("DET013", "src/repro/experiments/sample.py", 9),
     "DET014": ("DET014", "src/repro/experiments/sample.py", 4),
 }
 
 #: Rules with no path scope: they apply everywhere they can match.
-UNSCOPED = {"DET001", "DET003", "DET006", "DET013", "DET014"}
+UNSCOPED = {"DET001", "DET003", "DET013", "DET014"}
 
 
 def _lint_fixture(case: str, suffix: str, virtual_path: str):
@@ -96,14 +95,32 @@ def test_rule_catalogue_is_complete():
         assert rule.description
 
 
-def test_det012_does_not_cover_det002():
-    """DET002 stays: on its flagged fixture DET012 reports nothing.
-
-    DET012 reports per function, not per call; it skips functions that
-    read entropy directly (those are DET002's); and it cannot see an
-    import-only binding such as ``from random import shuffle``.
-    """
-    _rule, virtual_path, expected = CASES["DET002"]
-    findings = _lint_fixture("DET002", "flagged", virtual_path)
-    assert [f.rule for f in findings] == ["DET002"] * expected
-    assert not [f for f in findings if f.rule == "DET012"]
+def test_det002_resolves_import_aliases():
+    """An aliased read is flagged in a function nothing calls, and at
+    module level: DET002 judges the call's resolved name, not its
+    spelling."""
+    source = (
+        "import random as rnd\n"
+        "import time as clock\n"
+        "\n"
+        "STARTED = clock.perf_counter()\n"
+        "\n"
+        "\n"
+        "def stamp():\n"
+        "    return clock.time()\n"
+        "\n"
+        "\n"
+        "def draw():\n"
+        "    return rnd.random()\n"
+    )
+    findings = lint_source(source, "src/repro/sim/sample.py")
+    assert [(f.rule, f.line) for f in findings] == [
+        ("DET002", 4),
+        ("DET002", 8),
+        ("DET002", 12),
+    ]
+    assert "time.perf_counter() reads the wall clock" in findings[0].message
+    assert "time.time() reads the wall clock" in findings[1].message
+    assert "random.random() draws from the shared module RNG" in (
+        findings[2].message
+    )

@@ -20,7 +20,7 @@ def test_document_skeleton_and_rule_catalogue():
     assert [r["id"] for r in driver["rules"]] == [
         rule.code for rule in all_rules()
     ]
-    assert len(driver["rules"]) == 11
+    assert len(driver["rules"]) == 9
     assert run["results"] == []
 
 
