@@ -18,11 +18,13 @@ visited nodes ("each node also knows the second last visited node").
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Set
+from typing import FrozenSet, Optional
 
 from ..core.coverage import coverage_condition, strong_coverage_condition
+from ..core.views import View
 from .base import BroadcastProtocol, NodeContext, Timing
 from .designation import greedy_cover_designation
+from .static_base import StaticSelfPruningProtocol
 
 __all__ = [
     "GenericSelfPruning",
@@ -84,7 +86,7 @@ class GenericSelfPruning(BroadcastProtocol):
         return not condition(view, ctx.node)
 
 
-class GenericStatic(BroadcastProtocol):
+class GenericStatic(StaticSelfPruningProtocol):
     """Proactive generic framework: forward sets from static local views.
 
     ``prepare`` evaluates the coverage condition for every node on its own
@@ -93,56 +95,40 @@ class GenericStatic(BroadcastProtocol):
     "Generic" entry of Figure 14.
     """
 
-    timing = Timing.STATIC
-    strict_designation = False
-    piggyback_h = 0
-
     def __init__(
         self,
         hops: Optional[int] = 2,
         strong: bool = False,
     ) -> None:
+        super().__init__()
         self.hops = hops
         self.strong = strong
         radius = "global" if hops is None else f"{hops}hop"
         condition = "strong" if strong else "coverage"
         self.name = f"generic-static-{radius}-{condition}"
-        self._forward_set: Set[int] = set()
 
-    @property
-    def forward_set(self) -> FrozenSet[int]:
-        """The proactively computed forward node set."""
-        return frozenset(self._forward_set)
-
-    def prepare(self, env) -> None:
+    def is_non_forward(self, view: View, node: int) -> bool:
         condition = (
             strong_coverage_condition if self.strong else coverage_condition
         )
-        self._forward_set = set()
-        nodes = env.graph.nodes()
-        if self.hops is None and nodes:
-            # The global view is node-independent, so one shared view
-            # serves every node.  Its second decider triggers one
-            # decreasing-priority sweep (on the bitset backend) that
-            # answers every node, instead of a decomposition per node.
-            # Verdicts are unchanged: the per-node views were equal value
-            # objects.
-            view = env.make_view(
-                env.view_graph(nodes[0], None), frozenset(), frozenset()
-            )
-            for node in nodes:
-                if not condition(view, node):
-                    self._forward_set.add(node)
-            return
-        for node in nodes:
-            view = env.make_view(
-                env.view_graph(node, self.hops), frozenset(), frozenset()
-            )
-            if not condition(view, node):
-                self._forward_set.add(node)
+        return condition(view, node)
 
-    def should_forward(self, ctx: NodeContext) -> bool:
-        return ctx.node in self._forward_set
+    def prepare(self, env) -> None:
+        nodes = env.graph.nodes()
+        if self.hops is not None or not nodes:
+            super().prepare(env)
+            return
+        # The global view is node-independent, so one shared view serves
+        # every node.  Its second decider triggers one decreasing-priority
+        # sweep (on the bitset backend) that answers every node, instead
+        # of a decomposition per node.  Verdicts are unchanged: the
+        # per-node views were equal value objects.
+        view = env.make_view(
+            env.view_graph(nodes[0], None), frozenset(), frozenset()
+        )
+        self._forward_set = {
+            node for node in nodes if not self.is_non_forward(view, node)
+        }
 
 
 class GenericNeighborDesignating(BroadcastProtocol):

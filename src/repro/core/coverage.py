@@ -37,11 +37,12 @@ Two interchangeable implementations compute every predicate:
     ranks above ``v``'s, and ``v``'s status-free uncovered pairs and
     strong verdict.  The first decider of an epoch gets its mask from a
     linear key scan and computes its pairs and verdict by flood fill
-    from its second UNVISITED decision on; the first decision stores
-    nothing more, so a k-hop view graph, which only its centre decides
-    on, does no extra work.  A second distinct decider pays one sort
-    (a suffix table serving every later mask) and one
-    decreasing-priority union-find sweep
+    from its second UNVISITED decision on.  Its first decision
+    decomposes ``static_higher[v] | designated_mask`` once, stops at the
+    first uncovered pair and stores nothing more, so a k-hop view graph,
+    which only its centre decides on, does no extra work.  A second
+    distinct decider pays one sort (a suffix table serving every later
+    mask) and one decreasing-priority union-find sweep
     (:func:`~repro.core.unionfind.priority_sweep`) that fills every
     visible decider's pairs and verdict in O((n + m)·α).  A view shared
     by all nodes, like ``GenericStatic``'s global view, thus costs one
@@ -82,11 +83,12 @@ Select with ``REPRO_COVERAGE_BACKEND=sets`` (or ``bitset``); the test
 suite cross-checks that both backends produce identical results —
 forward sets are byte-identical across them.  A view binds its backend
 once: the first predicate call on it reads the variable and keeps the
-answer in the view's :func:`~repro.core.views.view_cache`, beside every
-memo it fills.  The binding is read again only when that cache resets
-because the view graph mutated.  So memo keys carry no backend tag, and
-flipping the variable reaches a view only if it is built, or its graph
-mutates, afterwards.
+answer in the view's :func:`~repro.core.views.view_cache`.  The binding
+is read again only when that cache resets because the view graph
+mutated, so flipping the variable reaches a view only if it is built, or
+its graph mutates, afterwards.  No predicate result is memoised per
+view: the epoch state is the only thing one predicate call leaves for
+the next.
 """
 
 from __future__ import annotations
@@ -133,44 +135,14 @@ def coverage_backend() -> str:
 def _backend(view: View) -> str:
     """The backend bound to ``view``, read on its cache's first use.
 
-    It lives in :func:`view_cache` with the memos it fills, so both reset
-    together when the view graph mutates and no memo outlives its backend.
+    It lives in :func:`view_cache`, so it is read again only after the
+    view graph mutates.
     """
     cache = view_cache(view)
     backend = cache.get("backend")
     if backend is None:
         backend = cache["backend"] = coverage_backend()
     return backend
-
-
-def _memo(view: View, key, compute):
-    """Per-view memoisation for the coverage hot path.
-
-    Views are immutable value objects, so any derived quantity — the
-    higher-priority decomposition, component membership, neighbor reach —
-    is stable for the view's lifetime and can be shared between
-    :func:`uncovered_pairs`, :func:`coverage_condition`, and
-    :func:`strong_coverage_condition` instead of being recomputed per
-    call.  The cache rides on the view instance itself (see
-    :func:`repro.core.views.view_cache`).  A view's cache serves one
-    backend (:func:`_backend`), so keys need no backend tag.
-
-    Dirty-awareness comes from ``view_cache`` itself: it stamps the
-    cache with the view graph's ``version_stamp()`` and resets it when
-    the graph is mutated underneath the view (e.g. by
-    ``Topology.apply_delta`` during a mobility sweep), so every memo
-    here — components, reach bitmaps, span paths — is invalidated as a
-    unit the moment its topology input changes, and survives verbatim
-    while the retained view graph stays untouched.
-    """
-    cache = view_cache(view)
-    if key not in cache:
-        if _COUNTER_STACK:
-            _COUNTER_STACK[-1].coverage_memo_misses += 1
-        cache[key] = compute()
-    elif _COUNTER_STACK:
-        _COUNTER_STACK[-1].coverage_memo_hits += 1
-    return cache[key]
 
 
 # ----------------------------------------------------------------------
@@ -291,11 +263,14 @@ def _decider(view: View, v: int) -> Tuple[_Decider, int]:
     if epoch is None:
         epoch = holder.state = _Epoch()
     if epoch.v is None:
-        keys = _static_keys(view)
-        threshold = keys[view.graph.node_index().position(v)]
+        # ``(metric..., id)`` ranks above ``v``'s: a higher metric tuple,
+        # or an equal one and a higher id.
+        metrics, padding = view.metrics, view.metric_padding
+        threshold = metrics.get(v, padding)
         mask = 0
-        for position, key in enumerate(keys):
-            if key > threshold:
+        for position, node in enumerate(view.graph.node_index().nodes):
+            metric = metrics.get(node, padding)
+            if metric > threshold or (metric == threshold and node > v):
                 mask |= 1 << position
         epoch.v, epoch.higher = v, mask
     if epoch.v == v:
@@ -373,72 +348,26 @@ def _decompose(eligible: int, masks: Tuple[int, ...]) -> List[int]:
     return components
 
 
-def _component_masks(view: View, v: int) -> List[int]:
-    """Higher-priority components of ``v`` as masks (memoised)."""
-    return _memo(
-        view,
-        ("component-masks", v),
-        lambda: _component_masks_compute(view, v),
-    )
-
-
-def _component_masks_compute(view: View, v: int) -> List[int]:
-    eligible = _eligible_mask(view, v)
-    components = _decompose(eligible, view.graph.adjacency_masks()[1])
-    if view.visited_connected:
-        visited = view.visited_mask & eligible
-        if visited:
-            # All visited nodes are connected through the source even when
-            # the view cannot see how: fuse their components into one.
-            merged = 0
-            separate: List[int] = []
-            for component in components:
-                if component & visited:
-                    merged |= component
-                else:
-                    separate.append(component)
-            if merged:
-                components = [merged] + separate
+def _components(
+    eligible: int, masks: Tuple[int, ...], visited: int
+) -> List[int]:
+    """The components of ``eligible``, those holding a ``visited`` node
+    fused into one (pass 0 when ``view.visited_connected`` is off)."""
+    components = _decompose(eligible, masks)
+    visited &= eligible
+    if visited:
+        # All visited nodes are connected through the source even when
+        # the view cannot see how: fuse their components into one.
+        merged = 0
+        separate: List[int] = []
+        for component in components:
+            if component & visited:
+                merged |= component
+            else:
+                separate.append(component)
+        if merged:
+            components = [merged] + separate
     return components
-
-
-def _reach_bitmaps(view: View, v: int) -> Dict[int, int]:
-    """Per-neighbor component-reach bitmaps (memoised).
-
-    ``reach[u]`` has bit ``i`` set when neighbor ``u`` of ``v`` belongs
-    to or touches component ``i`` of the higher-priority decomposition.
-    A replacement path for the pair ``(u, w)`` exists exactly when its
-    intermediates lie inside one component adjacent to both ends, so the
-    pair is replaceable iff ``reach[u] & reach[w]`` is non-zero (or the
-    direct edge exists).
-    """
-    return _memo(
-        view, ("reach-bitmaps", v), lambda: _reach_bitmaps_compute(view, v)
-    )
-
-
-def _reach_bitmaps_compute(view: View, v: int) -> Dict[int, int]:
-    index, masks = view.graph.adjacency_masks()
-    return _reach_of(index, masks, v, _component_masks(view, v))
-
-
-def _reach_of(
-    index, masks: Tuple[int, ...], v: int, components: List[int]
-) -> Dict[int, int]:
-    node_at = index.node_at
-    reach: Dict[int, int] = {}
-    remaining = masks[index.position(v)]
-    while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        position = low.bit_length() - 1
-        closed = low | masks[position]
-        bitmap = 0
-        for i, component in enumerate(components):
-            if closed & component:
-                bitmap |= 1 << i
-        reach[node_at(position)] = bitmap
-    return reach
 
 
 # ----------------------------------------------------------------------
@@ -472,23 +401,10 @@ def _components_compute_sets(view: View, v: int) -> List[Set[int]]:
     return dsu.groups()
 
 
-def _component_reach_sets(
-    view: View, v: int
-) -> Tuple[List[Set[int]], Dict[int, Set[int]]]:
-    """Components and neighbor reach under the sets backend (memoised)."""
-    return _memo(
-        view,
-        ("reach", v),
-        lambda: _component_reach_compute_sets(view, v),
-    )
-
-
-def _component_reach_compute_sets(
-    view: View, v: int
-) -> Tuple[List[Set[int]], Dict[int, Set[int]]]:
-    components = higher_priority_components(view, v)
+def _neighbor_reach_sets(view: View, v: int) -> Dict[int, Set[int]]:
+    """Each neighbor's touched component indices under the sets backend."""
     membership: Dict[int, int] = {}
-    for index, component in enumerate(components):
+    for index, component in enumerate(_components_compute_sets(view, v)):
         for node in component:
             membership[node] = index
     reach: Dict[int, Set[int]] = {}
@@ -500,7 +416,7 @@ def _component_reach_compute_sets(
             if x in membership:
                 touched.add(membership[x])
         reach[u] = touched
-    return components, reach
+    return reach
 
 
 # ----------------------------------------------------------------------
@@ -516,21 +432,16 @@ def higher_priority_components(view: View, v: int) -> List[Set[int]]:
     all visited nodes are additionally fused into one component (they are
     all connected through the source even if the view cannot see how).
 
-    The result is memoised per ``(view, v)`` and shared by every coverage
-    predicate; treat the returned sets as read-only.  Component order is
+    Each call decomposes afresh and returns new sets.  Component order is
     backend-dependent (their set of sets is not).
     """
-    compute = (
-        _components_compute_sets
-        if _backend(view) == "sets"
-        else _components_compute_bitset
-    )
-    return _memo(view, ("components", v), lambda: compute(view, v))
-
-
-def _components_compute_bitset(view: View, v: int) -> List[Set[int]]:
+    if _backend(view) == "sets":
+        return _components_compute_sets(view, v)
+    index, masks = view.graph.adjacency_masks()
+    visited = view.visited_mask if view.visited_connected else 0
     return [
-        set(view.index.members(mask)) for mask in _component_masks(view, v)
+        set(index.members(mask))
+        for mask in _components(_eligible_mask(view, v), masks, visited)
     ]
 
 
@@ -538,22 +449,19 @@ def uncovered_pairs(view: View, v: int) -> List[Tuple[int, int]]:
     """Neighbor pairs of ``v`` lacking a replacement path.
 
     The coverage condition holds exactly when this list is empty.  Exposed
-    for diagnostics, tests, and the example walkthroughs.  Memoised per
-    ``(view, v)``; both backends produce the identical (sorted-pair) list.
+    for diagnostics, tests, and the example walkthroughs.  Both backends
+    produce the identical (sorted-pair) list.
     """
     if v not in view.graph:
         raise KeyError(f"node {v} not visible in the view")
-    compute = (
-        _uncovered_pairs_compute_sets
-        if _backend(view) == "sets"
-        else _uncovered_pairs_compute_bitset
-    )
-    return _memo(view, ("uncovered", v), lambda: compute(view, v))
+    if _backend(view) == "sets":
+        return _uncovered_pairs_sets(view, v)
+    return _uncovered_pairs_bitset(view, v)
 
 
-def _uncovered_pairs_compute_sets(view: View, v: int) -> List[Tuple[int, int]]:
+def _uncovered_pairs_sets(view: View, v: int) -> List[Tuple[int, int]]:
     neighbors = sorted(view.graph.neighbors(v))
-    _components, reach = _component_reach_sets(view, v)
+    reach = _neighbor_reach_sets(view, v)
     failing: List[Tuple[int, int]] = []
     for i, u in enumerate(neighbors):
         for w in neighbors[i + 1:]:
@@ -572,61 +480,52 @@ def _uncovered_pairs_compute_sets(view: View, v: int) -> List[Tuple[int, int]]:
     return failing
 
 
-def _uncovered_pairs_compute_bitset(
-    view: View, v: int
+def _uncovered_pairs_bitset(
+    view: View, v: int, limit: int = 0
 ) -> List[Tuple[int, int]]:
-    epoch = _epoch_uncovered(view, v)
-    if epoch is None:
-        return _uncovered_pairs_full_bitset(view, v)
-    return _overlay_uncovered(view, *epoch)
+    """:func:`uncovered_pairs` on the bitset backend.
 
-
-def _uncovered_pairs_full_bitset(
-    view: View, v: int
-) -> List[Tuple[int, int]]:
-    index, masks = view.graph.adjacency_masks()
-    return _failing_pairs(
-        index,
-        masks,
-        v,
-        _reach_bitmaps(view, v),
-        view.visited_mask if view.visited_connected else 0,
-    )
-
-
-def _epoch_uncovered(
-    view: View, v: int
-) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """``(static_higher[v], status-free uncovered pairs)``, or ``None``.
-
-    ``None`` unless ``S(v) = UNVISITED`` (the shortcut's precondition)
-    and ``v``'s state is filled: by the epoch's sweep, or, for the
-    epoch's only decider so far, from its second such decision on.  Its
-    first decision only marks ``v``, so an epoch that its one decider
-    decides once stores nothing beyond ``static_higher[v]``.  The pairs
-    are a flat tuple of bit positions ``(p0, q0, p1, q1, ...)``.
+    A positive ``limit`` stops after that many pairs.  For ``S(v) =
+    UNVISITED`` the epoch state picks the route.  ``v``'s first decision
+    of the epoch only marks it and decomposes ``static_higher[v] |
+    designated_mask`` directly, so an epoch its one decider decides once
+    stores nothing beyond ``static_higher[v]``.  From the second on, the
+    status-free pairs (filled on first need, or by the epoch's sweep) are
+    re-checked under the view's status (:func:`_overlay_uncovered`).
     """
-    if view.status.get(v, st.UNVISITED) != st.UNVISITED or not (
+    if view.status.get(v, st.UNVISITED) == st.UNVISITED and (
         _overlay_applies(view)
     ):
-        return None
-    decider, higher = _decider(view, v)
-    static = decider.uncovered
-    if static is None:
-        decider.uncovered = _DECIDED_ONCE
-        return None
-    if static is _DECIDED_ONCE:
-        index, masks = view.graph.adjacency_masks()
-        components = _decompose(higher, masks)
-        position = index.position
-        static = decider.uncovered = tuple(
-            position(node)
-            for pair in _failing_pairs(
-                index, masks, v, _reach_of(index, masks, v, components), 0
+        decider, higher = _decider(view, v)
+        static = decider.uncovered
+        if static is None:
+            decider.uncovered = _DECIDED_ONCE
+            return _uncovered_among(
+                view, v, higher | view.designated_mask, limit
             )
-            for node in pair
-        )
-    return higher, static
+        if static is _DECIDED_ONCE:
+            # The status-free pairs, as a flat tuple of bit positions
+            # ``(p0, q0, p1, q1, ...)``.
+            index, masks = view.graph.adjacency_masks()
+            pairs = _failing_pairs(
+                index, masks, v, _decompose(higher, masks), 0
+            )
+            position = index.position
+            static = decider.uncovered = tuple(
+                position(node) for pair in pairs for node in pair
+            )
+        return _overlay_uncovered(view, higher, static, limit)
+    return _uncovered_among(view, v, _eligible_mask(view, v), limit)
+
+
+def _uncovered_among(
+    view: View, v: int, eligible: int, limit: int
+) -> List[Tuple[int, int]]:
+    """``v``'s uncovered pairs with intermediates drawn from ``eligible``."""
+    index, masks = view.graph.adjacency_masks()
+    visited = view.visited_mask if view.visited_connected else 0
+    components = _components(eligible, masks, visited)
+    return _failing_pairs(index, masks, v, components, visited, limit)
 
 
 def _overlay_uncovered(
@@ -698,17 +597,37 @@ def _overlay_uncovered(
 
 
 def _failing_pairs(
-    index, masks: Tuple[int, ...], v: int, reach: Dict[int, int], visited: int
+    index,
+    masks: Tuple[int, ...],
+    v: int,
+    components: List[int],
+    visited: int,
+    limit: int = 0,
 ) -> List[Tuple[int, int]]:
     """``v``'s neighbour pairs with no edge, no shared component, and not
-    both visited (``visited`` is 0 when that rule is off)."""
+    both visited (``visited`` is 0 when that rule is off).  A positive
+    ``limit`` stops after that many pairs.
+
+    Each neighbour ``u`` gets a reach bitmap, bit ``i`` set when ``u``
+    belongs to or touches ``components[i]``.  A replacement path for the
+    pair ``(u, w)`` exists exactly when its intermediates lie inside one
+    component adjacent to both ends, so the pair is replaceable iff the
+    two bitmaps share a bit (or the direct edge exists).
+    """
     position = index.position
     neighbors = sorted(index.members(masks[position(v)]))
     # Hoist every per-node lookup out of the O(deg^2) pair loop.
     positions = [position(u) for u in neighbors]
     bits = [1 << p for p in positions]
     adjacency = [masks[p] for p in positions]
-    reaches = [reach[u] for u in neighbors]
+    reaches: List[int] = []
+    for bit, adjacent in zip(bits, adjacency):
+        closed = bit | adjacent
+        reach = 0
+        for i, component in enumerate(components):
+            if closed & component:
+                reach |= 1 << i
+        reaches.append(reach)
     count = len(neighbors)
     failing: List[Tuple[int, int]] = []
     for i in range(count):
@@ -724,6 +643,8 @@ def _failing_pairs(
                 # Visited endpoints are mutually connected by convention.
                 continue
             failing.append((neighbors[i], neighbors[j]))
+            if len(failing) == limit:
+                return failing
     return failing
 
 
@@ -734,30 +655,14 @@ def coverage_condition(view: View, v: int) -> bool:
     a direct edge, or a path whose intermediates all rank above ``Pr(v)``.
     A node with zero or one neighbor satisfies the condition vacuously (it
     is never needed to connect anything); the source still forwards
-    unconditionally, so coverage is unaffected.
+    unconditionally, so coverage is unaffected.  The bitset backend stops
+    at the first uncovered pair, since one settles the verdict.
     """
     if _COUNTER_STACK:
         _COUNTER_STACK[-1].coverage_evaluations += 1
     if v in view.graph and _backend(view) == "bitset":
-        return _coverage_condition_bitset(view, v)
+        return not _uncovered_pairs_bitset(view, v, limit=1)
     return not uncovered_pairs(view, v)
-
-
-def _coverage_condition_bitset(view: View, v: int) -> bool:
-    """:func:`coverage_condition` on the bitset backend.
-
-    Past ``v``'s first UNVISITED decision of the epoch, the overlay stops
-    at the first uncovered pair, since one settles the verdict.  Otherwise
-    this is ``not uncovered_pairs(view, v)``, sharing its memo.
-    """
-    key = ("uncovered", v)
-    pairs = view_cache(view).get(key)
-    if pairs is None:
-        epoch = _epoch_uncovered(view, v)
-        if epoch is not None:
-            return not _overlay_uncovered(view, *epoch, limit=1)
-        pairs = _memo(view, key, lambda: _uncovered_pairs_full_bitset(view, v))
-    return not pairs
 
 
 def strong_coverage_condition(view: View, v: int) -> bool:
@@ -774,18 +679,14 @@ def strong_coverage_condition(view: View, v: int) -> bool:
         neighbors = view.graph.neighbors(v)
         if not neighbors:
             return True
-        for component in higher_priority_components(view, v):
+        for component in _components_compute_sets(view, v):
             if _dominates(view, component, neighbors):
                 return True
         return False
-    return _memo(
-        view,
-        ("strong", v),
-        lambda: _strong_coverage_compute_bitset(view, v),
-    )
+    return _strong_coverage_bitset(view, v)
 
 
-def _strong_coverage_compute_bitset(view: View, v: int) -> bool:
+def _strong_coverage_bitset(view: View, v: int) -> bool:
     index, masks = view.graph.adjacency_masks()
     targets = masks[index.position(v)]
     if not targets:
@@ -810,7 +711,11 @@ def _strong_coverage_compute_bitset(view: View, v: int) -> bool:
                 if _COUNTER_STACK:
                     _COUNTER_STACK[-1].coverage_epoch_reuses += 1
                 return static
-    return _dominated(masks, targets, _component_masks(view, v))
+        eligible = higher | view.designated_mask
+    else:
+        eligible = _eligible_mask(view, v)
+    visited = view.visited_mask if view.visited_connected else 0
+    return _dominated(masks, targets, _components(eligible, masks, visited))
 
 
 def _dominated(
@@ -844,11 +749,8 @@ def span_condition(view: View, v: int, max_intermediates: int = 2) -> bool:
     ``max_intermediates`` higher-priority, *un-visited* intermediate nodes
     (Span predates broadcast-state piggybacking).  With the default of two
     intermediates this is exactly the paper's "replacement path no more
-    than three hops".
-
-    The eligible intermediate set and every pair's path verdict are
-    memoised per view, so re-evaluations (and the pair overlap between
-    nodes sharing a view) stop re-running the bounded BFS.
+    than three hops".  The answer is the first pair without such a path,
+    found by one bounded BFS per pair.
     """
     if max_intermediates < 0:
         raise ValueError(
@@ -858,54 +760,30 @@ def span_condition(view: View, v: int, max_intermediates: int = 2) -> bool:
         raise KeyError(f"node {v} not visible in the view")
     if _COUNTER_STACK:
         _COUNTER_STACK[-1].coverage_evaluations += 1
-    return _memo(
-        view,
-        ("span", v, max_intermediates),
-        lambda: _span_compute(view, v, max_intermediates),
-    )
-
-
-def _span_compute(view: View, v: int, max_intermediates: int) -> bool:
     if _backend(view) == "sets":
-        eligible = _memo(
-            view,
-            ("span-eligible", v),
-            lambda: frozenset(
-                node
-                for node in _higher_priority_nodes(view, v)
-                if not view.is_visited(node)
-            ),
+        eligible = frozenset(
+            node
+            for node in _higher_priority_nodes(view, v)
+            if not view.is_visited(node)
         )
         neighbors = sorted(view.graph.neighbors(v))
-        for i, u in enumerate(neighbors):
-            for w in neighbors[i + 1:]:
-                if not _memo(
-                    view,
-                    ("span-pair", v, u, w, max_intermediates),
-                    lambda u=u, w=w: _bounded_replacement_path_sets(
-                        view, u, w, eligible, max_intermediates
-                    ),
-                ):
-                    return False
-        return True
+        return all(
+            _bounded_replacement_path_sets(
+                view, u, w, eligible, max_intermediates
+            )
+            for i, u in enumerate(neighbors)
+            for w in neighbors[i + 1:]
+        )
     index, masks = view.graph.adjacency_masks()
-    eligible = _memo(
-        view,
-        ("span-eligible", v),
-        lambda: _eligible_mask(view, v) & ~view.visited_mask,
-    )
+    eligible = _eligible_mask(view, v) & ~view.visited_mask
     neighbors = sorted(index.members(masks[index.position(v)]))
-    for i, u in enumerate(neighbors):
-        for w in neighbors[i + 1:]:
-            if not _memo(
-                view,
-                ("span-pair", v, u, w, max_intermediates),
-                lambda u=u, w=w: _bounded_replacement_path_bitset(
-                    index, masks, u, w, eligible, max_intermediates
-                ),
-            ):
-                return False
-    return True
+    return all(
+        _bounded_replacement_path_bitset(
+            index, masks, u, w, eligible, max_intermediates
+        )
+        for i, u in enumerate(neighbors)
+        for w in neighbors[i + 1:]
+    )
 
 
 def _bounded_replacement_path_sets(

@@ -44,33 +44,21 @@ def view_cache(view: "View") -> Dict:
     """The per-view derived-value cache (lazily attached, dirty-aware).
 
     Views are immutable value objects, so anything derived from one — a
-    status bitmask, the coverage machinery's component decomposition —
-    is stable for the view's lifetime and can be memoised on the
-    instance itself.  ``with_status`` and every view constructor return
-    fresh instances, so a state change never sees a stale cache.  The
-    dict is attached with ``object.__setattr__`` to bypass the frozen
-    dataclass guard.
+    status bitmask, the coverage backend bound to it — is stable for the
+    view's lifetime and can be kept on the instance itself.
+    ``with_status`` and every view constructor return fresh instances,
+    so a state change never sees a stale cache.  The dict is attached
+    with ``object.__setattr__`` to bypass the frozen dataclass guard.
 
     The cache records the graph's :meth:`~repro.graph.topology.Topology.
     version_stamp` at attach time and is reset wholesale when the stamp
     moves (a view over a graph later mutated through ``apply_delta`` or
-    the plain mutators).  Reset is deliberately *wholesale* rather than
-    per dirty node: the memoised coverage predicates (component
-    decompositions, reach bitmaps, span paths) are global within the
-    view graph — a far-away edge change can flip any node's verdict —
-    so per-node retention inside one view would be unsound.  In the
-    steady state (retained view graphs across mobility deltas) the
-    stamp never moves and the memo survives verbatim.
+    the plain mutators), so nothing derived from the old graph survives.
     """
     stamp = view.graph.version_stamp()
-    try:
-        cache = view._derived_cache  # type: ignore[attr-defined]
-    except AttributeError:
-        cache = {}
-        object.__setattr__(view, "_derived_cache", cache)
-        object.__setattr__(view, "_derived_cache_stamp", stamp)
-        return cache
-    if getattr(view, "_derived_cache_stamp", None) != stamp:
+    attrs = view.__dict__
+    cache = attrs.get("_derived_cache")
+    if cache is None or attrs["_derived_cache_stamp"] != stamp:
         cache = {}
         object.__setattr__(view, "_derived_cache", cache)
         object.__setattr__(view, "_derived_cache_stamp", stamp)
@@ -117,7 +105,7 @@ def epoch_cache(view: "View") -> EpochCache:
     or a plain mutator).  Any other view (``local_view``, ``global_view``,
     ``super_view``, ``with_status``, or one built directly) gets one kept
     in its own :func:`view_cache`, so the state lives and dies with the
-    view exactly like every other memo.
+    view.
     """
     shared = view.__dict__.get("_epoch_cache")
     if shared is None:
@@ -147,7 +135,9 @@ class View:
         un-visited (status 1).  Invisible nodes — those absent from
         ``graph`` — always rank lowest regardless of this mapping.
     metrics:
-        Priority-scheme metric tuple per visible node.
+        Priority-scheme metric tuple per node.  Only visible nodes are
+        looked up, so the table may cover more (``make_view`` passes the
+        whole deployment's); a visible node it lacks gets the padding.
     metric_padding:
         Zero metrics used for invisible nodes, so keys stay comparable.
     visited_connected:
@@ -264,19 +254,41 @@ def _restrict_metrics(
     return {node: all_metrics.get(node, padding) for node in visible}
 
 
-def _restrict_status(
-    visited: Iterable[int], designated: Iterable[int], visible
-) -> Dict[int, float]:
-    """Status map over ``visible`` (anything supporting ``in`` — a set or
-    a :class:`Topology`, so callers need not re-materialise node sets)."""
+def _stated_view(
+    graph: Topology,
+    visited: Iterable[int],
+    designated: Iterable[int],
+    metrics: Mapping[int, Tuple[float, ...]],
+    padding: Tuple[float, ...],
+) -> View:
+    """A :class:`View` over ``graph`` with known broadcast state.
+
+    State is restricted to the visible nodes (a node cannot use what it
+    cannot see).  One pass builds the status map and the
+    :attr:`View.visited_mask` / :attr:`View.designated_mask` it implies,
+    and the masks are seeded into the view's :func:`view_cache`.
+    """
+    positions = graph.node_index().positions
     status: Dict[int, float] = {}
+    visited_mask = designated_mask = 0
     for node in designated:
-        if node in visible:
+        position = positions.get(node)
+        if position is not None:
             status[node] = st.DESIGNATED
+            designated_mask |= 1 << position
     for node in visited:
-        if node in visible:
+        position = positions.get(node)
+        if position is not None:
             status[node] = st.VISITED
-    return status
+            visited_mask |= 1 << position
+    view = View(
+        graph=graph, status=status, metrics=metrics, metric_padding=padding
+    )
+    view_cache(view).update(
+        visited_mask=visited_mask,
+        designated_mask=designated_mask | visited_mask,
+    )
+    return view
 
 
 def global_view(
@@ -293,11 +305,8 @@ def global_view(
     sweeps.
     """
     table = metrics if metrics is not None else scheme.metrics(graph)
-    return View(
-        graph=graph,
-        status=_restrict_status(visited, designated, graph),
-        metrics=dict(table),
-        metric_padding=scheme.padding(),
+    return _stated_view(
+        graph, visited, designated, dict(table), scheme.padding()
     )
 
 
@@ -319,11 +328,13 @@ def local_view(
     """
     view_graph = graph.k_hop_view_graph(center, k)
     table = metrics if metrics is not None else scheme.metrics(graph)
-    return View(
-        graph=view_graph,
-        status=_restrict_status(visited, designated, view_graph),
-        metrics=_restrict_metrics(table, view_graph, scheme.padding()),
-        metric_padding=scheme.padding(),
+    padding = scheme.padding()
+    return _stated_view(
+        view_graph,
+        visited,
+        designated,
+        _restrict_metrics(table, view_graph, padding),
+        padding,
     )
 
 

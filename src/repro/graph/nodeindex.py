@@ -71,6 +71,19 @@ class NodeIndex:
         if len(self._positions) != len(self._nodes):
             raise ValueError("duplicate node ids in index universe")
 
+    @classmethod
+    def adopt(cls, positions: Dict[int, int]) -> "NodeIndex":
+        """The index whose position map *is* ``positions``.
+
+        ``positions`` must map its keys, in insertion order, to
+        ``0, 1, 2, ...``; the dict is kept, not copied, so the caller
+        must not change it afterwards.
+        """
+        index = cls.__new__(cls)
+        index._nodes = tuple(positions)
+        index._positions = positions
+        return index
+
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -89,6 +102,11 @@ class NodeIndex:
     def nodes(self) -> Tuple[int, ...]:
         """The universe, in bit-position order."""
         return self._nodes
+
+    @property
+    def positions(self) -> Mapping[int, int]:
+        """The node → bit-position map itself (read-only by contract)."""
+        return self._positions
 
     # ------------------------------------------------------------------
 

@@ -184,22 +184,21 @@ class Topology:
         """A graph given as its own ``(index, rows)`` mask table.
 
         ``rows[p]`` is the neighbor mask of ``index.node_at(p)`` under
-        ``index``; the table must be symmetric and self-loop-free.  It
-        seeds the new graph's :meth:`node_index` and
-        :meth:`adjacency_masks`, so the kernels read it as is, and the
-        adjacency dict is decoded only if a caller walks the graph
-        (:attr:`_adj`).  The derived-graph constructor behind
-        :meth:`k_hop_view_graph` and :meth:`subgraph`.
+        ``index``; the table must be symmetric and self-loop-free.  It is
+        the new graph's :meth:`node_index` and :meth:`adjacency_masks`,
+        so the kernels read it as is, and the adjacency dict is decoded
+        only if a caller walks the graph (:attr:`_adj`).  The
+        derived-graph constructor behind :meth:`k_hop_view_graph` and
+        :meth:`subgraph`.
         """
-        graph = cls()
+        graph = cls.__new__(cls)  # no __init__: _adj stays undecoded
         graph._adopt_rows(index, rows)
         return graph
 
     def _adopt_rows(self, index: NodeIndex, rows: Tuple[int, ...]) -> None:
-        del self._adj  # decoded on first use, see _adj
         self._rows = (index, rows)
-        self._query_cache[("node_index",)] = index
-        self._query_cache[("mask_table",)] = self._rows
+        self._query_cache = {}
+        self._version = 0
 
     @cached_property
     def _adj(self) -> Dict[int, Set[int]]:
@@ -350,6 +349,7 @@ class Topology:
     ) -> DeltaReport:
         endpoints = sorted({node for edge in adds + drops for node in edge})
         endpoint_set = set(endpoints)
+        rows = self._rows
 
         # Every radius with cached entries must get a dirty ball, plus
         # any radius the caller's own caches are keyed on.
@@ -386,6 +386,10 @@ class Topology:
                     keep[key] = value
             # Untruncated BFS, max_degree and any future aggregate are
             # evicted: they are global, not local to a dirty ball.
+        if rows is not None:
+            # A mask-built graph's table moves into the cache, patched.
+            keep[("node_index",)] = rows[0]
+            keep[("mask_table",)] = self._patched_mask_table(rows, endpoints)
         self._query_cache = keep
         self._version += 1
 
@@ -413,6 +417,9 @@ class Topology:
         with fresh ones through this accessor, and an edge delta keeps
         it (the node set is unchanged).
         """
+        rows = self._rows
+        if rows is not None:
+            return rows[0]
         return self._cached(("node_index",), lambda: NodeIndex(self._adj))
 
     def adjacency_masks(self) -> Tuple[NodeIndex, Tuple[int, ...]]:
@@ -420,8 +427,12 @@ class Topology:
 
         ``masks[index.position(v)]`` is the neighbor mask ``N(v)``.  The
         table is memoised per version and shared between callers — treat
-        it as a read-only snapshot.
+        it as a read-only snapshot.  A mask-built graph answers with its
+        own table until its first mutation.
         """
+        rows = self._rows
+        if rows is not None:
+            return rows
         return self._cached(("mask_table",), self._mask_table_compute)
 
     def _mask_table_compute(self) -> Tuple[NodeIndex, Tuple[int, ...]]:
@@ -799,17 +810,17 @@ class Topology:
         are both exactly ``k`` hops away from ``v`` are invisible, because
         they were never reported in only ``k`` rounds of "hello" exchanges.
 
-        Built in one pass over a truncated BFS as a mask-built graph
-        (:meth:`_from_rows`): the view's index is the BFS order
-        ``tuple(bfs_distances(v, k))``, and each row is the parent row
-        ``N(u)`` restricted to ``N_k(v)`` — to ``N_{k-1}(v)`` when ``u``
-        lies on the outermost ring — remapped to view positions.  The
-        view's :meth:`adjacency_masks` is that table, so the coverage
-        kernel never decodes or re-encodes it.
+        Built by one ring-by-ring BFS as a mask-built graph
+        (:meth:`_from_rows`): the BFS's position dict becomes the view's
+        index, in the order ``tuple(bfs_distances(v, k))``, and each row is
+        the parent row ``N(u)`` restricted to ``N_k(v)`` — to
+        ``N_{k-1}(v)`` when ``u`` lies on the outermost ring — in view
+        positions.  The view's :meth:`adjacency_masks` is that table, so
+        the coverage kernel never decodes or re-encodes it.
 
-        Memoised per version (the BFS is not: the view's index already
-        holds its order); the returned view graph is shared between
-        callers and must be treated as a read-only snapshot.
+        The view graph is this topology's one query-cache entry for
+        ``(v, k)`` until a change within reach evicts it; it is shared
+        between callers and must be treated as a read-only snapshot.
         """
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
@@ -819,19 +830,42 @@ class Topology:
         )
 
     def _k_hop_view_graph_compute(self, node: int, k: int) -> "Topology":
-        distances = self._bfs_distances_compute(node, k)
-        bit = {u: 1 << position for position, u in enumerate(distances)}
-        inner = {u for u, hops_u in distances.items() if hops_u < k}
+        if node not in self._adj:
+            raise KeyError(f"node {node} not in graph")
+        if _COUNTER_STACK:
+            _COUNTER_STACK[-1].bfs_runs += 1
         adj = self._adj
-        rows: List[int] = []
-        for u, hops_u in distances.items():
-            row = 0
-            # Outermost ring: inward edges only (Definition 2: links
-            # between two exactly-k-hop nodes were never reported).
-            for w in adj[u] if hops_u < k else adj[u] & inner:
-                row |= bit[w]
-            rows.append(row)
-        return Topology._from_rows(NodeIndex(distances), tuple(rows))
+        # One ring-by-ring BFS; ``positions`` (insertion order) is the
+        # view's index, and each expanded node's row is written as its
+        # neighbours are scanned.  The last round's finds form the
+        # outermost ring, never expanded: their rows get only the inward
+        # links, as the expanded nodes meet them (Definition 2: links
+        # between two exactly-k-hop nodes were never reported).
+        positions = {node: 0}
+        rows = [0]
+        ring = [node]
+        for depth in range(k):
+            last = depth == k - 1
+            found = len(rows)
+            grown: List[int] = []
+            for u in ring:
+                p = positions[u]
+                inward = 1 << p if last else 0
+                row = 0
+                for w in adj[u]:
+                    q = positions.get(w)
+                    if q is None:
+                        q = positions[w] = len(rows)
+                        rows.append(inward)
+                        grown.append(w)
+                    elif q >= found:
+                        rows[q] |= inward
+                    row |= 1 << q
+                rows[p] = row
+            if not grown:
+                break
+            ring = grown
+        return Topology._from_rows(NodeIndex.adopt(positions), tuple(rows))
 
     def subgraph(self, nodes: Iterable[int]) -> "Topology":
         """The subgraph induced by ``nodes`` (all must be present), as a
@@ -840,14 +874,14 @@ class Topology:
         missing = [node for node in members if node not in self]
         if missing:
             raise KeyError(f"nodes not in graph: {sorted(missing)}")
-        bit = {u: 1 << position for position, u in enumerate(members)}
+        positions = {u: position for position, u in enumerate(members)}
         rows: List[int] = []
         for u in members:
             row = 0
             for w in members.intersection(self._neighbor_ids(u)):
-                row |= bit[w]
+                row |= 1 << positions[w]
             rows.append(row)
-        return Topology._from_rows(NodeIndex(members), tuple(rows))
+        return Topology._from_rows(NodeIndex.adopt(positions), tuple(rows))
 
     def is_subgraph_of(self, other: "Topology") -> bool:
         """Whether every node and edge of ``self`` also appears in ``other``."""

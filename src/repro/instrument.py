@@ -6,7 +6,7 @@ evaluations, deliveries.  This module provides the single typed counter
 object that every layer reports into:
 
 * :mod:`repro.core.coverage` — coverage-condition evaluations, component
-  decompositions, per-view memo hits/misses, epoch-cache reuses;
+  decompositions, epoch-cache reuses;
 * :mod:`repro.graph.topology` — query-cache hits/misses, BFS runs, and
   the bitmask-kernel ops (adjacency-mask table builds, mask BFS runs,
   component flood-fills);
@@ -60,6 +60,8 @@ class InstrumentationCounters:
     # core/coverage.py
     coverage_evaluations: int = 0
     component_decompositions: int = 0
+    # Always 0: the coverage predicates keep no per-view memo.  Kept only
+    # because the benchmark ledger reads them by key.
     coverage_memo_hits: int = 0
     coverage_memo_misses: int = 0
     #: Bitset decisions answered from the status-free epoch state with

@@ -36,12 +36,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..algorithms.base import BroadcastProtocol
 from ..core.priority import PriorityScheme, IdPriority
-from ..core.views import (
-    EpochCache,
-    View,
-    _restrict_status,
-    share_epoch_cache,
-)
+from ..core.views import EpochCache, View, _stated_view, share_epoch_cache
 from ..graph.topology import Topology
 from ..instrument import InstrumentationCounters
 from .events import EventBus, SimEvent
@@ -69,15 +64,13 @@ class SimulationEnvironment:
         self.scheme = scheme or IdPriority()
         self.metrics = self.scheme.metrics(graph)
         self._two_hop_cache: Dict[int, FrozenSet[int]] = {}
-        #: Per-view-graph metric restriction and epoch cache (see
+        #: Per-view-graph epoch cache (see
         #: :func:`repro.core.views.epoch_cache`), keyed by graph identity
         #: (a strong reference to the graph is kept alongside, so an id
         #: can never be recycled under the cache).  Scheme-specific —
         #: reset by :meth:`with_scheme`, unlike the topology-only
         #: two-hop cache.
-        self._view_metrics: Dict[
-            int, Tuple[Topology, Dict[int, Tuple[float, ...]], EpochCache]
-        ] = {}
+        self._view_epochs: Dict[int, Tuple[Topology, EpochCache]] = {}
         #: The graph's version stamp the caches above were built against;
         #: :meth:`sync_topology` catches up when it moves.
         self._graph_version = graph.version_stamp()
@@ -94,7 +87,7 @@ class SimulationEnvironment:
         sibling.scheme = scheme
         sibling.metrics = scheme.metrics(self.graph)
         sibling._two_hop_cache = self._two_hop_cache
-        sibling._view_metrics = {}
+        sibling._view_epochs = {}
         sibling._graph_version = self.graph.version_stamp()
         return sibling
 
@@ -120,7 +113,7 @@ class SimulationEnvironment:
             return
         self._graph_version = stamp
         self._two_hop_cache.clear()
-        self._view_metrics.clear()
+        self._view_epochs.clear()
         self.metrics = self.scheme.metrics(self.graph)
 
     def view_graph(self, node: int, hops: Optional[int]) -> Topology:
@@ -152,30 +145,25 @@ class SimulationEnvironment:
     ) -> View:
         """Assemble a :class:`View` over ``view_graph`` with known state.
 
-        The metric restriction to the visible nodes is topology-dependent
-        only, so it is computed once per view graph and shared by every
-        per-decision view the engine builds over it (views never mutate
-        their metrics mapping).  So is the coverage kernel's status-free
-        state, which every such view reaches through its shared
-        :func:`~repro.core.views.epoch_cache`.
+        The view reads this environment's :attr:`metrics` table itself:
+        every reader looks up visible nodes only, and
+        :meth:`~repro.core.views.View.priority` pads invisible ones.  The
+        status map and its masks come from one pass.  Every view built
+        over one view graph shares the coverage kernel's status-free
+        state through its :func:`~repro.core.views.epoch_cache`, kept
+        here per view graph.
         """
         self.sync_topology()
-        entry = self._view_metrics.get(id(view_graph))
+        entry = self._view_epochs.get(id(view_graph))
         if entry is None or entry[0] is not view_graph:
-            table = self.metrics
-            entry = (
+            entry = self._view_epochs[id(view_graph)] = (
                 view_graph,
-                {node: table[node] for node in view_graph},
                 EpochCache(),
             )
-            self._view_metrics[id(view_graph)] = entry
-        view = View(
-            graph=view_graph,
-            status=_restrict_status(visited, designated, view_graph),
-            metrics=entry[1],
-            metric_padding=self.scheme.padding(),
+        view = _stated_view(
+            view_graph, visited, designated, self.metrics, self.scheme.padding()
         )
-        return share_epoch_cache(view, entry[2])
+        return share_epoch_cache(view, entry[1])
 
 
 @dataclass

@@ -31,6 +31,8 @@ from repro.core import coverage
 from repro.core import status as st
 from repro.core.coverage import (
     coverage_condition,
+    higher_priority_components,
+    span_condition,
     strong_coverage_condition,
     uncovered_pairs,
 )
@@ -74,7 +76,7 @@ def _random_graph(rng: random.Random) -> Topology:
 
 
 def _fresh(view: View, **changes) -> View:
-    """An equal view with no shared epoch cache and no warm memo."""
+    """An equal view with no shared epoch cache and no warm state."""
     return View(
         graph=changes.get("graph", view.graph),
         status=dict(view.status),
@@ -90,7 +92,7 @@ def _verdicts(view: View, v: int, condition_first: bool = False):
     """``(uncovered_pairs, coverage_condition, strong_coverage_condition)``.
 
     With ``condition_first`` the condition is asked before the pair list,
-    so it cannot read the list from the view's memo.
+    so it, not the list, takes the decider's first-decision route.
     """
     if condition_first:
         condition = coverage_condition(view, v)
@@ -101,6 +103,10 @@ def _verdicts(view: View, v: int, condition_first: bool = False):
         coverage_condition(view, v),
         strong_coverage_condition(view, v),
     )
+
+
+#: Statuses the call-order test gives a view graph's centre.
+CENTRE_STATUSES = (st.UNVISITED, st.UNVISITED, st.DESIGNATED, st.VISITED)
 
 
 def _use_backend(monkeypatch, backend: str) -> None:
@@ -454,3 +460,53 @@ def test_with_status_and_local_views_get_per_view_scope():
     # Per-view scope: the state is dropped with the view's own memo.
     view_cache(local).clear()
     assert epoch_cache(local).state is None
+
+
+def _component_set(view: View, v: int):
+    return frozenset(
+        frozenset(component)
+        for component in higher_priority_components(view, v)
+    )
+
+
+#: Every public predicate, in the forward call order.
+PREDICATES = (
+    ("coverage", coverage_condition),
+    ("uncovered", uncovered_pairs),
+    ("components", _component_set),
+    ("strong", strong_coverage_condition),
+    ("span", span_condition),
+)
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3, None])
+@pytest.mark.parametrize("backend", ["bitset", "sets"])
+def test_answers_do_not_depend_on_call_order(backend, hops, monkeypatch):
+    """The epoch state is all one predicate call leaves for the next.
+
+    On one view graph the five predicates run in forward and reverse
+    order, for its centre, then a second decider (the bitset kernel's
+    sweep), then the centre again on a sibling view.  Every answer must
+    equal the one a fresh view gives.
+    """
+    _use_backend(monkeypatch, backend)
+    for seed in range(30):
+        rng = random.Random(seed)
+        graph = _random_graph(rng)
+        scheme = rng.choice([IdPriority(), DegreePriority(), NcrPriority()])
+        center = rng.choice(graph.nodes())
+        nodes = SimulationEnvironment(graph).view_graph(center, hops).nodes()
+        second = rng.choice([node for node in nodes if node != center])
+        visited, designated = _overlay(
+            rng, nodes, center, rng.choice(CENTRE_STATUSES)
+        )
+        for order in (PREDICATES, PREDICATES[::-1]):
+            env = SimulationEnvironment(graph, scheme)
+            view_graph = env.view_graph(center, hops)
+            view = env.make_view(view_graph, visited, designated)
+            sibling = env.make_view(view_graph, visited, designated)
+            for shared, v in ((view, center), (view, second), (sibling, center)):
+                for name, predicate in order:
+                    expected = predicate(_fresh(shared), v)
+                    assert predicate(shared, v) == expected, (seed, name, v)
+

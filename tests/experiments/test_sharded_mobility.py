@@ -343,8 +343,6 @@ def test_counters_jobs_invariant_and_serial_equal(jobs):
     decision_side = (
         "coverage_evaluations",
         "component_decompositions",
-        "coverage_memo_hits",
-        "coverage_memo_misses",
         "mask_floodfills",
     )
     for field in decision_side:
@@ -352,8 +350,11 @@ def test_counters_jobs_invariant_and_serial_equal(jobs):
     # Every group replays the whole trace on its own topology copy.
     assert serial_counters.delta_applies > 0
     assert counters.delta_applies == serial_counters.delta_applies * jobs
-    # Retired shard counters, kept only for the benchmark ledger.
+    # Retired shard and coverage-memo counters, kept only for the
+    # benchmark ledger.
     for field in (
+        "coverage_memo_hits",
+        "coverage_memo_misses",
         "forward_set_reuses",
         "shard_redecides",
         "shard_handoff_redecides",

@@ -46,6 +46,27 @@ class TestEnvironment:
         assert not view.is_visited(4)  # outside the 1-hop view
         assert view.metrics[1] == (2.0,)
 
+    def test_make_view_reads_the_env_metrics_table(self):
+        graph = Topology.path(5)
+        env = SimulationEnvironment(graph, DegreePriority())
+        view = env.make_view(
+            env.view_graph(0, 1), frozenset({1, 4}), frozenset({3})
+        )
+        assert view.metrics is env.metrics
+        # Node 3 is outside the 1-hop view: still the lowest priority,
+        # with zero-padded metrics, though the table holds its degree.
+        assert env.metrics[3] == (2.0,)
+        assert view.priority(3) == (0, 0.0, 3)
+        assert view.visited_mask == view.index.bit(1)
+        assert view.designated_mask == view.index.bit(1)
+        sibling = env.with_scheme(IdPriority())
+        sibling_view = sibling.make_view(
+            sibling.view_graph(0, 1), frozenset(), frozenset()
+        )
+        assert sibling_view.metrics is sibling.metrics
+        assert sibling_view.metrics is not env.metrics
+        assert sibling_view.priority(1) == (1, 1)
+
 
 class TestFloodingSession:
     def test_everyone_forwards_once(self):
