@@ -3,8 +3,10 @@
 Times every kernel the bitset layer accelerates — coverage condition,
 strong coverage, span condition, k-hop view extraction (against an
 in-bench brute-force Definition 2 reference), and one full broadcast —
-under ``REPRO_COVERAGE_BACKEND=bitset`` and ``=sets`` on the dense
-100-node / average-degree-18 fixture shared with ``bench_micro``.
+on the kernel and on the frozenset/union-find predicates of
+:mod:`repro.check.reference` (the whole kernel run inside its
+``substituted()``), on the dense 100-node / average-degree-18 fixture
+shared with ``bench_micro``.
 
 Run directly for the full record (written to ``BENCH_coverage_kernel.json``
 at the repo root so the perf trajectory is tracked across PRs)::
@@ -13,11 +15,12 @@ at the repo root so the perf trajectory is tracked across PRs)::
     PYTHONPATH=src python benchmarks/bench_coverage_kernel.py --smoke
     PYTHONPATH=src python benchmarks/bench_coverage_kernel.py --repeats 20
 
-Every kernel asserts that both backends produce identical results before
-any timing is trusted.  Full mode gates the acceptance thresholds
-(coverage >= 3x, full broadcast >= 1.5x); ``--smoke`` shrinks repetition
-counts for CI and only requires the bitset backend not to lose (>= 1.0x),
-exiting non-zero on a regression either way.
+Every kernel asserts that the kernel and the reference produce identical
+results (``first_divergence`` null) before any timing is trusted.  Full
+mode gates the acceptance thresholds (coverage >= 3x, full broadcast >=
+1.5x); ``--smoke`` shrinks repetition counts for CI and only requires the
+bitset kernel not to lose (>= 1.0x), exiting non-zero on a regression
+either way.
 """
 
 from __future__ import annotations
@@ -28,18 +31,17 @@ import os
 import random
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 sys.path.insert(
     0,
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
 )
 
-from repro.core.coverage import (
-    coverage_condition,
-    span_condition,
-    strong_coverage_condition,
-)
+from bench_parallel import first_divergence
+
+from repro.check.reference import substituted
+from repro.core import coverage
 from repro.core.priority import IdPriority
 from repro.core.views import global_view
 from repro.graph.generators import random_connected_network
@@ -82,29 +84,30 @@ def _timed(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
 
 def _ab(
     kernel: Callable[[], object], repeats: int
-) -> Tuple[float, float]:
-    """Time ``kernel`` under each backend; assert identical results."""
-    times: Dict[str, float] = {}
-    results: Dict[str, object] = {}
-    for backend in ("sets", "bitset"):
-        os.environ["REPRO_COVERAGE_BACKEND"] = backend
-        times[backend], results[backend] = _timed(kernel, repeats)
-    assert results["sets"] == results["bitset"], (
-        "backends disagree — bitset kernel broken"
+) -> Tuple[float, float, Optional[str]]:
+    """Time ``kernel`` on the reference and on the bitset kernel; assert
+    identical results."""
+    with substituted():
+        reference_seconds, expected = _timed(kernel, repeats)
+    bitset_seconds, got = _timed(kernel, repeats)
+    divergence = first_divergence(expected, got)
+    assert divergence is None, (
+        f"bitset kernel diverges from the reference: {divergence}"
     )
-    return times["sets"], times["bitset"]
+    return reference_seconds, bitset_seconds, divergence
 
 
 # ----------------------------------------------------------------------
 # Kernels.  Fresh views/graphs per call so per-view memoisation measures
-# the kernel, not the cache.
+# the kernel, not the cache.  Predicates are looked up on the module at
+# call time, so ``substituted()`` swaps them.
 # ----------------------------------------------------------------------
 
 
 def _kernel_coverage(graph: Topology) -> Callable[[], object]:
     def run():
         view = global_view(graph, IdPriority())
-        return [coverage_condition(view, v) for v in graph.nodes()]
+        return [coverage.coverage_condition(view, v) for v in graph.nodes()]
 
     return run
 
@@ -112,7 +115,10 @@ def _kernel_coverage(graph: Topology) -> Callable[[], object]:
 def _kernel_strong(graph: Topology) -> Callable[[], object]:
     def run():
         view = global_view(graph, IdPriority())
-        return [strong_coverage_condition(view, v) for v in graph.nodes()]
+        return [
+            coverage.strong_coverage_condition(view, v)
+            for v in graph.nodes()
+        ]
 
     return run
 
@@ -120,7 +126,7 @@ def _kernel_strong(graph: Topology) -> Callable[[], object]:
 def _kernel_span(graph: Topology) -> Callable[[], object]:
     def run():
         view = global_view(graph, IdPriority())
-        return [span_condition(view, v) for v in graph.nodes()]
+        return [coverage.span_condition(view, v) for v in graph.nodes()]
 
     return run
 
@@ -222,12 +228,13 @@ def run_benchmark(repeats: int, smoke: bool) -> dict:
         "gates": {},
     }
     for name, kernel in kernels.items():
-        reference, bitset = _ab(kernel, repeats)
+        reference, bitset, divergence = _ab(kernel, repeats)
         record["kernels"][name] = {
             "reference": "sets",
             "reference_seconds": round(reference, 4),
             "bitset_seconds": round(bitset, 4),
             "speedup": round(reference / bitset, 2) if bitset else None,
+            "first_divergence": divergence,
         }
     reference, bitset = _time_extraction(graph, repeats)
     record["kernels"]["k_hop_view_extraction"] = {

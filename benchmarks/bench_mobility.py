@@ -19,13 +19,15 @@ The A/B times :func:`repro.experiments.runner.run_mobility_sweep` with
 ``incremental=True`` (one mutable :class:`Topology` mutated through
 ``apply_delta``, dirty-scoped re-decisions) against ``incremental=False``
 (full rebuild + full re-decide per step) on a 100-node random-waypoint
-fixture, under **both** coverage backends, and exits non-zero if any
-step's forward set or flip counts diverge — the equivalence gate the CI
-smoke job runs.  The full mode additionally gates on a >= 3x per-step
+fixture, on the coverage kernel and on the reference predicates
+(``sets``, inside :func:`repro.check.reference.substituted`), and exits
+non-zero if any step's forward set or flip counts diverge — the
+equivalence gate the CI smoke job runs.  The full mode additionally gates on a >= 3x per-step
 speedup.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -43,6 +45,7 @@ from bench_parallel import first_divergence
 from conftest import write_result
 
 from repro.algorithms.precomputed import PrecomputedForwardSet
+from repro.check.reference import substituted
 from repro.core.conservative import conservative_forward_set
 from repro.core.coverage import coverage_condition
 from repro.core.priority import DegreePriority, IdPriority
@@ -196,7 +199,7 @@ def _sweep_payload(steps) -> list:
 
 
 def run_delta_ab(smoke: bool, jobs: int = 4) -> dict:
-    """Time incremental vs rebuild sweeps under both coverage backends.
+    """Time incremental vs rebuild sweeps on the kernel and the reference.
 
     The equivalence gate compares the full per-step payload (forward
     sets and flip counts) with :func:`bench_parallel.first_divergence`,
@@ -216,9 +219,10 @@ def run_delta_ab(smoke: bool, jobs: int = 4) -> dict:
     backends = {}
     divergence = None
     for backend in BACKENDS:
-        saved = os.environ.get("REPRO_COVERAGE_BACKEND")
-        os.environ["REPRO_COVERAGE_BACKEND"] = backend
-        try:
+        on_reference = (
+            substituted() if backend == "sets" else contextlib.nullcontext()
+        )
+        with on_reference:
             start = time.perf_counter()
             incremental = run_mobility_sweep(
                 _delta_fixture(), steps, dt, scheme=DegreePriority(), k=2
@@ -236,11 +240,6 @@ def run_delta_ab(smoke: bool, jobs: int = 4) -> dict:
                 scheme=DegreePriority(), k=2, jobs=identity_jobs,
             )
             sharded_seconds = time.perf_counter() - start
-        finally:
-            if saved is None:
-                del os.environ["REPRO_COVERAGE_BACKEND"]
-            else:
-                os.environ["REPRO_COVERAGE_BACKEND"] = saved
         found = first_divergence(
             _sweep_payload(rebuild), _sweep_payload(incremental)
         )

@@ -11,7 +11,9 @@ the repo root so the perf trajectory is tracked across PRs)::
 
 ``--smoke`` shrinks the sweep to seconds and exits non-zero if the
 parallel tables diverge from serial in any byte — the CI regression
-gate.  The module also exposes a pytest-benchmark entry so the figure
+gate.  It also reruns the serial sweep on the reference coverage
+predicates (inside :func:`repro.check.reference.substituted`) and
+requires those tables to match in every byte too.  The module also exposes a pytest-benchmark entry so the figure
 benchmark suite picks the comparison up.
 """
 
@@ -31,6 +33,7 @@ sys.path.insert(
     os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"),
 )
 
+from repro.check.reference import substituted
 from repro.experiments.config import RunSettings
 from repro.experiments.export import tables_to_json
 from repro.experiments.figures import fig11_selection
@@ -148,11 +151,19 @@ def run_comparison(jobs: int, smoke: bool) -> dict:
     serial_payload = tables_to_json(serial_tables)
     identity_payload = tables_to_json(identity_tables)
     divergence = first_divergence(serial_payload, identity_payload)
+    reference_divergence = None
+    if smoke:
+        with substituted():
+            reference_tables = run_figure(figure, _settings(1, smoke))
+        reference_divergence = first_divergence(
+            serial_payload, tables_to_json(reference_tables)
+        )
     speedup = None
     if jobs_effective >= 2 and parallel_seconds:
         speedup = round(serial_seconds / parallel_seconds, 3)
     return {
         "divergence": divergence,
+        "reference_divergence": reference_divergence,
         "benchmark": "bench_parallel",
         "figure": "fig11",
         "mode": "smoke" if smoke else "full",
@@ -164,7 +175,7 @@ def run_comparison(jobs: int, smoke: bool) -> dict:
         "serial_seconds": round(serial_seconds, 3),
         "parallel_seconds": round(parallel_seconds, 3),
         "speedup": speedup,
-        "byte_identical": divergence is None,
+        "byte_identical": divergence is None and reference_divergence is None,
     }
 
 
@@ -194,13 +205,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         handle.write("\n")
     print(json.dumps(record, indent=2))
     print(f"wrote {args.out}", file=sys.stderr)
-    if not record["byte_identical"]:
+    if record["divergence"] is not None:
         print(
             "FAIL: byte-identity gate — the parallel sweep "
             f"(jobs={record['identity_jobs']}) diverges from the serial "
             "run.  The determinism contract (byte-identical tables at "
             "any --jobs N) is broken; first divergence:\n"
             f"  {record['divergence']}",
+            file=sys.stderr,
+        )
+        return 1
+    if record["reference_divergence"] is not None:
+        print(
+            "FAIL: byte-identity gate — the serial sweep on the reference "
+            "coverage predicates diverges from the kernel's; first "
+            f"divergence:\n  {record['reference_divergence']}",
             file=sys.stderr,
         )
         return 1
@@ -227,6 +246,7 @@ def test_parallel_matches_serial(benchmark, tmp_path):
     )
     assert record["byte_identical"], record["divergence"]
     assert record["divergence"] is None
+    assert record["reference_divergence"] is None
     assert record["point_count"] == 2 * 4 * len(SMOKE_NS)
     assert record["jobs_effective"] <= (os.cpu_count() or 1)
     assert record["identity_jobs"] >= 2

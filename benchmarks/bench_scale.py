@@ -5,8 +5,9 @@ deployments (``random_grid_network``, occupancy 0.7, radius 1.5) at
 n ≈ 1k / 10k / 100k:
 
 * **construction** — unit-disk graph build throughput (nodes/sec) through
-  the cell grid at every size, against the pairwise reference where the
-  O(n²) scan is still feasible (1k).  At 100k the pairwise scan would
+  the cell grid at every size, against the pairwise reference
+  (:mod:`repro.check.reference`) where the O(n²) scan is still feasible
+  (1k).  At 100k the pairwise scan would
   visit ~5e9 candidate pairs; the record marks it infeasible instead of
   timing it.
 * **calibration** — ``range_for_link_count`` at nd/2 links through the
@@ -14,8 +15,9 @@ n ≈ 1k / 10k / 100k:
   sort-all-pairs calibration allocated ~50M distances), with a radius
   byte-identity gate against the pairwise reference at 1k.
 * **full broadcast** — ``GenericStatic`` (global view) prepare + run
-  under the bitset coverage backend at 1k, with its forward set gated
-  byte-identical to the sets reference, and again at 10k to record
+  on the bitset coverage kernel at 1k, with its forward set gated
+  byte-identical to a run on the sets reference (inside
+  :func:`repro.check.reference.substituted`), and again at 10k to record
   forward-set throughput at scale.  A shared global view costs bitset
   one decreasing-priority sweep for the whole deployment.
 
@@ -54,6 +56,7 @@ sys.path.insert(
 from bench_parallel import bench_env, first_divergence
 
 from repro.algorithms.generic import GenericStatic
+from repro.check import reference
 from repro.core.priority import IdPriority
 from repro.graph.generators import random_grid_network
 from repro.graph.geometry import grid_points
@@ -114,9 +117,8 @@ def _edge_payload(network) -> List[List[int]]:
     return [list(edge) for edge in sorted(network.topology.edges())]
 
 
-def _broadcast(graph, backend: str) -> Tuple[float, dict]:
-    """GenericStatic global-view prepare + one session under ``backend``."""
-    os.environ["REPRO_COVERAGE_BACKEND"] = backend
+def _broadcast(graph) -> Tuple[float, dict]:
+    """GenericStatic global-view prepare + one session."""
     env = SimulationEnvironment(graph, IdPriority())
     protocol = GenericStatic(hops=None)
     start = time.perf_counter()
@@ -138,7 +140,7 @@ def _section_construction(record: dict, sizes: List[str], repeats: int) -> None:
         positions = _positions(name)
         n = len(positions)
         grid_seconds, network = _timed(
-            lambda: build_unit_disk_graph(positions, RADIUS, method="grid"),
+            lambda: build_unit_disk_graph(positions, RADIUS),
             repeats,
         )
         entry = {
@@ -148,10 +150,8 @@ def _section_construction(record: dict, sizes: List[str], repeats: int) -> None:
             "grid_nodes_per_second": round(n / grid_seconds) if grid_seconds else None,
         }
         if name in PAIRWISE_FEASIBLE:
-            pairwise_seconds, reference = _timed(
-                lambda: build_unit_disk_graph(
-                    positions, RADIUS, method="pairwise"
-                ),
+            pairwise_seconds, oracle = _timed(
+                lambda: reference.build_unit_disk_graph(positions, RADIUS),
                 repeats,
             )
             entry["pairwise_seconds"] = round(pairwise_seconds, 4)
@@ -161,7 +161,7 @@ def _section_construction(record: dict, sizes: List[str], repeats: int) -> None:
                 else None
             )
             entry["first_divergence"] = first_divergence(
-                _edge_payload(reference), _edge_payload(network)
+                _edge_payload(oracle), _edge_payload(network)
             )
         else:
             entry["pairwise_seconds"] = None
@@ -177,7 +177,7 @@ def _section_calibration(record: dict, sizes: List[str], repeats: int) -> None:
         n = len(positions)
         links = n * 6 // 2  # the paper's nd/2 recipe at d = 6
         grid_seconds, grid_radius = _timed(
-            lambda: range_for_link_count(positions, links, method="grid"),
+            lambda: range_for_link_count(positions, links),
             repeats,
         )
         entry = {
@@ -188,9 +188,7 @@ def _section_calibration(record: dict, sizes: List[str], repeats: int) -> None:
         }
         if name in PAIRWISE_FEASIBLE:
             pairwise_seconds, pairwise_radius = _timed(
-                lambda: range_for_link_count(
-                    positions, links, method="pairwise"
-                ),
+                lambda: reference.range_for_link_count(positions, links),
                 repeats,
             )
             entry["pairwise_seconds"] = round(pairwise_seconds, 4)
@@ -214,11 +212,11 @@ def _section_broadcast(
     ).topology
     best = float("inf")
     for _ in range(repeats):
-        elapsed, bitset = _broadcast(graph, "bitset")
+        elapsed, bitset = _broadcast(graph)
         best = min(best, elapsed)
     # The sets reference joins the identity gate once (it is the slow arm).
-    _elapsed, sets = _broadcast(graph, "sets")
-    os.environ.pop("REPRO_COVERAGE_BACKEND", None)
+    with reference.substituted():
+        _elapsed, sets = _broadcast(graph)
     divergence = first_divergence(sets, bitset)
     section = {
         "fixture": BROADCAST_AB_SIZE,
@@ -234,8 +232,7 @@ def _section_broadcast(
             random.Random(FIXTURES[BROADCAST_SCALE_SIZE]["seed"]),
             RADIUS,
         ).topology
-        elapsed, payload = _broadcast(large, "bitset")
-        os.environ.pop("REPRO_COVERAGE_BACKEND", None)
+        elapsed, payload = _broadcast(large)
         section["bitset_at_scale"] = {
             "fixture": BROADCAST_SCALE_SIZE,
             "nodes": large.node_count(),

@@ -11,8 +11,9 @@ the repo root so the perf trajectory is tracked across PRs)::
 Two legs:
 
 * **identity** — a one-message :class:`~repro.sim.traffic.SingleShot`
-  run on the bitset coverage backend must reproduce the ``sets``
-  oracle byte for byte:
+  run on the bitset coverage kernel must reproduce the same run on the
+  ``sets`` oracle (inside :func:`repro.check.reference.substituted`)
+  byte for byte:
   forward/delivered sets, receipt counts, designations, completion
   time, byte counts, and the typed event stream.  Any mismatch fails
   the benchmark and is localised with a ``first_divergence`` JSON path
@@ -51,6 +52,7 @@ from repro.algorithms.base import Timing
 from repro.algorithms.dominant_pruning import DominantPruning
 from repro.algorithms.flooding import Flooding
 from repro.algorithms.generic import GenericSelfPruning
+from repro.check.reference import substituted
 from repro.graph.generators import random_connected_network
 from repro.sim.engine import SimulationEnvironment
 from repro.sim.events import events_to_jsonl
@@ -63,8 +65,8 @@ DEFAULT_OUT = os.path.join(
     "BENCH_traffic.json",
 )
 
-#: Coverage backends the identity gate covers (``sets`` is the oracle
-#: the others are compared against).
+#: Coverage backends the identity gate covers (``sets``, the reference
+#: predicates, is the oracle the others are compared against).
 BACKENDS = ("sets", "bitset")
 
 IDENTITY_PROTOCOLS = (
@@ -121,29 +123,21 @@ def _single_message(n: int, degree: float, factory, seed: int) -> Dict:
 
 
 def check_identity(n: int, degree: float, seeds: int) -> Dict:
-    """Every backend's single-message runs against the ``sets`` oracle."""
+    """The kernel's single-message runs against the ``sets`` oracle."""
     checks = 0
     divergence = None
-    ambient = os.environ.get("REPRO_COVERAGE_BACKEND")
     for label, factory in IDENTITY_PROTOCOLS:
         for seed in range(seeds):
-            payloads = {}
-            for backend in BACKENDS:
-                os.environ["REPRO_COVERAGE_BACKEND"] = backend
-                payloads[backend] = _single_message(n, degree, factory, seed)
-            for backend in BACKENDS[1:]:
-                checks += 1
-                found = first_divergence(payloads["sets"], payloads[backend])
-                if found is not None and divergence is None:
-                    divergence = (
-                        f"backend={backend} protocol={label} seed={seed} "
-                        f"{found}"
-                    )
-    # Restore the ambient backend (CI matrixes it for the throughput leg).
-    if ambient is None:
-        os.environ.pop("REPRO_COVERAGE_BACKEND", None)
-    else:
-        os.environ["REPRO_COVERAGE_BACKEND"] = ambient
+            with substituted():
+                oracle = _single_message(n, degree, factory, seed)
+            checks += 1
+            found = first_divergence(
+                oracle, _single_message(n, degree, factory, seed)
+            )
+            if found is not None and divergence is None:
+                divergence = (
+                    f"backend=bitset protocol={label} seed={seed} {found}"
+                )
     return {
         "backends": list(BACKENDS),
         "protocols": [label for label, _ in IDENTITY_PROTOCOLS],

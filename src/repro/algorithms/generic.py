@@ -120,7 +120,7 @@ class GenericStatic(StaticSelfPruningProtocol):
             return
         # The global view is node-independent, so one shared view serves
         # every node.  Its second decider triggers one decreasing-priority
-        # sweep (on the bitset backend) that answers every node, instead
+        # sweep (in the bitset kernel) that answers every node, instead
         # of a decomposition per node.  Verdicts are unchanged: the
         # per-node views were equal value objects.
         view = env.make_view(

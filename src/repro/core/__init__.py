@@ -12,7 +12,6 @@ from .priority import (
 )
 from .views import View, global_view, local_view, super_view
 from .coverage import (
-    coverage_backend,
     coverage_condition,
     higher_priority_components,
     uncovered_pairs,
@@ -45,7 +44,6 @@ __all__ = [
     "global_view",
     "local_view",
     "super_view",
-    "coverage_backend",
     "coverage_condition",
     "higher_priority_components",
     "uncovered_pairs",

@@ -20,87 +20,77 @@ All three operate on a :class:`~repro.core.views.View` and honour the
 "visited nodes are mutually connected" convention when
 ``view.visited_connected`` is set.
 
-Backends
---------
-Two interchangeable implementations compute every predicate:
+The kernel
+----------
+Every predicate runs on the node-indexed bitmask kernel.  Components
+come from word-parallel flood-fills
+(:func:`repro.graph.nodeindex.flood_fill`), each neighbor's component
+reach is a bitmap so a pair check is one ``&``, and domination is
+``targets & ~cover == 0``.  The kernel is split in two parts:
 
-* ``bitset`` (the default) — the node-indexed bitmask kernel.  Components
-  come from word-parallel flood-fills
-  (:func:`repro.graph.nodeindex.flood_fill` replaces the union-find
-  pass), each neighbor's component reach is a bitmap so a pair check is
-  one ``&``, and domination is ``targets & ~cover == 0``.  The kernel is
-  split in two parts:
+- **The epoch part** depends on the view graph, the metrics and the
+  graph's ``version_stamp()``, not on status.  Per decider ``v`` it
+  holds ``static_higher[v]``, the nodes whose ``(metric, id)`` key ranks
+  above ``v``'s, and ``v``'s status-free uncovered pairs and strong
+  verdict.  The first decider of an epoch gets its mask from a linear
+  key scan and computes its pairs and verdict by flood fill from its
+  second UNVISITED decision on.  Its first decision decomposes
+  ``static_higher[v] | designated_mask`` once, stops at the first
+  uncovered pair and stores nothing more, so a k-hop view graph, which
+  only its centre decides on, does no extra work.  A second distinct
+  decider pays one sort (a suffix table serving every later mask) and
+  one decreasing-priority union-find sweep
+  (:func:`~repro.core.unionfind.priority_sweep`) that fills every
+  visible decider's pairs and verdict in O((n + m)·α).  A view shared by
+  all nodes, like ``GenericStatic``'s global view, thus costs one sweep
+  instead of a flood fill per node.
+- **The per-message overlay** is mask algebra over the view's
+  ``visited_mask``/``designated_mask``.  ``S`` leads the priority key,
+  so for ``S(v) = UNVISITED`` the eligible set is ``static_higher[v] |
+  designated_mask``.  For ``S(v)`` of 1.5 or 2 it is ``(S > S(v)) |
+  (static_higher[v] & (S == S(v)))``.  Any other status, or an invisible
+  ``v``, takes a linear scan of full keys.
 
-  - **The epoch part** depends on the view graph, the metrics and the
-    graph's ``version_stamp()``, not on status.  Per decider ``v`` it
-    holds ``static_higher[v]``, the nodes whose ``(metric, id)`` key
-    ranks above ``v``'s, and ``v``'s status-free uncovered pairs and
-    strong verdict.  The first decider of an epoch gets its mask from a
-    linear key scan and computes its pairs and verdict by flood fill
-    from its second UNVISITED decision on.  Its first decision
-    decomposes ``static_higher[v] | designated_mask`` once, stops at the
-    first uncovered pair and stores nothing more, so a k-hop view graph,
-    which only its centre decides on, does no extra work.  A second
-    distinct decider pays one sort (a suffix table serving every later
-    mask) and one decreasing-priority union-find sweep
-    (:func:`~repro.core.unionfind.priority_sweep`) that fills every
-    visible decider's pairs and verdict in O((n + m)·α).  A view shared
-    by all nodes, like ``GenericStatic``'s global view, thus costs one
-    sweep instead of a flood fill per node.
-  - **The per-message overlay** is mask algebra over the view's
-    ``visited_mask``/``designated_mask``.  ``S`` leads the priority key,
-    so for ``S(v) = UNVISITED`` the eligible set is ``static_higher[v] |
-    designated_mask``.  For ``S(v)`` of 1.5 or 2 it is ``(S > S(v)) |
-    (static_higher[v] & (S == S(v)))``.  Any other status, or an
-    invisible ``v``, takes a linear scan of full keys.
+**Monotone shortcut**, only when ``S(v) = UNVISITED``.  The dynamic
+eligible set then contains the status-free one, and visited fusion and
+the both-visited rule only add replacement paths.  So the dynamic
+uncovered pairs are an in-order sub-list of the status-free ones.  An
+empty status-free list, or a view with no visited and no designated
+node, answers the decision with no flood fill.  Otherwise only the
+listed pairs are re-checked, against the dynamic components that touch
+their endpoints, and :func:`coverage_condition` stops at the first pair
+still uncovered.  Likewise a status-free strong verdict of True stands,
+because each status-free component lies inside a dynamic one, and so
+does False on a status-empty view.  Decisions answered with no
+per-message flood fill are counted as ``coverage_epoch_reuses``.
 
-  **Monotone shortcut**, only when ``S(v) = UNVISITED``.  The dynamic
-  eligible set then contains the status-free one, and visited fusion and
-  the both-visited rule only add replacement paths.  So the dynamic
-  uncovered pairs are an in-order sub-list of the status-free ones.  An
-  empty status-free list, or a view with no visited and no designated
-  node, answers the decision with no flood fill.  Otherwise only the
-  listed pairs are re-checked, against the dynamic components that touch
-  their endpoints, and :func:`coverage_condition` stops at the first pair
-  still uncovered.  Likewise a status-free strong verdict of True stands,
-  because each status-free component lies inside a dynamic one, and so
-  does False on a status-empty view.  Decisions answered with no
-  per-message flood fill are counted as ``coverage_epoch_reuses``.
+**Where the epoch state lives.**  It is read through
+:func:`repro.core.views.epoch_cache`.
+:meth:`~repro.sim.engine.SimulationEnvironment.make_view` gives every
+view it builds over one view graph the same
+:class:`~repro.core.views.EpochCache`, kept in the environment's
+per-view-graph (and so per-scheme) entry.  Every other view
+(``local_view``, ``global_view``, ``super_view``, ``with_status``, a
+hand-built ``View``) keeps the state in its own per-view cache, so for
+those views it lives and dies with the view.  No predicate result is
+memoised per view: the epoch state is the only thing one predicate call
+leaves for the next.
 
-  **Where the epoch state lives.**  It is read through
-  :func:`repro.core.views.epoch_cache`.
-  :meth:`~repro.sim.engine.SimulationEnvironment.make_view` gives every
-  view it builds over one view graph the same
-  :class:`~repro.core.views.EpochCache`, kept in the environment's
-  per-view-graph (and so per-scheme) entry.  Every other view
-  (``local_view``, ``global_view``, ``super_view``, ``with_status``, a
-  hand-built ``View``) keeps the state in its own per-view cache, so for
-  those views it lives and dies with the view.
-* ``sets`` — the original frozenset/union-find implementation, kept as
-  the executable reference.
-
-Select with ``REPRO_COVERAGE_BACKEND=sets`` (or ``bitset``); the test
-suite cross-checks that both backends produce identical results —
-forward sets are byte-identical across them.  A view binds its backend
-once: the first predicate call on it reads the variable and keeps the
-answer in the view's :func:`~repro.core.views.view_cache`.  The binding
-is read again only when that cache resets because the view graph
-mutated, so flipping the variable reaches a view only if it is built, or
-its graph mutates, afterwards.  No predicate result is memoised per
-view: the epoch state is the only thing one predicate call leaves for
-the next.
+The executable reference is :mod:`repro.check.reference`: the original
+frozenset/union-find predicates under the same names.  Tests compare the
+two on single views, and its ``substituted()`` runs a whole broadcast or
+sweep on the reference; forward sets are byte-identical either way.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..graph.nodeindex import flood_fill
 from ..instrument import _STACK as _COUNTER_STACK
 from . import status as st
-from .unionfind import DisjointSet, priority_sweep
+from .unionfind import priority_sweep
 from .views import View, epoch_cache, view_cache
 
 __all__ = [
@@ -109,44 +99,21 @@ __all__ = [
     "span_condition",
     "uncovered_pairs",
     "higher_priority_components",
-    "coverage_backend",
 ]
-
-_BACKENDS = ("bitset", "sets")
 
 
 def coverage_backend() -> str:
-    """The backend named by ``REPRO_COVERAGE_BACKEND``: ``bitset``
-    (default) or ``sets``.
+    """Always ``"bitset"``, the one coverage kernel.
 
-    The predicates read it once per view cache (see :func:`_backend`),
-    not per call, so tests and A/B benchmarks that flip the variable
-    must build their views after the flip.
+    Kept because ledger records name the kernel they measured
+    (``benchmarks/ledger/run.py`` stores this value in each record's
+    environment); nothing selects on it.
     """
-    backend = os.environ.get("REPRO_COVERAGE_BACKEND", "bitset")
-    if backend not in _BACKENDS:
-        raise ValueError(
-            f"REPRO_COVERAGE_BACKEND must be one of {_BACKENDS}, "
-            f"got {backend!r}"
-        )
-    return backend
-
-
-def _backend(view: View) -> str:
-    """The backend bound to ``view``, read on its cache's first use.
-
-    It lives in :func:`view_cache`, so it is read again only after the
-    view graph mutates.
-    """
-    cache = view_cache(view)
-    backend = cache.get("backend")
-    if backend is None:
-        backend = cache["backend"] = coverage_backend()
-    return backend
+    return "bitset"
 
 
 # ----------------------------------------------------------------------
-# Bitset backend: status-free epoch state and the per-message overlay
+# Status-free epoch state and the per-message overlay
 # ----------------------------------------------------------------------
 
 #: The status values the mask overlay handles.  A view holding any other
@@ -179,7 +146,7 @@ class _Decider:
 
 
 class _Epoch(_Decider):
-    """The bitset kernel's status-free state for one view graph epoch.
+    """The kernel's status-free state for one view graph epoch.
 
     ``static_higher[v]`` is the mask of nodes whose ``(metric, id)`` key
     ranks above ``v``'s.  A k-hop view graph is decided on by its centre
@@ -371,56 +338,7 @@ def _components(
 
 
 # ----------------------------------------------------------------------
-# Sets backend: the original frozenset/union-find reference
-# ----------------------------------------------------------------------
-
-
-def _higher_priority_nodes(view: View, v: int) -> Set[int]:
-    """Visible nodes other than ``v`` with priority above ``Pr(v)``."""
-    threshold = view.priority(v)
-    return {
-        node
-        for node in view.graph
-        if node != v and view.priority(node) > threshold
-    }
-
-
-def _components_compute_sets(view: View, v: int) -> List[Set[int]]:
-    if _COUNTER_STACK:
-        _COUNTER_STACK[-1].component_decompositions += 1
-    eligible = _higher_priority_nodes(view, v)
-    dsu = DisjointSet(eligible)
-    for node in eligible:
-        for neighbor in view.graph.neighbors(node):
-            if neighbor in eligible:
-                dsu.union(node, neighbor)
-    if view.visited_connected:
-        visited = [node for node in eligible if view.is_visited(node)]
-        for node in visited[1:]:
-            dsu.union(visited[0], node)
-    return dsu.groups()
-
-
-def _neighbor_reach_sets(view: View, v: int) -> Dict[int, Set[int]]:
-    """Each neighbor's touched component indices under the sets backend."""
-    membership: Dict[int, int] = {}
-    for index, component in enumerate(_components_compute_sets(view, v)):
-        for node in component:
-            membership[node] = index
-    reach: Dict[int, Set[int]] = {}
-    for u in view.graph.neighbors(v):
-        touched: Set[int] = set()
-        if u in membership:
-            touched.add(membership[u])
-        for x in view.graph.neighbors(u):
-            if x in membership:
-                touched.add(membership[x])
-        reach[u] = touched
-    return reach
-
-
-# ----------------------------------------------------------------------
-# Public predicates (backend-dispatching)
+# Public predicates
 # ----------------------------------------------------------------------
 
 
@@ -433,10 +351,8 @@ def higher_priority_components(view: View, v: int) -> List[Set[int]]:
     all connected through the source even if the view cannot see how).
 
     Each call decomposes afresh and returns new sets.  Component order is
-    backend-dependent (their set of sets is not).
+    the kernel's (the reference may list them in another order).
     """
-    if _backend(view) == "sets":
-        return _components_compute_sets(view, v)
     index, masks = view.graph.adjacency_masks()
     visited = view.visited_mask if view.visited_connected else 0
     return [
@@ -449,41 +365,18 @@ def uncovered_pairs(view: View, v: int) -> List[Tuple[int, int]]:
     """Neighbor pairs of ``v`` lacking a replacement path.
 
     The coverage condition holds exactly when this list is empty.  Exposed
-    for diagnostics, tests, and the example walkthroughs.  Both backends
-    produce the identical (sorted-pair) list.
+    for diagnostics, tests, and the example walkthroughs.  The list holds
+    sorted pairs in sorted order.
     """
     if v not in view.graph:
         raise KeyError(f"node {v} not visible in the view")
-    if _backend(view) == "sets":
-        return _uncovered_pairs_sets(view, v)
-    return _uncovered_pairs_bitset(view, v)
+    return _uncovered_pairs(view, v)
 
 
-def _uncovered_pairs_sets(view: View, v: int) -> List[Tuple[int, int]]:
-    neighbors = sorted(view.graph.neighbors(v))
-    reach = _neighbor_reach_sets(view, v)
-    failing: List[Tuple[int, int]] = []
-    for i, u in enumerate(neighbors):
-        for w in neighbors[i + 1:]:
-            if view.graph.has_edge(u, w):
-                continue
-            if reach[u] & reach[w]:
-                continue
-            if (
-                view.visited_connected
-                and view.is_visited(u)
-                and view.is_visited(w)
-            ):
-                # Visited endpoints are mutually connected by convention.
-                continue
-            failing.append((u, w))
-    return failing
-
-
-def _uncovered_pairs_bitset(
+def _uncovered_pairs(
     view: View, v: int, limit: int = 0
 ) -> List[Tuple[int, int]]:
-    """:func:`uncovered_pairs` on the bitset backend.
+    """:func:`uncovered_pairs` for a visible ``v``.
 
     A positive ``limit`` stops after that many pairs.  For ``S(v) =
     UNVISITED`` the epoch state picks the route.  ``v``'s first decision
@@ -655,14 +548,14 @@ def coverage_condition(view: View, v: int) -> bool:
     a direct edge, or a path whose intermediates all rank above ``Pr(v)``.
     A node with zero or one neighbor satisfies the condition vacuously (it
     is never needed to connect anything); the source still forwards
-    unconditionally, so coverage is unaffected.  The bitset backend stops
-    at the first uncovered pair, since one settles the verdict.
+    unconditionally, so coverage is unaffected.  The kernel stops at the
+    first uncovered pair, since one settles the verdict.
     """
     if _COUNTER_STACK:
         _COUNTER_STACK[-1].coverage_evaluations += 1
-    if v in view.graph and _backend(view) == "bitset":
-        return not _uncovered_pairs_bitset(view, v, limit=1)
-    return not uncovered_pairs(view, v)
+    if v not in view.graph:
+        raise KeyError(f"node {v} not visible in the view")
+    return not _uncovered_pairs(view, v, limit=1)
 
 
 def strong_coverage_condition(view: View, v: int) -> bool:
@@ -675,18 +568,6 @@ def strong_coverage_condition(view: View, v: int) -> bool:
         raise KeyError(f"node {v} not visible in the view")
     if _COUNTER_STACK:
         _COUNTER_STACK[-1].coverage_evaluations += 1
-    if _backend(view) == "sets":
-        neighbors = view.graph.neighbors(v)
-        if not neighbors:
-            return True
-        for component in _components_compute_sets(view, v):
-            if _dominates(view, component, neighbors):
-                return True
-        return False
-    return _strong_coverage_bitset(view, v)
-
-
-def _strong_coverage_bitset(view: View, v: int) -> bool:
     index, masks = view.graph.adjacency_masks()
     targets = masks[index.position(v)]
     if not targets:
@@ -735,13 +616,6 @@ def _dominated(
     return False
 
 
-def _dominates(view: View, component: Set[int], targets: FrozenSet[int]) -> bool:
-    return all(
-        u in component or (view.graph.neighbors(u) & component)
-        for u in targets
-    )
-
-
 def span_condition(view: View, v: int, max_intermediates: int = 2) -> bool:
     """The enhanced-Span restriction of the coverage condition.
 
@@ -760,25 +634,11 @@ def span_condition(view: View, v: int, max_intermediates: int = 2) -> bool:
         raise KeyError(f"node {v} not visible in the view")
     if _COUNTER_STACK:
         _COUNTER_STACK[-1].coverage_evaluations += 1
-    if _backend(view) == "sets":
-        eligible = frozenset(
-            node
-            for node in _higher_priority_nodes(view, v)
-            if not view.is_visited(node)
-        )
-        neighbors = sorted(view.graph.neighbors(v))
-        return all(
-            _bounded_replacement_path_sets(
-                view, u, w, eligible, max_intermediates
-            )
-            for i, u in enumerate(neighbors)
-            for w in neighbors[i + 1:]
-        )
     index, masks = view.graph.adjacency_masks()
     eligible = _eligible_mask(view, v) & ~view.visited_mask
     neighbors = sorted(index.members(masks[index.position(v)]))
     return all(
-        _bounded_replacement_path_bitset(
+        _bounded_replacement_path(
             index, masks, u, w, eligible, max_intermediates
         )
         for i, u in enumerate(neighbors)
@@ -786,30 +646,7 @@ def span_condition(view: View, v: int, max_intermediates: int = 2) -> bool:
     )
 
 
-def _bounded_replacement_path_sets(
-    view: View, u: int, w: int, eligible: FrozenSet[int], max_intermediates: int
-) -> bool:
-    """BFS through ``eligible`` from ``u`` to ``w`` with bounded length."""
-    if view.graph.has_edge(u, w):
-        return True
-    seen: Set[int] = set()
-    frontier = set(view.graph.neighbors(u)) & eligible
-    for _used in range(1, max_intermediates + 1):
-        if not frontier:
-            return False
-        if any(view.graph.has_edge(x, w) for x in frontier):
-            return True
-        seen |= frontier
-        frontier = {
-            y
-            for x in frontier
-            for y in view.graph.neighbors(x)
-            if y in eligible and y not in seen
-        }
-    return False
-
-
-def _bounded_replacement_path_bitset(
+def _bounded_replacement_path(
     index, masks, u: int, w: int, eligible: int, max_intermediates: int
 ) -> bool:
     """Mask-frontier BFS through ``eligible`` with bounded path length."""

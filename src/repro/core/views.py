@@ -44,8 +44,8 @@ def view_cache(view: "View") -> Dict:
     """The per-view derived-value cache (lazily attached, dirty-aware).
 
     Views are immutable value objects, so anything derived from one — a
-    status bitmask, the coverage backend bound to it — is stable for the
-    view's lifetime and can be kept on the instance itself.
+    status bitmask, say — is stable for the view's lifetime and can be
+    kept on the instance itself.
     ``with_status`` and every view constructor return fresh instances,
     so a state change never sees a stale cache.  The dict is attached
     with ``object.__setattr__`` to bypass the frozen dataclass guard.

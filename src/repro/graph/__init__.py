@@ -10,7 +10,6 @@ from .unit_disk import (
     edge_flips,
     range_for_average_degree,
     range_for_link_count,
-    udg_builder,
 )
 from .generators import (
     GenerationError,
@@ -53,7 +52,6 @@ __all__ = [
     "edge_flips",
     "range_for_average_degree",
     "range_for_link_count",
-    "udg_builder",
     "GenerationError",
     "grid_network",
     "random_connected_network",

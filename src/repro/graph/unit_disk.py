@@ -7,34 +7,29 @@ transmitter range is adjusted according to a given average node degree d to
 produce exactly nd/2 links in the corresponding unit disk graph."  Both
 operations live here.
 
-Builders
---------
+The pair scan
+-------------
 Every operation reads one pair scan, ``_pairs_within``, which yields
-``(distance², u, v)`` for the pairs within a radius.  Two interchangeable
-methods produce it:
+``(distance², u, v)`` for the pairs within a radius.  Neighbor candidates
+come from a spatial-hash cell grid
+(:func:`repro.graph.cellgrid.grid_pairs_within`, cell size = radius), so
+construction, :func:`edge_flips`, and range calibration cost
+O(n · local density) instead of O(n²) time (and calibration O(n) instead
+of O(n²) memory).  Whenever :func:`~repro.graph.cellgrid.grid_is_exact`
+cannot certify the geometry (non-finite or astronomical coordinates) the
+scan is the all-pairs one, ``_all_pairs_within``.
 
-* ``grid`` (the default) — neighbor candidates come from a spatial-hash
-  cell grid (:func:`repro.graph.cellgrid.grid_pairs_within`, cell size =
-  radius), so construction, :func:`edge_flips`, and range calibration
-  cost O(n · local density) instead of O(n²) time (and calibration O(n)
-  instead of O(n²) memory).  Whenever
-  :func:`~repro.graph.cellgrid.grid_is_exact` cannot certify the geometry
-  (non-finite or astronomical coordinates) the scan falls back to the
-  pairwise one.
-* ``pairwise`` — the original all-pairs scan, kept as the executable
-  reference.
-
-Select with ``REPRO_UDG_BUILDER=pairwise`` (or ``grid``), or pass
-``method=`` explicitly.  Both methods apply the identical
-``distance² <= radius²`` float comparison to decide each link, so
-topologies, flip lists, and calibrated radii are byte-identical — the test
-suite cross-checks this on randomized and degenerate layouts.
+The executable reference is :mod:`repro.check.reference`: an all-pairs
+build, flip diff, and a calibration from one sort of every pair
+distance.  Both apply the identical ``distance² <= radius²`` float
+comparison to decide each link, so topologies, flip lists, and calibrated
+radii are byte-identical — the test suite cross-checks this on randomized
+and degenerate layouts.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -49,51 +44,30 @@ __all__ = [
     "edge_flips",
     "range_for_link_count",
     "range_for_average_degree",
-    "udg_builder",
 ]
-
-_UDG_METHODS = ("grid", "pairwise")
 
 
 def udg_builder() -> str:
-    """The active construction method, from ``REPRO_UDG_BUILDER``.
+    """Always ``"grid"``, the one unit-disk pair scan.
 
-    ``grid`` (default) or ``pairwise``.  Read per call so tests and A/B
-    benchmarks can flip the environment variable between evaluations; the
-    two methods produce byte-identical topologies, flip lists, and radii,
-    so flipping mid-run is safe.
+    Kept because ledger records name the builder they measured
+    (``benchmarks/ledger/run.py`` stores this value in each record's
+    environment); nothing selects on it.
     """
-    method = os.environ.get("REPRO_UDG_BUILDER", "grid")
-    if method not in _UDG_METHODS:
-        raise ValueError(
-            f"REPRO_UDG_BUILDER must be one of {_UDG_METHODS}, "
-            f"got {method!r}"
-        )
-    return method
-
-
-def _resolve_method(method: Optional[str]) -> str:
-    if method is None:
-        return udg_builder()
-    if method not in _UDG_METHODS:
-        raise ValueError(
-            f"method must be one of {_UDG_METHODS}, got {method!r}"
-        )
-    return method
+    return "grid"
 
 
 def _pairs_within(
-    positions: Dict[int, Point], radius: float, method: Optional[str]
+    positions: Dict[int, Point], radius: float
 ) -> Iterator[Tuple[float, int, int]]:
     """``(distance², u, v)`` for every pair within ``radius``.
 
     The one pair scan behind every operation in this module: the cell
-    grid when ``method`` (or ``REPRO_UDG_BUILDER``) asks for it and
-    :func:`~repro.graph.cellgrid.grid_is_exact` certifies the geometry,
-    else the all-pairs reference.  Both yield the same pairs with the
-    same squared distances; only the order differs.
+    grid when :func:`~repro.graph.cellgrid.grid_is_exact` certifies the
+    geometry, else all pairs.  Both yield the same pairs with the same
+    squared distances; only the order differs.
     """
-    if _resolve_method(method) == "grid" and grid_is_exact(positions, radius):
+    if grid_is_exact(positions, radius):
         return grid_pairs_within(positions, radius)
     return _all_pairs_within(positions, radius)
 
@@ -101,7 +75,7 @@ def _pairs_within(
 def _all_pairs_within(
     positions: Dict[int, Point], radius: float
 ) -> Iterator[Tuple[float, int, int]]:
-    """The pairwise reference scan: all n(n-1)/2 pairs, earlier first."""
+    """All n(n-1)/2 pairs, earlier first: the scan the grid cannot certify."""
     nodes = list(positions)
     radius_sq = radius * radius
     for i, u in enumerate(nodes):
@@ -146,28 +120,25 @@ class UnitDiskGraph:
         """Mean node degree of the induced topology."""
         return self.topology.average_degree()
 
-    def with_radius(
-        self, radius: float, method: Optional[str] = None
-    ) -> "UnitDiskGraph":
+    def with_radius(self, radius: float) -> "UnitDiskGraph":
         """Rebuild the graph with a different transmission range."""
-        return build_unit_disk_graph(self.positions, radius, method=method)
+        return build_unit_disk_graph(self.positions, radius)
 
 
 def build_unit_disk_graph(
-    positions: Dict[int, Point], radius: float, method: Optional[str] = None
+    positions: Dict[int, Point], radius: float
 ) -> UnitDiskGraph:
     """Connect every pair of nodes within ``radius`` of each other.
 
     The check is done on squared distances so no square roots are taken.
-    Under the default ``grid`` method candidates come from the 9-cell
-    neighborhood of a spatial hash; ``pairwise`` scans all O(n²) pairs.
-    Node order, edge set, and every link decision are identical either
-    way.
+    Candidates come from the 9-cell neighborhood of a spatial hash, so
+    node order, edge set, and every link decision match an all-pairs
+    scan.
     """
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     topology = Topology(nodes=positions)
-    for _, u, v in _pairs_within(positions, radius, method):
+    for _, u, v in _pairs_within(positions, radius):
         topology.add_edge(u, v)
     return UnitDiskGraph(topology=topology, positions=positions, radius=radius)
 
@@ -176,7 +147,6 @@ def edge_flips(
     positions: Dict[int, Point],
     radius: float,
     topology: Topology,
-    method: Optional[str] = None,
 ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
     """``(added, removed)``: links that flip between ``topology`` and the
     unit-disk graph induced by ``positions``/``radius``.
@@ -184,10 +154,9 @@ def edge_flips(
     The diff that drives :meth:`Topology.apply_delta` across mobility
     steps.  Additions come from the pair scan of within-radius pairs and
     removals from re-checking only the edges ``topology`` already has —
-    O(n · local density + m) under the ``grid`` method.  Both lists hold
-    ``(min, max)`` pairs in sorted order (the ordering
-    :meth:`Topology.apply_delta` replays), and both methods produce
-    identical lists.  The node sets must match — mobility moves nodes,
+    O(n · local density + m).  Both lists hold ``(min, max)`` pairs in
+    sorted order (the ordering :meth:`Topology.apply_delta` replays).
+    The node sets must match — mobility moves nodes,
     it does not add or remove them.
     """
     if radius < 0:
@@ -196,7 +165,7 @@ def edge_flips(
         raise ValueError("positions and topology disagree on the node set")
     added = sorted(
         (u, v) if u < v else (v, u)
-        for _, u, v in _pairs_within(positions, radius, method)
+        for _, u, v in _pairs_within(positions, radius)
         if not topology.has_edge(u, v)
     )
     radius_sq = radius * radius
@@ -222,7 +191,7 @@ def _extent(positions: Dict[int, Point]) -> Tuple[float, float]:
 
 
 def _threshold_distances(
-    positions: Dict[int, Point], links: int, method: Optional[str]
+    positions: Dict[int, Point], links: int
 ) -> Tuple[float, Optional[float]]:
     """``(threshold, next_larger)`` squared distances for ``links`` links.
 
@@ -231,35 +200,28 @@ def _threshold_distances(
     threshold is the maximum).  Found by doubling a search radius, with
     one pair scan per radius, until the scan holds ``links`` pairs and a
     larger distance (or covers the whole deployment): only the pairs
-    within the search radius are sorted, not all n(n-1)/2 distances.  The
-    ``pairwise`` reference starts at the diameter bound, so it is one
-    sort of every pair distance.
+    within the search radius are sorted, not all n(n-1)/2 distances.
     """
     dx, dy = _extent(positions)
     # An upper bound on the largest pairwise distance: the factor 2
     # absorbs every rounding in sqrt and in re-squaring the radius during
     # the scan, so pairs at the true diameter count.
     diameter = 2.0 * math.sqrt(dx * dx + dy * dy)
-    if _resolve_method(method) == "pairwise":
-        radius = diameter
+    # Density-scaled first guess: on a uniform deployment of area A about
+    # C(n,2)·πr²/A pairs lie within r, so solve for `links` pairs and add
+    # a margin.  A zero-area (collinear) box scales the diameter bound
+    # instead.
+    n = len(positions)
+    share = links / (n * (n - 1) // 2)
+    area = dx * dy
+    if area > 0.0:
+        radius = _FIRST_RADIUS_MARGIN * math.sqrt(share * area / math.pi)
+        radius = min(radius, diameter)
     else:
-        # Density-scaled first guess: on a uniform deployment of area A
-        # about C(n,2)·πr²/A pairs lie within r, so solve for `links`
-        # pairs and add a margin.  A zero-area (collinear) box scales the
-        # diameter bound instead.
-        n = len(positions)
-        share = links / (n * (n - 1) // 2)
-        area = dx * dy
-        if area > 0.0:
-            radius = _FIRST_RADIUS_MARGIN * math.sqrt(share * area / math.pi)
-            radius = min(radius, diameter)
-        else:
-            radius = diameter * math.sqrt(share)
-        radius = max(radius, diameter / 4294967296.0)
+        radius = diameter * math.sqrt(share)
+    radius = max(radius, diameter / 4294967296.0)
     while True:
-        distances = sorted(
-            d for d, _, _ in _pairs_within(positions, radius, method)
-        )
+        distances = sorted(d for d, _, _ in _pairs_within(positions, radius))
         # A NaN diameter (non-finite positions) counts as covered too.
         covered = not radius < diameter
         if len(distances) >= links:
@@ -276,9 +238,7 @@ def _threshold_distances(
         radius = min(radius * 2.0, diameter)
 
 
-def range_for_link_count(
-    positions: Dict[int, Point], links: int, method: Optional[str] = None
-) -> float:
+def range_for_link_count(positions: Dict[int, Point], links: int) -> float:
     """The smallest transmission range producing at least ``links`` links.
 
     The returned radius lies strictly between the ``links``-th smallest
@@ -292,10 +252,10 @@ def range_for_link_count(
     such range exists (any radius, including 0, links the coincident
     pair) and a :class:`ValueError` is raised.
 
-    Under the default ``grid`` method the threshold is located by a
-    doubling radius search with one grid scan per radius — O(n + links)
-    memory instead of materialising all n(n-1)/2 distances — and the
-    result is byte-identical to the ``pairwise`` reference.
+    The threshold is located by a doubling radius search with one grid
+    scan per radius — O(n + links) memory instead of materialising all
+    n(n-1)/2 distances — and the result is byte-identical to the
+    one-sort reference.
     """
     n = len(positions)
     max_links = n * (n - 1) // 2
@@ -305,9 +265,7 @@ def range_for_link_count(
         )
     if max_links == 0:
         return 0.0
-    threshold_sq, larger = _threshold_distances(
-        positions, max(links, 1), method
-    )
+    threshold_sq, larger = _threshold_distances(positions, max(links, 1))
     if links == 0:
         if threshold_sq == 0.0:
             raise ValueError(
@@ -323,9 +281,7 @@ def range_for_link_count(
 
 
 def range_for_average_degree(
-    positions: Dict[int, Point],
-    average_degree: float,
-    method: Optional[str] = None,
+    positions: Dict[int, Point], average_degree: float
 ) -> Tuple[float, int]:
     """Calibrate the range for a target average degree (paper's recipe).
 
@@ -339,4 +295,4 @@ def range_for_average_degree(
     n = len(positions)
     links = round(n * average_degree / 2.0)
     links = min(links, n * (n - 1) // 2)
-    return range_for_link_count(positions, links, method=method), links
+    return range_for_link_count(positions, links), links

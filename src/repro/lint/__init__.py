@@ -1,8 +1,8 @@
 """detlint — AST-based determinism & invariant linter for the simulation stack.
 
 The repro's headline guarantees (Theorem 1/2 correctness under per-node
-local views; byte-identical sweep results at any ``--jobs N`` and either
-``REPRO_COVERAGE_BACKEND``) hinge on coding invariants that no runtime
+local views; byte-identical sweep results at any ``--jobs N`` and on the
+reference coverage predicates) hinge on coding invariants that no runtime
 test can enforce exhaustively: no unordered iteration feeding ordered
 decisions, no ambient RNG or wall-clock reads in simulation paths, and
 private cache and delta state changed only by its owner.  This

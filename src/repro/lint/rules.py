@@ -7,8 +7,8 @@ Codes are never renumbered or reused, because pragmas and SARIF
 fingerprints name them.
 
 Every rule encodes one invariant the reproduction's determinism contract
-rests on (byte-identical sweeps at any ``--jobs N`` and either coverage
-backend).  The rules are syntactic: they reason about evident producers
+rests on (byte-identical sweeps at any ``--jobs N`` and on the reference
+coverage predicates).  The rules are syntactic: they reason about evident producers
 (``set(...)`` calls, ``Topology.neighbors``-style set-returning methods)
 and evident sinks (list building, first-match ``break``, RNG draws),
 never about inferred types — a deliberate trade that keeps the pass

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 
+from repro.check.reference import substituted
 from repro.graph.generators import random_connected_network
 from repro.graph.topology import Topology
 
@@ -14,6 +16,20 @@ from repro.graph.topology import Topology
 def rng() -> random.Random:
     """A deterministic RNG, fresh per test."""
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def on_backend():
+    """``on_backend(name)`` is a context that runs its block on the
+    coverage kernel (``"bitset"``) or, for ``"sets"``, on the reference
+    predicates (:func:`repro.check.reference.substituted`)."""
+
+    def block(backend: str):
+        if backend == "sets":
+            return substituted()
+        return contextlib.nullcontext()
+
+    return block
 
 
 @pytest.fixture

@@ -1,42 +1,36 @@
-"""Bitset kernel vs reference backends: 50-seed equivalence properties.
+"""Bitset kernel vs the reference: seeded equivalence properties.
 
 Two families of checks:
 
 * the mask-based ``k_hop_view_graph`` agrees with a brute-force
   transcription of Definition 2 (visible = within ``k`` hops; edges
   between two outermost-ring nodes are invisible);
-* every coverage predicate returns the same verdicts under
-  ``REPRO_COVERAGE_BACKEND=bitset`` and ``=sets`` on equal views — the
-  property the byte-identical forward-set guarantee rests on — and
-  ``GenericStatic`` global-view forward sets match on the Figure-1 and
-  a >50-node random-grid fixture.
+* every coverage predicate of :mod:`repro.core.coverage` returns the
+  same verdicts as its twin in :mod:`repro.check.reference` on the same
+  view — the property the byte-identical forward-set guarantee rests on
+  — on 100 random views (graph seeds 0–49 and 500–549), and
+  ``GenericStatic`` global-view forward sets match a whole run under
+  :func:`~repro.check.reference.substituted` on the Figure-1 and a
+  >50-node random-grid fixture.
 
-A view binds its backend on first use, so each backend's view is built
-after its env var is set.  A call counter on the ``sets`` component
-decomposition shows which path each view ran, and that the binding holds
-until the view graph mutates.
+A call counter on the reference's ranking helper shows that the
+reference leg, and only it, ran the reference.
 """
 
 import random
 
 import pytest
 
-from repro.core import coverage as coverage_module
-from repro.core.coverage import (
-    coverage_backend,
-    coverage_condition,
-    higher_priority_components,
-    span_condition,
-    strong_coverage_condition,
-    uncovered_pairs,
-)
+from repro.check import reference
+from repro.core import coverage
 from repro.core.priority import DegreePriority, IdPriority, NcrPriority
-from repro.core.views import global_view, local_view, view_cache
+from repro.core.views import global_view, local_view
 from repro.graph.generators import random_grid_network
 from repro.graph.paperfigs import figure1
 from repro.graph.topology import Topology
 
 SEEDS = range(50)
+BACKENDS = ("bitset", "sets")
 
 
 def _random_graph(seed: int) -> Topology:
@@ -101,153 +95,142 @@ def _random_view(graph, rng):
     )
 
 
-def _count_sets_calls(monkeypatch):
-    """Count calls into the ``sets`` backend's component decomposition.
+def _count_reference_calls(monkeypatch):
+    """Count calls into the reference's higher-priority ranking.
 
-    Every ``sets`` predicate reaches it on a fresh view, and the
-    ``bitset`` kernel never does.
+    Every reference predicate reaches it (the strong condition of a node
+    with no neighbor aside), and the kernel never does.
     """
     calls = []
-    compute = coverage_module._components_compute_sets
+    rank = reference._higher_priority_nodes
 
     def counted(view, v):
         calls.append(v)
-        return compute(view, v)
+        return rank(view, v)
 
-    monkeypatch.setattr(coverage_module, "_components_compute_sets", counted)
+    monkeypatch.setattr(reference, "_higher_priority_nodes", counted)
     return calls
 
 
 def check_backends_agree(monkeypatch, make_view, evaluate):
-    """``evaluate`` gives one answer on a view bound to each backend.
+    """``evaluate`` gives one answer on one view under the kernel
+    (:mod:`repro.core.coverage`) and under :mod:`repro.check.reference`.
 
-    Each view comes from ``make_view`` after its backend is selected, and
-    the counter shows the ``sets`` path ran for the ``sets`` view only.
+    The counter shows the reference ran for the reference leg only.
     """
-    calls = _count_sets_calls(monkeypatch)
-    results = {}
-    for backend in ("bitset", "sets"):
-        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
-        assert coverage_backend() == backend
-        before = len(calls)
-        results[backend] = evaluate(make_view())
-        assert (len(calls) > before) == (backend == "sets")
-    assert results["bitset"] == results["sets"]
+    calls = _count_reference_calls(monkeypatch)
+    view = make_view()
+    kernel = evaluate(view, coverage)
+    assert not calls
+    assert evaluate(view, reference) == kernel
+    assert calls
 
 
-def predicate_verdicts(view):
+def predicate_verdicts(view, impl):
     return {
         v: (
-            uncovered_pairs(view, v),
-            coverage_condition(view, v),
-            strong_coverage_condition(view, v),
-            span_condition(view, v),
-            span_condition(view, v, max_intermediates=1),
+            impl.uncovered_pairs(view, v),
+            impl.coverage_condition(view, v),
+            impl.strong_coverage_condition(view, v),
+            impl.span_condition(view, v),
+            impl.span_condition(view, v, max_intermediates=1),
         )
         for v in view.graph.nodes()
     }
 
 
-def component_sets(view):
+def component_sets(view, impl):
     return {
-        v: frozenset(frozenset(c) for c in higher_priority_components(view, v))
+        v: frozenset(
+            frozenset(c) for c in impl.higher_priority_components(view, v)
+        )
         for v in view.graph.nodes()
     }
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_predicates_agree_across_backends(seed, monkeypatch):
-    graph = _random_graph(seed)
+def _cases(view_offset, second_view_offset):
+    """``(graph_seed, view_seed)`` per seed, then a second sample on
+    graph seeds offset by 500; each case is named by its graph seed."""
+    return [
+        pytest.param(s, s + view_offset, id=str(s)) for s in SEEDS
+    ] + [
+        pytest.param(s + 500, s + second_view_offset, id=str(s + 500))
+        for s in SEEDS
+    ]
+
+
+@pytest.mark.parametrize("graph_seed, view_seed", _cases(2000, 4000))
+def test_predicates_agree_across_backends(graph_seed, view_seed, monkeypatch):
+    graph = _random_graph(graph_seed)
     check_backends_agree(
         monkeypatch,
-        lambda: _random_view(graph, random.Random(seed + 2000)),
+        lambda: _random_view(graph, random.Random(view_seed)),
         predicate_verdicts,
     )
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_components_agree_across_backends(seed, monkeypatch):
-    graph = _random_graph(seed)
+@pytest.mark.parametrize("graph_seed, view_seed", _cases(3000, 5000))
+def test_components_agree_across_backends(graph_seed, view_seed, monkeypatch):
+    graph = _random_graph(graph_seed)
     check_backends_agree(
         monkeypatch,
-        lambda: _random_view(graph, random.Random(seed + 3000)),
+        lambda: _random_view(graph, random.Random(view_seed)),
         component_sets,
     )
 
 
-def test_unknown_backend_rejected(monkeypatch):
-    for backend in ("turbo", "numpy"):
-        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
-        with pytest.raises(ValueError, match="'bitset', 'sets'"):
-            coverage_backend()
-
-
-def test_invisible_node_still_ranked(monkeypatch):
-    """Both backends handle v outside the view graph (invisible rank)."""
-    graph = Topology(edges=[(1, 2), (2, 3), (3, 4), (4, 1)])
-    assert 3 not in local_view(graph, 1, 1, IdPriority()).graph
+def _check_invisible_ranked(monkeypatch, graph, hops, invisible):
+    assert invisible not in local_view(graph, 1, hops, IdPriority()).graph
     check_backends_agree(
         monkeypatch,
-        lambda: local_view(graph, 1, 1, IdPriority()),
-        lambda view: frozenset(
-            frozenset(c) for c in higher_priority_components(view, 3)
+        lambda: local_view(graph, 1, hops, IdPriority()),
+        lambda view, impl: frozenset(
+            frozenset(c)
+            for c in impl.higher_priority_components(view, invisible)
         ),
     )
 
 
-def test_backend_binds_once_per_view(monkeypatch):
-    """A view keeps its first backend; a view built after a flip, or one
-    whose graph mutated since, reads the variable afresh."""
-    calls = _count_sets_calls(monkeypatch)
-    graph = _random_graph(7)
-    nodes = graph.nodes()
-    monkeypatch.setenv("REPRO_COVERAGE_BACKEND", "bitset")
-    bound = global_view(graph, IdPriority())
-    before = predicate_verdicts(bound)
-    monkeypatch.setenv("REPRO_COVERAGE_BACKEND", "sets")
-    assert predicate_verdicts(bound) == before
-    assert component_sets(bound) == component_sets(
-        global_view(graph, IdPriority())
-    )
-    assert calls == nodes  # only the fresh view ran the sets path
-    del calls[:]
-    u, w = next(
-        (u, w) for u in nodes for w in nodes
-        if u < w and not graph.has_edge(u, w)
-    )
-    graph.apply_delta(added_edges=[(u, w)])
-    assert not view_cache(bound)  # no memo survives the mutation
-    after = predicate_verdicts(bound)
-    assert calls  # the re-bound view ran the sets path
-    monkeypatch.setenv("REPRO_COVERAGE_BACKEND", "bitset")
-    assert after == predicate_verdicts(global_view(graph, IdPriority()))
+def test_invisible_node_still_ranked(monkeypatch):
+    """Kernel and reference handle v outside the view graph (invisible
+    rank): a 4-cycle seen from 1 hop."""
+    graph = Topology(edges=[(1, 2), (2, 3), (3, 4), (4, 1)])
+    _check_invisible_ranked(monkeypatch, graph, 1, 3)
 
 
-def _forward_sets(topology, monkeypatch):
-    """``GenericStatic`` global-view forward sets per backend and mode."""
+def test_invisible_node_still_ranked_on_path(monkeypatch):
+    """The same on a 7-node path seen from 2 hops: 4 and beyond lie
+    outside the view graph."""
+    graph = Topology(edges=[(i, i + 1) for i in range(1, 7)])
+    _check_invisible_ranked(monkeypatch, graph, 2, 5)
+
+
+def _forward_sets(topology, on_backend):
+    """``GenericStatic`` global-view forward sets per backend and mode;
+    the ``sets`` leg runs on the reference."""
     from repro.algorithms.generic import GenericStatic
     from repro.sim.engine import SimulationEnvironment
 
     out = {}
-    for backend in ("bitset", "sets"):
-        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
-        env = SimulationEnvironment(topology, IdPriority())
-        protocols = {}
-        for strong in (False, True):
-            protocol = GenericStatic(hops=None, strong=strong)
-            protocol.prepare(env)
-            protocols[strong] = protocol.forward_set
+    for backend in BACKENDS:
+        with on_backend(backend):
+            env = SimulationEnvironment(topology, IdPriority())
+            protocols = {}
+            for strong in (False, True):
+                protocol = GenericStatic(hops=None, strong=strong)
+                protocol.prepare(env)
+                protocols[strong] = protocol.forward_set
         out[backend] = protocols
     return out
 
 
-def test_forward_sets_identical_on_figure1(monkeypatch):
-    results = _forward_sets(figure1().topology, monkeypatch)
+def test_forward_sets_identical_on_figure1(on_backend):
+    results = _forward_sets(figure1().topology, on_backend)
     assert results["bitset"] == results["sets"]
 
 
-def test_forward_sets_identical_on_random_grid(monkeypatch):
+def test_forward_sets_identical_on_random_grid(on_backend):
     network = random_grid_network(12, 0.7, random.Random(5))
     assert network.node_count > 50
-    results = _forward_sets(network.topology, monkeypatch)
+    results = _forward_sets(network.topology, on_backend)
     assert results["bitset"] == results["sets"]

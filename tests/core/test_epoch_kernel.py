@@ -10,10 +10,11 @@ overlay.  The properties here pin down that:
 
 * a view sharing the epoch cache answers ``uncovered_pairs``,
   ``coverage_condition`` and ``strong_coverage_condition`` exactly like
-  a fresh view with no shared cache, and like the ``sets`` oracle, for
-  deciders at every status and with ``visited_connected`` on and off;
+  a fresh view with no shared cache, and like the reference predicates
+  (:mod:`repro.check.reference`), for deciders at every status and with
+  ``visited_connected`` on and off;
 * on a status-empty global view every node's answer comes from the sweep
-  with no flood fill, and matches the fresh view and ``sets``;
+  with no flood fill, and matches the fresh view and the reference;
 * the monotone shortcut's premise holds: for an UNVISITED decider the
   dynamic uncovered list is an in-order sub-list of the status-free one;
 * a one-decider epoch never sweeps, a multi-decider epoch sweeps once per
@@ -27,12 +28,11 @@ import random
 
 import pytest
 
+from repro.check import reference
 from repro.core import coverage
 from repro.core import status as st
 from repro.core.coverage import (
     coverage_condition,
-    higher_priority_components,
-    span_condition,
     strong_coverage_condition,
     uncovered_pairs,
 )
@@ -40,6 +40,7 @@ from repro.core.priority import DegreePriority, IdPriority, NcrPriority
 from repro.core.views import (
     View,
     epoch_cache,
+    global_view,
     local_view,
     share_epoch_cache,
     view_cache,
@@ -56,8 +57,8 @@ SCHEMES = {
     "ncr": NcrPriority(),
 }
 CONDITIONS = {
-    "generic": coverage_condition,
-    "strong": strong_coverage_condition,
+    "generic": "coverage_condition",
+    "strong": "strong_coverage_condition",
 }
 
 
@@ -88,29 +89,28 @@ def _fresh(view: View, **changes) -> View:
     )
 
 
-def _verdicts(view: View, v: int, condition_first: bool = False):
-    """``(uncovered_pairs, coverage_condition, strong_coverage_condition)``.
+def _verdicts(
+    view: View, v: int, condition_first: bool = False, impl=coverage
+):
+    """``(uncovered_pairs, coverage_condition, strong_coverage_condition)``
+    from ``impl``, the kernel or :mod:`repro.check.reference`.
 
     With ``condition_first`` the condition is asked before the pair list,
     so it, not the list, takes the decider's first-decision route.
     """
     if condition_first:
-        condition = coverage_condition(view, v)
-        strong = strong_coverage_condition(view, v)
-        return uncovered_pairs(view, v), condition, strong
+        condition = impl.coverage_condition(view, v)
+        strong = impl.strong_coverage_condition(view, v)
+        return impl.uncovered_pairs(view, v), condition, strong
     return (
-        uncovered_pairs(view, v),
-        coverage_condition(view, v),
-        strong_coverage_condition(view, v),
+        impl.uncovered_pairs(view, v),
+        impl.coverage_condition(view, v),
+        impl.strong_coverage_condition(view, v),
     )
 
 
 #: Statuses the call-order test gives a view graph's centre.
 CENTRE_STATUSES = (st.UNVISITED, st.UNVISITED, st.DESIGNATED, st.VISITED)
-
-
-def _use_backend(monkeypatch, backend: str) -> None:
-    monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
 
 
 def _is_ordered_sublist(short, long) -> bool:
@@ -133,7 +133,7 @@ def _overlay(rng: random.Random, nodes, v: int, v_status: float):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_shared_epoch_cache_matches_fresh_views_and_sets(seed, monkeypatch):
+def test_shared_epoch_cache_matches_fresh_views_and_sets(seed):
     rng = random.Random(seed)
     graph = _random_graph(rng)
     scheme = rng.choice([IdPriority(), DegreePriority(), NcrPriority()])
@@ -158,13 +158,10 @@ def test_shared_epoch_cache_matches_fresh_views_and_sets(seed, monkeypatch):
                     dataclasses.replace(shared, visited_connected=False),
                     epoch_cache(shared),
                 )
-            _use_backend(monkeypatch, "bitset")
             got = _verdicts(shared, v, condition_first=rng.random() < 0.5)
             assert got == _verdicts(_fresh(shared), v)
-            _use_backend(monkeypatch, "sets")
-            assert got == _verdicts(_fresh(shared), v)
+            assert got == _verdicts(shared, v, impl=reference)
             if v_status == st.UNVISITED:
-                _use_backend(monkeypatch, "bitset")
                 status_free = env.make_view(
                     view_graph, frozenset(), frozenset()
                 )
@@ -173,9 +170,8 @@ def test_shared_epoch_cache_matches_fresh_views_and_sets(seed, monkeypatch):
                 )
 
 
-def test_global_view_past_several_suffix_checkpoints(monkeypatch):
+def test_global_view_past_several_suffix_checkpoints():
     """A 150-node global view: ranks span several checkpoint blocks."""
-    _use_backend(monkeypatch, "bitset")
     net = random_connected_network(150, 8.0, random.Random(2))
     graph = net.topology
     env = SimulationEnvironment(graph, NcrPriority())
@@ -216,8 +212,7 @@ def test_sweep_answers_every_node_of_a_status_empty_global_view(
     env = SimulationEnvironment(graph, SCHEMES[scheme])
     nodes = graph.nodes()
     view_graph = env.view_graph(nodes[0], None)
-    decide = CONDITIONS[condition]
-    _use_backend(monkeypatch, "bitset")
+    decide = getattr(coverage, CONDITIONS[condition])
     sweeps = _count_sweeps(monkeypatch)
     shared = env.make_view(view_graph, frozenset(), frozenset())
     # The first decider flood-fills; the second triggers the sweep, and
@@ -229,12 +224,11 @@ def test_sweep_answers_every_node_of_a_status_empty_global_view(
     assert len(sweeps) == 1
     assert counters.mask_floodfills == 0
     pairs = {v: uncovered_pairs(shared, v) for v in nodes}
-    for backend in ("bitset", "sets"):
-        _use_backend(monkeypatch, backend)
+    for impl in (coverage, reference):
         for v in nodes:
             assert (pairs[v], got[v]) == (
-                uncovered_pairs(_fresh(shared), v),
-                decide(_fresh(shared), v),
+                impl.uncovered_pairs(_fresh(shared), v),
+                getattr(impl, CONDITIONS[condition])(_fresh(shared), v),
             )
 
 
@@ -245,7 +239,6 @@ def test_overlays_after_the_sweep_match_sets(seed, monkeypatch):
     env = SimulationEnvironment(graph, rng.choice(list(SCHEMES.values())))
     nodes = graph.nodes()
     view_graph = env.view_graph(nodes[0], None)
-    _use_backend(monkeypatch, "bitset")
     sweeps = _count_sweeps(monkeypatch)
     empty = env.make_view(view_graph, frozenset(), frozenset())
     for v in nodes[:2]:
@@ -260,10 +253,8 @@ def test_overlays_after_the_sweep_match_sets(seed, monkeypatch):
                     dataclasses.replace(shared, visited_connected=False),
                     epoch_cache(shared),
                 )
-            _use_backend(monkeypatch, "bitset")
             got = _verdicts(shared, v, condition_first=rng.random() < 0.5)
-            _use_backend(monkeypatch, "sets")
-            assert got == _verdicts(_fresh(shared), v)
+            assert got == _verdicts(shared, v, impl=reference)
     assert len(sweeps) == 1
 
 
@@ -271,7 +262,6 @@ def test_one_decider_epochs_never_sweep(monkeypatch):
     rng = random.Random(8)
     graph = _random_graph(rng)
     env = SimulationEnvironment(graph)
-    _use_backend(monkeypatch, "bitset")
     sweeps = _count_sweeps(monkeypatch)
     nodes = graph.nodes()
     for _message in range(3):
@@ -297,7 +287,6 @@ def test_multi_decider_epoch_sweeps_once_per_topology_epoch(
     env = SimulationEnvironment(graph, NcrPriority())
     nodes = graph.nodes()
     view_graph = env.view_graph(nodes[0], None)
-    _use_backend(monkeypatch, "bitset")
     sweeps = _count_sweeps(monkeypatch)
 
     def decide_all():
@@ -391,6 +380,11 @@ def test_topology_change_never_reads_stale_epoch_state(hops, mutation):
     _decide_everything(env, hops, statuses)
     old_view = env.make_view(env.view_graph(nodes[0], None), *statuses[1])
     _decide_everything(env, None, statuses[:1] * 2)
+    # A view with per-view scope keeps its state in its own view cache.
+    own = global_view(graph, DegreePriority())
+    for node in nodes:
+        _verdicts(own, node)
+    assert view_cache(own)
 
     added, removed = _flip_some_edges(graph, rng)
     if mutation == "apply_delta":
@@ -409,6 +403,10 @@ def test_topology_change_never_reads_stale_epoch_state(hops, mutation):
     # not answer from the epoch state of the old topology either.
     for node in nodes:
         assert _verdicts(old_view, node) == _verdicts(_fresh(old_view), node)
+    # No view cache entry survives the change.
+    assert not view_cache(own)
+    for node in nodes:
+        assert _verdicts(own, node) == _verdicts(_fresh(own), node)
 
 
 def test_scheme_siblings_do_not_share_epoch_state():
@@ -462,26 +460,28 @@ def test_with_status_and_local_views_get_per_view_scope():
     assert epoch_cache(local).state is None
 
 
-def _component_set(view: View, v: int):
-    return frozenset(
-        frozenset(component)
-        for component in higher_priority_components(view, v)
-    )
-
-
 #: Every public predicate, in the forward call order.
 PREDICATES = (
-    ("coverage", coverage_condition),
-    ("uncovered", uncovered_pairs),
-    ("components", _component_set),
-    ("strong", strong_coverage_condition),
-    ("span", span_condition),
+    "coverage_condition",
+    "uncovered_pairs",
+    "higher_priority_components",
+    "strong_coverage_condition",
+    "span_condition",
 )
+
+
+def _answer(name: str, view: View, v: int):
+    """``name``'s answer, looked up on the module so ``substituted()``
+    reaches it; components as a set of sets (their order is free)."""
+    answer = getattr(coverage, name)(view, v)
+    if name == "higher_priority_components":
+        return frozenset(frozenset(component) for component in answer)
+    return answer
 
 
 @pytest.mark.parametrize("hops", [1, 2, 3, None])
 @pytest.mark.parametrize("backend", ["bitset", "sets"])
-def test_answers_do_not_depend_on_call_order(backend, hops, monkeypatch):
+def test_answers_do_not_depend_on_call_order(backend, hops, on_backend):
     """The epoch state is all one predicate call leaves for the next.
 
     On one view graph the five predicates run in forward and reverse
@@ -489,7 +489,11 @@ def test_answers_do_not_depend_on_call_order(backend, hops, monkeypatch):
     sweep), then the centre again on a sibling view.  Every answer must
     equal the one a fresh view gives.
     """
-    _use_backend(monkeypatch, backend)
+    with on_backend(backend):
+        _check_call_order(hops)
+
+
+def _check_call_order(hops) -> None:
     for seed in range(30):
         rng = random.Random(seed)
         graph = _random_graph(rng)
@@ -506,7 +510,8 @@ def test_answers_do_not_depend_on_call_order(backend, hops, monkeypatch):
             view = env.make_view(view_graph, visited, designated)
             sibling = env.make_view(view_graph, visited, designated)
             for shared, v in ((view, center), (view, second), (sibling, center)):
-                for name, predicate in order:
-                    expected = predicate(_fresh(shared), v)
-                    assert predicate(shared, v) == expected, (seed, name, v)
+                for name in order:
+                    expected = _answer(name, _fresh(shared), v)
+                    got = _answer(name, shared, v)
+                    assert got == expected, (seed, name, v)
 

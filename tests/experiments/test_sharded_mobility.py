@@ -3,7 +3,9 @@
 The determinism contract under test: ``run_trace_sweep(..., jobs=N)``
 merges its worker groups' steps into exactly the serial incremental
 path's steps (and the full-rebuild oracle's forward sets) at **any**
-worker count, on every coverage backend.  Each seed rotates through one
+worker count, on the coverage kernel and on the reference predicates
+(``sets``, run under :func:`repro.check.reference.substituted`, whose
+rebinding the forked workers inherit).  Each seed rotates through one
 (backend, jobs) cell so 50 seeds cover all 6 combinations several times
 over.
 """
@@ -65,20 +67,21 @@ def _payload(steps):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_sharded_matches_serial_and_rebuild(seed, monkeypatch):
+def test_sharded_matches_serial_and_rebuild(seed, on_backend):
     backend, jobs = _cell(seed)
-    monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
     scheme_factory = NcrPriority if seed % 5 == 0 else DegreePriority
-    serial = run_mobility_sweep(
-        _model(seed), 5, 1.0, scheme=scheme_factory(), k=2
-    )
-    rebuilt = run_mobility_sweep(
-        _model(seed), 5, 1.0, scheme=scheme_factory(), k=2, incremental=False
-    )
-    sharded = run_trace_sweep(
-        record_flip_trace(_model(seed), 5, 1.0),
-        scheme=scheme_factory(), k=2, jobs=jobs,
-    )
+    with on_backend(backend):
+        serial = run_mobility_sweep(
+            _model(seed), 5, 1.0, scheme=scheme_factory(), k=2
+        )
+        rebuilt = run_mobility_sweep(
+            _model(seed), 5, 1.0, scheme=scheme_factory(), k=2,
+            incremental=False,
+        )
+        sharded = run_trace_sweep(
+            record_flip_trace(_model(seed), 5, 1.0),
+            scheme=scheme_factory(), k=2, jobs=jobs,
+        )
     assert _payload(serial) == _payload(rebuilt)
     # Steps, times, forward sets, flip counts and the re-decide counts:
     # the worker groups split the serial dirty set between them.

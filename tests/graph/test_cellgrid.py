@@ -1,6 +1,7 @@
-"""Cell grid vs pairwise reference: 50-seed equivalence properties.
+"""Cell grid vs the all-pairs reference: 50-seed equivalence properties.
 
-The spatial-hash builder must be *byte-identical* to the pairwise scan —
+The spatial-hash builder must be *byte-identical* to the all-pairs scan of
+:mod:`repro.check.reference` —
 same topologies, same flip lists, same calibrated radii — on random
 layouts and on every degenerate geometry the grid's float analysis has to
 survive: collinear points, duplicate coordinates, radius 0, everything
@@ -13,6 +14,7 @@ import random
 
 import pytest
 
+from repro.check import reference
 from repro.graph import unit_disk
 from repro.graph.cellgrid import (
     CellGrid,
@@ -25,7 +27,6 @@ from repro.graph.unit_disk import (
     edge_flips,
     range_for_average_degree,
     range_for_link_count,
-    udg_builder,
 )
 
 SEEDS = range(50)
@@ -67,8 +68,8 @@ def _random_layout(seed):
 def test_builder_matches_pairwise(seed):
     positions, rng = _random_layout(seed)
     for radius in (0.0, rng.uniform(0.1, 5.0), rng.uniform(5.0, 60.0)):
-        grid = build_unit_disk_graph(positions, radius, method="grid")
-        pairwise = build_unit_disk_graph(positions, radius, method="pairwise")
+        grid = build_unit_disk_graph(positions, radius)
+        pairwise = reference.build_unit_disk_graph(positions, radius)
         _assert_same_graph(grid, pairwise)
 
 
@@ -81,8 +82,8 @@ def test_edge_flips_match_pairwise(seed):
         node: Point(p.x + rng.uniform(-3, 3), p.y + rng.uniform(-3, 3))
         for node, p in positions.items()
     }
-    grid = edge_flips(moved, radius, base.topology, method="grid")
-    pairwise = edge_flips(moved, radius, base.topology, method="pairwise")
+    grid = edge_flips(moved, radius, base.topology)
+    pairwise = reference.edge_flips(moved, radius, base.topology)
     assert grid == pairwise
     added, removed = grid
     assert added == sorted(added)
@@ -96,10 +97,8 @@ def test_calibrated_radius_is_byte_identical(seed):
     n = len(positions)
     max_links = n * (n - 1) // 2
     for links in sorted({1, max_links, rng.randint(1, max_links)}):
-        grid_radius = range_for_link_count(positions, links, method="grid")
-        pairwise_radius = range_for_link_count(
-            positions, links, method="pairwise"
-        )
+        grid_radius = range_for_link_count(positions, links)
+        pairwise_radius = reference.range_for_link_count(positions, links)
         assert grid_radius == pairwise_radius
         realised = build_unit_disk_graph(positions, grid_radius)
         assert realised.link_count >= links
@@ -119,19 +118,19 @@ def test_zero_links_with_duplicate_positions_raises():
     realise an empty graph — the old sqrt(0)/2 = 0 return violated the
     contract silently."""
     positions = {0: Point(1.0, 1.0), 1: Point(1.0, 1.0), 2: Point(5.0, 9.0)}
-    for method in ("grid", "pairwise"):
+    for impl in (unit_disk, reference):
         with pytest.raises(ValueError, match="share a position"):
-            range_for_link_count(positions, 0, method=method)
-        # The coincident pair is indeed linked at radius 0, both methods.
-        network = build_unit_disk_graph(positions, 0.0, method=method)
+            impl.range_for_link_count(positions, 0)
+        # The coincident pair is indeed linked at radius 0, both ways.
+        network = impl.build_unit_disk_graph(positions, 0.0)
         assert network.topology.edges() == [(0, 1)]
 
 
 def test_zero_links_without_duplicates_yields_empty_graph():
     rng = random.Random(11)
     positions = random_points(40, Area(100, 100), rng)
-    for method in ("grid", "pairwise"):
-        radius = range_for_link_count(positions, 0, method=method)
+    for impl in (unit_disk, reference):
+        radius = impl.range_for_link_count(positions, 0)
         assert radius > 0
         assert build_unit_disk_graph(positions, radius).link_count == 0
 
@@ -143,8 +142,8 @@ def test_radius_zero_links_exactly_coincident_pairs():
         2: Point(0.0, 5e-324),  # distinct, squared distance underflows to 0
         3: Point(1.0, 0.0),
     }
-    grid = build_unit_disk_graph(positions, 0.0, method="grid")
-    pairwise = build_unit_disk_graph(positions, 0.0, method="pairwise")
+    grid = build_unit_disk_graph(positions, 0.0)
+    pairwise = reference.build_unit_disk_graph(positions, 0.0)
     _assert_same_graph(grid, pairwise)
     assert grid.topology.has_edge(0, 1)
     assert grid.topology.has_edge(0, 2)  # the underflow pair counts too
@@ -155,8 +154,8 @@ def test_exactness_guard_rejects_astronomical_coordinates():
     positions = {0: Point(0.0, 0.0), 1: Point(1e40, 0.0), 2: Point(1e40, 1.0)}
     assert not grid_is_exact(positions, 2.0)
     assert grid_is_exact(positions, 1e32)
-    # The builder falls back to pairwise silently and stays correct.
-    network = build_unit_disk_graph(positions, 2.0, method="grid")
+    # The builder falls back to all pairs silently and stays correct.
+    network = build_unit_disk_graph(positions, 2.0)
     assert sorted(network.topology.edges()) == [(1, 2)]
 
 
@@ -166,13 +165,13 @@ def test_exactness_guard_rejects_non_finite_geometry():
     assert not grid_is_exact({0: Point(0.0, 0.0)}, float("inf"))
     with pytest.raises(ValueError):
         grid_is_exact(positions, -1.0)
-    network = build_unit_disk_graph(positions, 1.0, method="grid")
+    network = build_unit_disk_graph(positions, 1.0)
     assert network.topology.edges() == []
-    # Calibration cannot rank a NaN distance: it raises, under both
-    # methods, instead of returning a NaN radius.
-    for method in ("grid", "pairwise"):
+    # Calibration cannot rank a NaN distance: it raises, grid and
+    # reference alike, instead of returning a NaN radius.
+    for impl in (unit_disk, reference):
         with pytest.raises(ValueError, match="non-finite"):
-            range_for_link_count(positions, 1, method=method)
+            impl.range_for_link_count(positions, 1)
 
 
 def test_grid_pairs_follow_insertion_order():
@@ -196,7 +195,7 @@ def test_calibration_makes_one_scan_per_search_radius(monkeypatch):
 
     monkeypatch.setattr(unit_disk, "grid_pairs_within", counting_scan)
     positions = random_points(200, Area(100, 100), random.Random(3))
-    radius, links = range_for_average_degree(positions, 6.0, method="grid")
+    radius, links = range_for_average_degree(positions, 6.0)
     # The density-scaled first radius already holds the 600 links and the
     # next larger distance: one scan lists them, with no count pass.
     assert len(calls) == 1
@@ -213,7 +212,7 @@ def test_first_calibration_scan_is_sized_by_area(monkeypatch):
 
     monkeypatch.setattr(unit_disk, "grid_pairs_within", counting_scan)
     positions = random_points(1000, Area(100, 100), random.Random(4))
-    _radius, links = range_for_average_degree(positions, 6.0, method="grid")
+    _radius, links = range_for_average_degree(positions, 6.0)
     # The first radius comes from the box area, not the diameter, so the
     # scan lists a small multiple of the 3,000 links it has to rank.
     assert links <= scans[0] <= 3 * links
@@ -231,18 +230,6 @@ def test_cellgrid_near_scans_nine_cells():
     assert 0 not in set(grid.near(Point(3.5, 3.5)))
 
 
-def test_builder_env_switch(monkeypatch):
-    monkeypatch.setenv("REPRO_UDG_BUILDER", "pairwise")
-    assert udg_builder() == "pairwise"
-    monkeypatch.setenv("REPRO_UDG_BUILDER", "grid")
-    assert udg_builder() == "grid"
-    monkeypatch.setenv("REPRO_UDG_BUILDER", "quadtree")
-    with pytest.raises(ValueError):
-        udg_builder()
-    with pytest.raises(ValueError):
-        build_unit_disk_graph({0: Point(0, 0)}, 1.0, method="quadtree")
-
-
 def test_tied_threshold_distances_are_all_included():
     # Four corners of a square: the two diagonals tie at the threshold.
     positions = {
@@ -252,10 +239,8 @@ def test_tied_threshold_distances_are_all_included():
         3: Point(1.0, 1.0),
     }
     for links in (1, 4, 5, 6):
-        grid_radius = range_for_link_count(positions, links, method="grid")
-        pairwise_radius = range_for_link_count(
-            positions, links, method="pairwise"
-        )
+        grid_radius = range_for_link_count(positions, links)
+        pairwise_radius = reference.range_for_link_count(positions, links)
         assert grid_radius == pairwise_radius
         realised = build_unit_disk_graph(positions, grid_radius).link_count
         assert realised >= links

@@ -6,7 +6,7 @@ so retention actually happens), the shared mutable topology must be
 indistinguishable from a unit-disk graph rebuilt from scratch at the same
 positions — adjacency, node-index order, mask tables, k-hop view graphs,
 and the forward sets the generic scheme derives from them, byte-identical
-under both coverage backends.
+on the coverage kernel and on the reference predicates.
 
 Plus directed unit tests for the machinery itself: dirty balls, empty
 deltas, validation atomicity, the version stamp, no-flip snapshot reuse,
@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.core.coverage import coverage_condition
+from repro.core import coverage
 from repro.core.priority import DegreePriority, IdPriority, NcrPriority
 from repro.core.views import local_view
 from repro.experiments.runner import run_mobility_sweep
@@ -56,11 +56,12 @@ def _warm(graph: Topology, k: int = 2) -> None:
 
 
 def _forward_set(graph: Topology, scheme, k: int = 2):
+    # Looked up on the module, so ``substituted()`` reaches it.
     metrics = scheme.metrics(graph)
     return tuple(sorted(
         node
         for node in graph.nodes()
-        if not coverage_condition(
+        if not coverage.coverage_condition(
             local_view(graph, node, k, scheme, metrics=metrics), node
         )
     ))
@@ -102,8 +103,7 @@ def test_delta_applied_matches_rebuilt(seed):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_forward_sets_byte_identical(seed, backend, monkeypatch):
-    monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
+def test_forward_sets_byte_identical(seed, backend, on_backend):
     scheme = DegreePriority()
     model = _model(seed)
     for snap in model.snapshot_deltas(dt=1.5, count=4):
@@ -111,7 +111,8 @@ def test_forward_sets_byte_identical(seed, backend, monkeypatch):
         expected = build_unit_disk_graph(
             snap.graph.positions, model.radius
         ).topology
-        assert _forward_set(live, scheme) == _forward_set(expected, scheme)
+        with on_backend(backend):
+            assert _forward_set(live, scheme) == _forward_set(expected, scheme)
         _warm(live)
 
 

@@ -6,8 +6,8 @@ Three 50-seed property suites back the engine's contracts:
   *byte-identical* to what the retired single-broadcast engine produced
   — forward sets, delivered sets, receipt counts, completion time and
   the typed event stream, pinned as per-seed fingerprints in
-  ``golden_single_message.json`` — on both coverage backends (sets and
-  bitset);
+  ``golden_single_message.json`` — on the coverage kernel (bitset) and
+  on the reference predicates (sets);
 * under concurrent messages, per-message delivery stays duplicate-free:
   each node counts at most one first receipt and transmits each message
   at most once;
@@ -136,10 +136,11 @@ def _single_message(seed: int):
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_single_message_service_is_byte_identical_to_legacy(
-    seed, backend, monkeypatch
+    seed, backend, on_backend
 ):
-    monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
-    assert _fingerprint(_single_message(seed)) == GOLDEN_SINGLE_MESSAGE[str(seed)]
+    with on_backend(backend):
+        outcome = _single_message(seed)
+    assert _fingerprint(outcome) == GOLDEN_SINGLE_MESSAGE[str(seed)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -468,8 +469,7 @@ class TestEpochCache:
     """The coverage kernel's shared epoch cache changes no decision."""
 
     @staticmethod
-    def _forwards(strong, hops, monkeypatch, backend, share):
-        monkeypatch.setenv("REPRO_COVERAGE_BACKEND", backend)
+    def _forwards(strong, hops, monkeypatch, block, share):
         if not share:
             # Every view falls back to its own per-view cache.
             monkeypatch.setattr(
@@ -483,7 +483,7 @@ class TestEpochCache:
             ),
         )
         traffic = PoissonTraffic(rate=2.0, count=12, seed=6, size_units=4)
-        with collecting() as counters:
+        with block, collecting() as counters:
             outcome = ServiceEngine(
                 env, protocol, traffic, rng=random.Random(6)
             ).run()
@@ -497,16 +497,16 @@ class TestEpochCache:
     @pytest.mark.parametrize("hops", [2, None])
     @pytest.mark.parametrize("strong", [True, False])
     def test_forward_sets_identical_with_and_without_sharing(
-        self, strong, hops, monkeypatch
+        self, strong, hops, monkeypatch, on_backend
     ):
         shared, reuses = self._forwards(
-            strong, hops, monkeypatch, "bitset", share=True
+            strong, hops, monkeypatch, on_backend("bitset"), share=True
         )
         alone, alone_reuses = self._forwards(
-            strong, hops, monkeypatch, "bitset", share=False
+            strong, hops, monkeypatch, on_backend("bitset"), share=False
         )
         oracle, _ = self._forwards(
-            strong, hops, monkeypatch, "sets", share=True
+            strong, hops, monkeypatch, on_backend("sets"), share=True
         )
         assert shared == alone == oracle
         # The shortcut really ran with sharing, and never without it.
