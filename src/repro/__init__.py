@@ -61,7 +61,6 @@ from .sim.engine import (
 from .sim.service import (
     MessageOutcome,
     MessageState,
-    MessageTable,
     ServiceEngine,
     ServiceOutcome,
     service_seed,
@@ -116,7 +115,6 @@ __all__ = [
     "build_unit_disk_graph",
     "BroadcastOutcome",
     "MessageState",
-    "MessageTable",
     "SimulationEnvironment",
     "run_broadcast",
     "MessageOutcome",

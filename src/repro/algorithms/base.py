@@ -24,7 +24,7 @@ import enum
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, FrozenSet, Optional, Set, Tuple
+from typing import TYPE_CHECKING, AbstractSet, FrozenSet, Optional, Set, Tuple
 
 from ..core.views import View
 from ..graph.topology import Topology
@@ -56,6 +56,11 @@ class NodeContext:
     The context exposes only legitimately local knowledge: the k-hop view
     graph, snooped/piggybacked broadcast state, and the packets the node
     received.  Algorithms must not reach into the environment's full graph.
+
+    ``known_visited``, ``known_designated`` and ``designators`` are the
+    engine's live per-node sets, not copies: a hook reads them during
+    its call and neither mutates them nor keeps them (or the context)
+    afterwards, since later receipts keep growing them.
     """
 
     node: int
@@ -63,9 +68,9 @@ class NodeContext:
     time: float
     env: "SimulationEnvironment"
     hops: Optional[int]
-    known_visited: FrozenSet[int]
-    known_designated: FrozenSet[int]
-    designators: FrozenSet[int]
+    known_visited: AbstractSet[int]
+    known_designated: AbstractSet[int]
+    designators: AbstractSet[int]
     first_packet: Optional["Packet"]
     rng: random.Random
 

@@ -110,7 +110,7 @@ class TrafficSweepConfig:
             raise ValueError(f"count must be positive, got {self.count}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        # The checks Message, MessageTable and ServiceEngine would make in
+        # The checks Message and ServiceEngine would make in
         # every point, made once up front so a bad setting is reported as
         # itself rather than as a failing point.
         if self.size_units < 0:

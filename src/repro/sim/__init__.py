@@ -36,7 +36,6 @@ from .scheduler import EventScheduler
 from .service import (
     MessageOutcome,
     MessageState,
-    MessageTable,
     ServiceEngine,
     ServiceOutcome,
     service_seed,
@@ -55,7 +54,6 @@ from .traffic import (
 __all__ = [
     "BroadcastOutcome",
     "MessageState",
-    "MessageTable",
     "SimulationEnvironment",
     "run_broadcast",
     "MessageOutcome",

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..algorithms.base import BroadcastProtocol
 from ..core.priority import PriorityScheme, IdPriority
@@ -63,30 +63,28 @@ class SimulationEnvironment:
         self.graph = graph
         self.scheme = scheme or IdPriority()
         self.metrics = self.scheme.metrics(graph)
-        self._two_hop_cache: Dict[int, FrozenSet[int]] = {}
         #: Per-view-graph epoch cache (see
         #: :func:`repro.core.views.epoch_cache`), keyed by graph identity
         #: (a strong reference to the graph is kept alongside, so an id
         #: can never be recycled under the cache).  Scheme-specific —
-        #: reset by :meth:`with_scheme`, unlike the topology-only
-        #: two-hop cache.
+        #: reset by :meth:`with_scheme`.
         self._view_epochs: Dict[int, Tuple[Topology, EpochCache]] = {}
-        #: The graph's version stamp the caches above were built against;
+        #: The graph's version stamp the cache above was built against;
         #: :meth:`sync_topology` catches up when it moves.
         self._graph_version = graph.version_stamp()
 
     def with_scheme(self, scheme: PriorityScheme) -> "SimulationEnvironment":
         """A sibling environment with a different priority scheme.
 
-        Shares the (topology-only) view graphs and two-hop sets, so
-        rotating priorities per broadcast — e.g. ``RandomEpochPriority`` for fairness — costs
-        only one metrics pass.
+        Shares the (topology-only) view graphs, which the topology
+        memoises, so rotating priorities per broadcast — e.g.
+        ``RandomEpochPriority`` for fairness — costs only one metrics
+        pass.
         """
         sibling = SimulationEnvironment.__new__(SimulationEnvironment)
         sibling.graph = self.graph
         sibling.scheme = scheme
         sibling.metrics = scheme.metrics(self.graph)
-        sibling._two_hop_cache = self._two_hop_cache
         sibling._view_epochs = {}
         sibling._graph_version = self.graph.version_stamp()
         return sibling
@@ -97,13 +95,12 @@ class SimulationEnvironment:
         Mobility sweeps mutate the shared graph in place (through
         :meth:`~repro.graph.topology.Topology.apply_delta` or the plain
         mutators); this environment notices through the graph's
-        :meth:`~repro.graph.topology.Topology.version_stamp` and drops
-        its derived caches.  The view graphs are not among them: they
-        live only in the topology's dirty-retained query cache, which
-        keeps every entry outside the dirty set.  The two-hop sets are
-        rebuilt on demand from the k-hop masks cached there.  Clearing happens in place
-        because :meth:`with_scheme` siblings share the two-hop dict by
-        reference.
+        :meth:`~repro.graph.topology.Topology.version_stamp`, recomputes
+        its metrics table and drops its per-view-graph epoch caches.
+        The view graphs and the 2-hop masks behind :meth:`two_hop_set`
+        are not its to drop: they live only in the topology's
+        dirty-retained query cache, which keeps every entry outside the
+        dirty set.
         Called automatically by the accessors; callers that read
         :attr:`metrics` directly after mutating the graph should call
         this first.
@@ -112,7 +109,6 @@ class SimulationEnvironment:
         if stamp == self._graph_version:
             return
         self._graph_version = stamp
-        self._two_hop_cache.clear()
         self._view_epochs.clear()
         self.metrics = self.scheme.metrics(self.graph)
 
@@ -130,18 +126,13 @@ class SimulationEnvironment:
 
     def two_hop_set(self, node: int) -> FrozenSet[int]:
         """``N2(node)`` on the deployment graph (for TDP piggybacking)."""
-        self.sync_topology()
-        cached = self._two_hop_cache.get(node)
-        if cached is None:
-            cached = frozenset(self.graph.k_hop_neighbors(node, 2))
-            self._two_hop_cache[node] = cached
-        return cached
+        return frozenset(self.graph.k_hop_neighbors(node, 2))
 
     def make_view(
         self,
         view_graph: Topology,
-        visited: FrozenSet[int],
-        designated: FrozenSet[int],
+        visited: AbstractSet[int],
+        designated: AbstractSet[int],
     ) -> View:
         """Assemble a :class:`View` over ``view_graph`` with known state.
 

@@ -8,8 +8,9 @@ is the one execution path for it — a single broadcast
   schedule (who broadcasts, when, payload size, TTL);
 * one shared :class:`~repro.sim.scheduler.EventScheduler`, one MAC model
   and one event bus drive every in-flight message;
-* per-``(node, message)`` protocol state lives in each node's
-  :class:`MessageTable`, whose bounded egress FIFO adds explicit
+* each message has one record: a :class:`MessageState` per node that
+  has seen it, and its :class:`MessageOutcome`, filled in place;
+* each node has one bounded egress FIFO, which adds explicit
   backpressure: a forward intent arriving while the node's transmitter
   is busy queues, and queues past ``queue_capacity`` are refused with
   ``Drop(reason="queue_full")``;
@@ -18,6 +19,10 @@ is the one execution path for it — a single broadcast
 
 Every decision — the source's, a timer's, a late designation's — goes
 through the protocol's hooks and is announced as one ``Decide`` event.
+A receipt snoops what its packet carries (Section 5): the sender and
+the trail's nodes become known visited, and the trail's designated sets
+known designated.  Both are merged once per transmission, and the
+hooks read the node's live sets, with no copy per decision.
 Work shared across messages lives below the engine, in the coverage
 kernel's per-epoch state (:func:`repro.core.views.epoch_cache`).
 
@@ -30,8 +35,8 @@ distinct arrival time (one under the ideal MAC); that event hands the
 copy to its receivers in sorted neighbor order, checking collision and
 TTL per receiver, and whatever a receipt schedules for the same instant
 runs after the whole batch.  The golden traces in
-``tests/sim/test_events.py`` and ``tests/sim/golden_single_message.json``
-pin the resulting event and RNG order.
+``tests/sim/test_events.py`` and ``tests/sim/golden_*.json`` pin the
+resulting event and RNG order.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import hashlib
 import itertools
 import random
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -69,7 +75,6 @@ __all__ = [
     "ServiceOutcome",
     "MessageOutcome",
     "MessageState",
-    "MessageTable",
     "service_seed",
     "DEFAULT_QUEUE_CAPACITY",
     "DEFAULT_TX_TIME_PER_UNIT",
@@ -106,20 +111,18 @@ def service_seed(sequence: int) -> int:
 
 
 class MessageState:
-    """Per-``(node, message)`` runtime state.
+    """One node's runtime state for one message.
 
-    Everything message-scoped — dedup flags, snooped visited/designated
-    knowledge, designators, first/last packets — lives in this record.
-    One node holds one :class:`MessageState` per message it has seen,
-    collected in its :class:`MessageTable`.
+    Dedup flags, the snooped visited/designated knowledge, the node's
+    designators and the first/last copies it heard.  The three sets are
+    handed to the protocol's hooks as they are (see
+    :class:`~repro.algorithms.base.NodeContext`).
     """
 
     __slots__ = (
         "received",
         "decided",
-        "forwarded",
-        "queued",
-        "dropped",
+        "committed",
         "decision_pending",
         "known_visited",
         "known_designated",
@@ -131,92 +134,17 @@ class MessageState:
     def __init__(self) -> None:
         self.received = False
         self.decided = False
-        self.forwarded = False
-        #: A forward intent is waiting in the node's egress queue; guards
-        #: against double-queuing a message when a designation arrives
-        #: while the intent is queued.
-        self.queued = False
-        #: The node decided to forward but its egress queue rejected the
-        #: transmission (backpressure) or the message expired first.
-        self.dropped = False
+        #: The node has acted on the message: it transmitted it, its
+        #: forward intent waits in the egress queue, or the message was
+        #: dropped at the node (queue full or TTL expired).  Unlike a
+        #: non-forward decision, no later designation reopens it.
+        self.committed = False
         self.decision_pending = False
         self.known_visited: Set[int] = set()
         self.known_designated: Set[int] = set()
         self.designators: Set[int] = set()
         self.first_packet: Optional[Packet] = None
         self.last_packet: Optional[Packet] = None
-
-
-class MessageTable:
-    """One node's per-message state plus its bounded egress FIFO queue.
-
-    The engine's unit of node-local bookkeeping: a mapping
-    ``message_id -> MessageState`` for every message the node has seen,
-    and the FIFO of forward intents waiting for the node's transmitter.
-    ``capacity`` bounds the egress queue — when a forward intent arrives
-    while the queue is full, the service abandons it with an explicit
-    ``Drop(reason="queue_full")`` (backpressure, not silent loss).
-    ``capacity=None`` leaves the queue unbounded.
-    """
-
-    __slots__ = (
-        "node",
-        "capacity",
-        "busy_until",
-        "drain_scheduled",
-        "queue_depth_max",
-        "_states",
-        "_egress",
-    )
-
-    def __init__(self, node: int, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"queue capacity must be positive, got {capacity}")
-        self.node = node
-        self.capacity = capacity
-        #: Simulation time until which the node's transmitter is busy.
-        self.busy_until = 0.0
-        #: Whether a drain callback for this node's queue is already
-        #: scheduled (at most one in flight keeps the event stream lean).
-        self.drain_scheduled = False
-        #: High-water mark of the egress queue over the table's life.
-        self.queue_depth_max = 0
-        self._states: Dict[int, MessageState] = {}
-        self._egress: Deque[Tuple[int, FrozenSet[int]]] = deque()
-
-    def state(self, message_id: int) -> MessageState:
-        """The node's state for ``message_id``, created on first touch."""
-        state = self._states.get(message_id)
-        if state is None:
-            state = MessageState()
-            self._states[message_id] = state
-        return state
-
-    # -- egress queue --------------------------------------------------
-
-    def queue_depth(self) -> int:
-        """Forward intents currently waiting for the transmitter."""
-        return len(self._egress)
-
-    def enqueue(self, message_id: int, designated: FrozenSet[int]) -> bool:
-        """Queue a forward intent; ``False`` means the queue is full.
-
-        ``designated`` is the forward-neighbor set fixed at decision
-        time; the packet itself is built when the transmitter frees up,
-        from the node's then-current snooped state.
-        """
-        if self.capacity is not None and len(self._egress) >= self.capacity:
-            return False
-        self._egress.append((message_id, designated))
-        if len(self._egress) > self.queue_depth_max:
-            self.queue_depth_max = len(self._egress)
-        return True
-
-    def dequeue(self) -> Optional[Tuple[int, FrozenSet[int]]]:
-        """Pop the oldest queued forward intent (``None`` when idle)."""
-        if not self._egress:
-            return None
-        return self._egress.popleft()
 
 
 @dataclass
@@ -333,6 +261,26 @@ class ServiceOutcome:
         )
 
 
+class _Flight:
+    """One message's record: every node's state for it, and its outcome.
+
+    The engine fills ``outcome`` in place as the message spreads; the
+    source counts as delivered from the start.
+    """
+
+    __slots__ = ("states", "outcome")
+
+    def __init__(self, message: Message) -> None:
+        self.states: Dict[int, MessageState] = {}
+        self.outcome = MessageOutcome(
+            message=message,
+            forward_nodes=set(),
+            delivered={message.source},
+            receipt_counts={},
+            designations={},
+        )
+
+
 class ServiceEngine:
     """Run a traffic model's message stream over one deployment.
 
@@ -384,6 +332,10 @@ class ServiceEngine:
         bus: Optional[EventBus] = None,
         collect_counters: bool = False,
     ) -> None:
+        if queue_capacity is not None and queue_capacity < 1:
+            raise ValueError(
+                f"queue capacity must be positive, got {queue_capacity}"
+            )
         if tx_time_per_unit < 0:
             raise ValueError(
                 f"tx_time_per_unit must be non-negative, got {tx_time_per_unit}"
@@ -411,21 +363,16 @@ class ServiceEngine:
         self._immediate = protocol.timing in (
             Timing.STATIC, Timing.FIRST_RECEIPT
         )
-        self._collect_trace = collect_trace
         self._collect_counters = collect_counters
-        self._tables: Dict[int, MessageTable] = {
-            node: MessageTable(node, queue_capacity)
-            for node in env.graph.nodes()
-        }
-        self._messages: Dict[int, Message] = {}
-        self._forward_nodes: Dict[int, Set[int]] = {}
-        self._delivered: Dict[int, Set[int]] = {}
-        self._receipts: Dict[int, Dict[int, int]] = {}
-        self._designations: Dict[int, Dict[int, FrozenSet[int]]] = {}
-        self._bytes: Dict[int, int] = {}
-        self._completed_at: Dict[int, float] = {}
-        self._drops: Dict[int, Dict[str, int]] = {}
-        self._messages_dropped = 0
+        #: One record per message, indexed by its (dense) id.
+        self._flights: List[_Flight] = []
+        #: Per node, created on first use: the egress FIFO of forward
+        #: intents, the time its transmitter frees up, and whether a
+        #: drain of its queue is armed (at most one in flight).
+        self._egress: Dict[int, Deque[Tuple[_Flight, FrozenSet[int]]]] = {}
+        self._busy_until: Dict[int, float] = {}
+        self._drain_armed: Set[int] = set()
+        self._queue_depth_max = 0
         self._ran = False
 
     # ------------------------------------------------------------------
@@ -435,148 +382,122 @@ class ServiceEngine:
 
         ``horizon`` cuts the run off at a fixed simulation time (events
         beyond it never fire) — the saturation valve for overload
-        sweeps; ``None`` runs to quiescence.
+        sweeps; ``None`` runs to quiescence.  The schedule must keep the
+        :class:`~repro.sim.traffic.TrafficModel` contract of dense ids
+        (``message_id`` equals the message's position); a repeated or
+        skipped id raises ``ValueError``.
         """
         if self._ran:
             raise RuntimeError("a ServiceEngine instance runs only once")
         self._ran = True
         self._bus_on = self.bus.active
-        schedule = self.traffic.generate(self.env.graph)
-        for message in schedule:
-            if message.source not in self._tables:
+        graph = self.env.graph
+        schedule = self.traffic.generate(graph)
+        for position, message in enumerate(schedule):
+            if message.message_id != position:
+                raise ValueError(
+                    f"message id {message.message_id} at schedule position "
+                    f"{position}: ids must be dense 0..n-1 in schedule order"
+                )
+            if message.source not in graph:
                 raise KeyError(
                     f"message {message.message_id} source {message.source} "
                     f"not in the deployment graph"
                 )
-            self._messages[message.message_id] = message
-            self._forward_nodes[message.message_id] = set()
-            self._delivered[message.message_id] = set()
-            self._receipts[message.message_id] = {}
-            self._designations[message.message_id] = {}
-            self._bytes[message.message_id] = 0
-            self._drops[message.message_id] = {}
-        counters: Optional[InstrumentationCounters] = None
-        if self._collect_counters:
-            with collecting() as counters:
-                self._execute(schedule, horizon)
-        else:
-            self._execute(schedule, horizon)
+            self._flights.append(_Flight(message))
+        scope = collecting() if self._collect_counters else nullcontext()
+        with scope as counters:
+            self.mac.reset()
+            for flight in self._flights:
+                self.scheduler.schedule_at(
+                    flight.outcome.message.injected_at,
+                    lambda f=flight: self._inject(f),
+                )
+            if horizon is None:
+                self.scheduler.run()
+            else:
+                self.scheduler.run_until(horizon)
+            if _COUNTER_STACK:
+                top = _COUNTER_STACK[-1]
+                top.queue_depth_max = max(
+                    top.queue_depth_max, self._queue_depth_max
+                )
         return self._assemble(counters)
-
-    def _execute(
-        self, schedule: List[Message], horizon: Optional[float]
-    ) -> None:
-        self.mac.reset()
-        for message in schedule:
-            self.scheduler.schedule_at(
-                message.injected_at,
-                lambda m=message: self._inject(m),
-            )
-        if horizon is None:
-            self.scheduler.run()
-        else:
-            self.scheduler.run_until(horizon)
-        queue_depth_max = self._queue_depth_max()
-        if _COUNTER_STACK:
-            top = _COUNTER_STACK[-1]
-            if queue_depth_max > top.queue_depth_max:
-                top.queue_depth_max = queue_depth_max
-
-    def _queue_depth_max(self) -> int:
-        return max(
-            (table.queue_depth_max for table in self._tables.values()),
-            default=0,
-        )
 
     def _assemble(
         self, counters: Optional[InstrumentationCounters]
     ) -> ServiceOutcome:
         nodes = tuple(self.env.graph.nodes())
-        node_count = len(nodes)
-        outcomes: List[MessageOutcome] = []
-        for mid in sorted(self._messages):
-            message = self._messages[mid]
-            delivered = set(self._delivered[mid])
-            delivered.add(message.source)
-            outcomes.append(
-                MessageOutcome(
-                    message=message,
-                    forward_nodes=self._forward_nodes[mid],
-                    delivered=delivered,
-                    receipt_counts=self._receipts[mid],
-                    designations=self._designations[mid],
-                    bytes_transmitted=self._bytes[mid],
-                    completed_at=self._completed_at.get(mid),
-                    delivered_all=(len(delivered) == node_count),
-                    drops=self._drops[mid],
-                )
-            )
+        outcomes = [flight.outcome for flight in self._flights]
+        for outcome in outcomes:
+            outcome.delivered_all = len(outcome.delivered) == len(nodes)
         return ServiceOutcome(
             messages=outcomes,
             nodes=nodes,
             completion_time=self.scheduler.now,
-            queue_depth_max=self._queue_depth_max(),
-            messages_dropped=self._messages_dropped,
+            queue_depth_max=self._queue_depth_max,
+            messages_dropped=sum(
+                count
+                for outcome in outcomes
+                for reason, count in outcome.drops.items()
+                if reason in _SERVICE_DROPS
+            ),
             events=self.bus.recorded(),
             counters=counters,
         )
 
     # ------------------------------------------------------------------
 
-    def _context(self, message: Message, node: int) -> NodeContext:
-        state = self._tables[node].state(message.message_id)
+    def _context(
+        self, flight: _Flight, node: int, state: MessageState
+    ) -> NodeContext:
         return NodeContext(
             node=node,
-            is_source=(node == message.source),
+            is_source=(node == flight.outcome.message.source),
             time=self.scheduler.now,
             env=self.env,
             hops=self.protocol.hops,
-            known_visited=frozenset(state.known_visited),
-            known_designated=frozenset(state.known_designated),
-            designators=frozenset(state.designators),
+            known_visited=state.known_visited,
+            known_designated=state.known_designated,
+            designators=state.designators,
             first_packet=state.first_packet,
             rng=self.rng,
         )
 
-    def _drop(self, message_id: int, node: int, sender: int, reason: str) -> None:
+    def _drop(self, flight: _Flight, node: int, sender: int, reason: str) -> None:
         """Record a drop; backpressure and TTL expiry also count as
         service drops (``messages_dropped``), channel losses do not."""
-        drops = self._drops[message_id]
+        outcome = flight.outcome
+        drops = outcome.drops
         drops[reason] = drops.get(reason, 0) + 1
-        if reason in _SERVICE_DROPS:
-            self._messages_dropped += 1
-            if _COUNTER_STACK:
-                _COUNTER_STACK[-1].messages_dropped += 1
+        if reason in _SERVICE_DROPS and _COUNTER_STACK:
+            _COUNTER_STACK[-1].messages_dropped += 1
         if self._bus_on:
             self.bus.emit(
                 Drop(
                     time=self.scheduler.now,
                     node=node,
-                    message_id=message_id,
+                    message_id=outcome.message.message_id,
                     sender=sender,
                     reason=reason,
                 )
             )
 
-    def _inject(self, message: Message) -> None:
+    def _inject(self, flight: _Flight) -> None:
         """Start one broadcast: the source decides and (tries to) forward."""
         # Give the shared MAC a chance to age out interference state the
         # finished part of the stream can no longer influence.
         self.mac.retire(self.scheduler.now)
-        state = self._tables[message.source].state(message.message_id)
-        state.known_visited.add(message.source)
+        source = flight.outcome.message.source
+        state = flight.states[source] = MessageState()
+        state.known_visited.add(source)
         state.decided = True
-        self._forward(
-            message,
-            message.source,
-            self._context(message, message.source),
-            "source",
-            incoming=None,
-        )
+        ctx = self._context(flight, source, state)
+        self._forward(flight, source, state, ctx, "source", incoming=None)
 
     def _announce(
         self,
-        message: Message,
+        flight: _Flight,
         node: int,
         forward: bool,
         reason: str,
@@ -590,7 +511,7 @@ class ServiceEngine:
                 Decide(
                     time=self.scheduler.now,
                     node=node,
-                    message_id=message.message_id,
+                    message_id=flight.outcome.message.message_id,
                     forward=forward,
                     reason=reason,
                     designated=forced,
@@ -599,63 +520,66 @@ class ServiceEngine:
 
     def _forward(
         self,
-        message: Message,
+        flight: _Flight,
         node: int,
+        state: MessageState,
         ctx: NodeContext,
         reason: str,
         incoming: Optional[Packet],
         forced: bool = False,
     ) -> None:
         """Announce a forward decision, then designate and transmit."""
-        self._announce(message, node, True, reason, forced)
-        self._transmit(message, node, self.protocol.designate(ctx), incoming)
+        self._announce(flight, node, True, reason, forced)
+        self._transmit(
+            flight, node, state, self.protocol.designate(ctx), incoming
+        )
 
     # ------------------------------------------------------------------
 
     def _transmit(
         self,
-        message: Message,
+        flight: _Flight,
         node: int,
+        state: MessageState,
         designated: FrozenSet[int],
         incoming: Optional[Packet],
     ) -> None:
         """Forward intent: transmit now if idle, else queue (or drop)."""
-        table = self._tables[node]
-        now = self.scheduler.now
+        state.committed = True
+        queue = self._egress.get(node)
         # Queue behind a busy transmitter *or* behind earlier intents: an
         # intent arriving the instant the transmitter frees, before the
         # armed drain fires, must not jump the FIFO.
-        if now < table.busy_until or table.queue_depth():
-            state = table.state(message.message_id)
-            if table.enqueue(message.message_id, designated):
-                state.queued = True
-                if not table.drain_scheduled:
-                    table.drain_scheduled = True
-                    self.scheduler.schedule_at(
-                        table.busy_until,
-                        lambda n=node: self._drain_egress(n),
-                    )
-            else:
-                state.dropped = True
-                self._drop(message.message_id, node, node, "queue_full")
+        if self.scheduler.now < self._busy_until.get(node, 0.0) or queue:
+            if queue is None:
+                queue = self._egress[node] = deque()
+            capacity = self.queue_capacity
+            if capacity is not None and len(queue) >= capacity:
+                self._drop(flight, node, node, "queue_full")
+                return
+            queue.append((flight, designated))
+            if len(queue) > self._queue_depth_max:
+                self._queue_depth_max = len(queue)
+            if node not in self._drain_armed:
+                self._arm_drain(node)
             return
-        self._do_transmit(message, node, designated, incoming)
+        self._do_transmit(flight, node, state, designated, incoming)
 
     def _do_transmit(
         self,
-        message: Message,
+        flight: _Flight,
         node: int,
+        state: MessageState,
         designated: FrozenSet[int],
         incoming: Optional[Packet],
     ) -> None:
+        outcome = flight.outcome
+        message = outcome.message
         mid = message.message_id
-        table = self._tables[node]
-        state = table.state(mid)
-        state.forwarded = True
         state.known_visited.add(node)
         state.known_designated |= designated
-        self._forward_nodes[mid].add(node)
-        self._designations[mid][node] = designated
+        outcome.forward_nodes.add(node)
+        outcome.designations[node] = designated
         two_hop = (
             self.env.two_hop_set(node)
             if self.protocol.piggyback_two_hop
@@ -676,9 +600,9 @@ class ServiceEngine:
                 node, designated, self.protocol.piggyback_h, two_hop
             )
         size = packet.size_units()
-        self._bytes[mid] += size
+        outcome.bytes_transmitted += size
         now = self.scheduler.now
-        table.busy_until = now + size * self.tx_time_per_unit
+        self._busy_until[node] = now + size * self.tx_time_per_unit
         if _COUNTER_STACK:
             top = _COUNTER_STACK[-1]
             top.transmissions += 1
@@ -701,6 +625,13 @@ class ServiceEngine:
                     size_units=size,
                 )
             )
+        # What every receipt of this copy snoops, merged once: the sender
+        # and the trail's nodes as visited, the trail's designated sets.
+        visited = {node}
+        trail_designated: Set[int] = set()
+        for entry in packet.trail:
+            visited.add(entry.node)
+            trail_designated |= entry.designated
         # One delivery event per distinct arrival time, its receivers in
         # sorted neighbor order: the scheduler's FIFO tie-break already
         # ran one transmission's same-time copies back to back.
@@ -710,87 +641,85 @@ class ServiceEngine:
             node, now, neighbors, self.rng
         ):
             if arrival is None:
-                self._drop(mid, receiver, node, "loss")
+                self._drop(flight, receiver, node, "loss")
                 continue
-            batch = batches.get(arrival)
-            if batch is None:
-                batches[arrival] = [receiver]
-            else:
-                batch.append(receiver)
+            batches.setdefault(arrival, []).append(receiver)
         for arrival, receivers in batches.items():
             self.scheduler.schedule_at(
                 arrival,
-                lambda m=message, p=packet, a=arrival, rs=receivers: (
-                    self._deliver_batch(m, p, a, rs)
+                lambda a=arrival, rs=receivers: self._deliver_batch(
+                    flight, packet, visited, trail_designated, a, rs
                 ),
             )
 
+    def _arm_drain(self, node: int) -> None:
+        self._drain_armed.add(node)
+        self.scheduler.schedule_at(
+            self._busy_until[node], lambda n=node: self._drain_egress(n)
+        )
+
     def _drain_egress(self, node: int) -> None:
         """The node's transmitter freed up: send the oldest queued intent."""
-        table = self._tables[node]
-        table.drain_scheduled = False
+        self._drain_armed.discard(node)
         now = self.scheduler.now
-        if now < table.busy_until:
+        if now < self._busy_until[node]:
             # Another transmission slipped in meanwhile; re-arm.
-            table.drain_scheduled = True
-            self.scheduler.schedule_at(
-                table.busy_until, lambda n=node: self._drain_egress(n)
-            )
+            self._arm_drain(node)
             return
-        entry = table.dequeue()
-        while entry is not None:
-            mid, designated = entry
-            message = self._messages[mid]
-            state = table.state(mid)
-            state.queued = False
-            expires = message.expires_at
+        queue = self._egress[node]
+        while queue:
+            flight, designated = queue.popleft()
+            expires = flight.outcome.message.expires_at
             if expires is not None and now > expires:
-                state.dropped = True
-                self._drop(mid, node, node, "ttl_expired")
-                entry = table.dequeue()
+                self._drop(flight, node, node, "ttl_expired")
                 continue
+            state = flight.states[node]
             # Relay the last copy delivered: the paper leaves open which
             # same-instant copy is relayed; the golden traces pin this one.
             self._do_transmit(
-                message, node, designated, incoming=state.last_packet
+                flight, node, state, designated, incoming=state.last_packet
             )
             break
-        if table.queue_depth() and not table.drain_scheduled:
-            table.drain_scheduled = True
-            self.scheduler.schedule_at(
-                table.busy_until, lambda n=node: self._drain_egress(n)
-            )
+        if queue and node not in self._drain_armed:
+            self._arm_drain(node)
 
     # ------------------------------------------------------------------
 
     def _deliver_batch(
         self,
-        message: Message,
+        flight: _Flight,
         packet: Packet,
+        visited: Set[int],
+        trail_designated: Set[int],
         arrival: float,
         receivers: List[int],
     ) -> None:
-        """One transmission's copies landing at ``arrival``, in order."""
-        mid = message.message_id
+        """One transmission's copies landing at ``arrival``, in order.
+
+        ``visited`` and ``trail_designated`` are what the copy snoops
+        (see :meth:`_do_transmit`).
+        """
+        outcome = flight.outcome
+        mid = outcome.message.message_id
         now = self.scheduler.now
         sender = packet.sender
-        trail = packet.trail
         expired = packet.expired(now)
         corrupted = self.mac.corrupted
-        tables = self._tables
-        receipts = self._receipts[mid]
-        delivered = self._delivered[mid]
+        states = flight.states
+        receipts = outcome.receipt_counts
         bus = self.bus if self._bus_on else None
         for receiver in receivers:
             # Per receiver: a later transmission — even one a receipt
             # earlier in this batch triggered — may have poisoned it.
             if corrupted(receiver, arrival):
-                self._drop(mid, receiver, sender, "collision")
+                self._drop(flight, receiver, sender, "collision")
                 continue
             if expired:
-                self._drop(mid, receiver, sender, "ttl_expired")
+                self._drop(flight, receiver, sender, "ttl_expired")
                 continue
-            state = tables[receiver].state(mid)
+            state = states.get(receiver)
+            if state is None:
+                state = states[receiver] = MessageState()
             if bus is not None:
                 bus.emit(
                     Deliver(
@@ -798,31 +727,29 @@ class ServiceEngine:
                     )
                 )
             receipts[receiver] = receipts.get(receiver, 0) + 1
-            # Snooping: hearing the transmission marks the sender visited.
-            known_visited = state.known_visited
-            known_visited.add(sender)
+            state.known_visited |= visited
+            state.known_designated |= trail_designated
+            if receiver in trail_designated:
+                for entry in packet.trail:
+                    if receiver in entry.designated:
+                        state.designators.add(entry.node)
             state.last_packet = packet
-            for entry in trail:
-                known_visited.add(entry.node)
-                state.known_designated |= entry.designated
-                if receiver in entry.designated:
-                    state.designators.add(entry.node)
             if not state.received:
                 state.received = True
                 state.first_packet = packet
-                delivered.add(receiver)
-                self._completed_at[mid] = now
-            if state.forwarded or state.queued or state.dropped:
+                outcome.delivered.add(receiver)
+                outcome.completed_at = now
+            if state.committed:
                 continue
             if state.decided:
                 if state.designators:
-                    self._react(message, receiver, state, packet)
+                    self._react(flight, receiver, state, packet)
             elif not state.decision_pending:
-                self._react(message, receiver, state, packet)
+                self._react(flight, receiver, state, packet)
 
     def _react(
         self,
-        message: Message,
+        flight: _Flight,
         node: int,
         state: MessageState,
         packet: Packet,
@@ -837,13 +764,15 @@ class ServiceEngine:
         protocol = self.protocol
         if state.decided:
             if protocol.strict_designation:
-                ctx = self._context(message, node)
-                self._forward(message, node, ctx, "forced-designation", packet)
+                ctx = self._context(flight, node, state)
+                self._forward(
+                    flight, node, state, ctx, "forced-designation", packet
+                )
             elif protocol.relaxed_designation:
-                ctx = self._context(message, node)
+                ctx = self._context(flight, node, state)
                 if protocol.should_forward(ctx):
                     self._forward(
-                        message, node, ctx, "relaxed-designation", packet
+                        flight, node, state, ctx, "relaxed-designation", packet
                     )
             return
         state.decision_pending = True
@@ -852,43 +781,42 @@ class ServiceEngine:
             delay = 0.0
         else:
             delay = protocol.decision_delay(
-                self._context(message, node), self.rng
+                self._context(flight, node, state), self.rng
             )
         if self._bus_on:
             self.bus.emit(
                 BackoffScheduled(
                     time=self.scheduler.now,
                     node=node,
-                    message_id=message.message_id,
+                    message_id=flight.outcome.message.message_id,
                     delay=delay,
                 )
             )
         self.scheduler.schedule_in(
-            delay, lambda m=message, n=node: self._decide(m, n)
+            delay, lambda f=flight, n=node: self._decide(f, n)
         )
 
     # ------------------------------------------------------------------
 
-    def _decide(self, message: Message, node: int) -> None:
+    def _decide(self, flight: _Flight, node: int) -> None:
         """A node's backoff timer fired: take its forward/non-forward status."""
-        mid = message.message_id
-        state = self._tables[node].state(mid)
-        if state.forwarded or state.decided:
+        state = flight.states[node]
+        if state.decided:
             return
         state.decided = True
         state.decision_pending = False
-        expires = message.expires_at
+        expires = flight.outcome.message.expires_at
         if expires is not None and self.scheduler.now > expires:
             # The decision timer outlived the message: nothing to forward.
-            state.dropped = True
-            self._drop(mid, node, node, "ttl_expired")
+            state.committed = True
+            self._drop(flight, node, node, "ttl_expired")
             return
-        ctx = self._context(message, node)
+        ctx = self._context(flight, node, state)
         forced = self.protocol.strict_designation and bool(state.designators)
         if forced or self.protocol.should_forward(ctx):
             # Relay the last copy delivered (see _drain_egress).
             self._forward(
-                message, node, ctx, "timer", state.last_packet, forced=forced
+                flight, node, state, ctx, "timer", state.last_packet, forced
             )
         else:
-            self._announce(message, node, False, "timer")
+            self._announce(flight, node, False, "timer")

@@ -2,7 +2,7 @@
 
 import random
 
-from repro.core.priority import DegreePriority, IdPriority, RandomEpochPriority
+from repro.core.priority import DegreePriority, IdPriority
 from repro.graph.generators import random_connected_network
 from repro.graph.topology import Topology
 from repro.sim.engine import SimulationEnvironment
@@ -23,13 +23,6 @@ class TestWithScheme:
         sibling = base.with_scheme(DegreePriority())
         assert base.metrics[0] == ()
         assert sibling.metrics[0] == (4.0,)
-
-    def test_two_hop_cache_shared(self):
-        graph = Topology.path(5)
-        base = SimulationEnvironment(graph)
-        warmed = base.two_hop_set(0)
-        sibling = base.with_scheme(RandomEpochPriority(seed=1))
-        assert sibling.two_hop_set(0) is warmed
 
     def test_views_reflect_the_new_priorities(self):
         rng = random.Random(3)

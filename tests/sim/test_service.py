@@ -18,12 +18,14 @@ Three 50-seed property suites back the engine's contracts:
 A fourth golden suite pins concurrent multi-message runs under the
 jittered, colliding and ideal MACs — per-receiver arrival times,
 poisoned copies, TTL drops at delivery and queue backpressure — as
-per-seed fingerprints in ``golden_service_stream.json``.
+per-seed fingerprints in ``golden_service_stream.json``, and a fifth
+runs every registered protocol over a few seeds, pinned in
+``golden_registry.json``.
 
 Plus focused unit tests for backpressure and egress FIFO order,
 collisions inside one delivery batch, the scheduler event count,
-horizons, the coverage kernel's shared epoch cache, and the run-once
-guard.
+horizons, the coverage kernel's shared epoch cache, the run-once guard,
+the dense message-id contract and the constructor's argument checks.
 """
 
 import hashlib
@@ -38,7 +40,7 @@ from repro.algorithms.dominant_pruning import DominantPruning
 from repro.algorithms.flooding import Flooding
 from repro.algorithms.generic import GenericSelfPruning
 from repro.algorithms.mpr import MultipointRelay
-from repro.algorithms.registry import create
+from repro.algorithms.registry import create, names
 from repro.graph.generators import random_connected_network
 from repro.graph.topology import Topology
 from repro.instrument import collecting
@@ -52,6 +54,7 @@ from repro.sim.traffic import (
     PoissonTraffic,
     ScriptedTraffic,
     SingleShot,
+    TrafficModel,
     ZipfTraffic,
 )
 
@@ -331,6 +334,57 @@ def test_service_stream_golden_exercises_every_drop_path():
     ]
 
 
+#: The registry suite: every registered protocol over six seeds that
+#: rotate the three MACs and alternate a single broadcast with a
+#: TTL-bounded Poisson stream, at a one-slot egress queue.  It pins the
+#: hooks the suites above never reach: relaxed designation, snooped
+#: designated sets, TDP's two-hop piggyback and SBA's visited reads.
+REGISTRY_SEEDS = range(6)
+
+REGISTRY_MACS = (
+    IdealMac,
+    lambda: JitterMac(jitter=0.5),
+    lambda: CollisionMac(jitter=0.4, window=0.1),
+)
+
+#: ``{name: {str(seed): _stream_fingerprint(_registry_run(name, seed))
+#: for seed in REGISTRY_SEEDS} for name in names()}``; regenerate only
+#: after an *intentional* change to event or RNG order.
+with open(
+    os.path.join(os.path.dirname(__file__), "golden_registry.json")
+) as _handle:
+    GOLDEN_REGISTRY = json.load(_handle)
+
+
+def _registry_run(name: str, seed: int):
+    graph = _deployment(seed)
+    env, protocol = _prepared(graph, lambda: create(name))
+    if seed % 2:
+        traffic = PoissonTraffic(
+            rate=4.0, count=6, seed=seed, size_units=12, ttl=3.0
+        )
+    else:
+        traffic = SingleShot(random.Random(seed).choice(graph.nodes()))
+    return ServiceEngine(
+        env,
+        protocol,
+        traffic,
+        rng=random.Random(seed ^ 0xF00D),
+        mac=REGISTRY_MACS[seed % len(REGISTRY_MACS)](),
+        queue_capacity=1,
+        collect_trace=True,
+    ).run()
+
+
+@pytest.mark.parametrize("seed", REGISTRY_SEEDS)
+@pytest.mark.parametrize("name", names())
+def test_registry_stream_is_byte_identical_to_golden(name, seed):
+    assert (
+        _stream_fingerprint(_registry_run(name, seed))
+        == GOLDEN_REGISTRY[name][str(seed)]
+    )
+
+
 class TestBackpressure:
     def test_saturating_burst_fills_queue_and_drops(self):
         graph = _deployment(1)
@@ -514,6 +568,18 @@ class TestEpochCache:
         assert alone_reuses == 0
 
 
+class _Listed(TrafficModel):
+    """A schedule taken as given, unchecked (unlike ScriptedTraffic)."""
+
+    kind = "listed"
+
+    def __init__(self, messages):
+        self.messages = messages
+
+    def generate(self, graph):
+        return list(self.messages)
+
+
 class TestRunSemantics:
     def test_engine_runs_only_once(self):
         graph = _deployment(5)
@@ -537,6 +603,39 @@ class TestRunSemantics:
 
     def test_default_rng_derives_from_service_seed(self):
         assert service_seed(0) != service_seed(1)
+
+    def test_duplicate_message_ids_are_refused(self):
+        graph = _deployment(8)
+        env, protocol = _prepared(graph, Flooding)
+        nodes = graph.nodes()
+        traffic = _Listed(
+            [
+                Message(message_id=0, source=nodes[0], injected_at=0.0),
+                Message(message_id=0, source=nodes[4], injected_at=1.0),
+            ]
+        )
+        engine = ServiceEngine(env, protocol, traffic, rng=random.Random(8))
+        with pytest.raises(ValueError, match="message id 0"):
+            engine.run()
+
+    def test_queue_capacity_must_be_positive(self):
+        graph = _deployment(9)
+        env, protocol = _prepared(graph, Flooding)
+        with pytest.raises(ValueError, match="queue capacity"):
+            ServiceEngine(
+                env, protocol, SingleShot(graph.nodes()[0]), queue_capacity=0
+            )
+
+    def test_tx_time_per_unit_must_be_non_negative(self):
+        graph = _deployment(9)
+        env, protocol = _prepared(graph, Flooding)
+        with pytest.raises(ValueError, match="tx_time_per_unit"):
+            ServiceEngine(
+                env,
+                protocol,
+                SingleShot(graph.nodes()[0]),
+                tx_time_per_unit=-0.1,
+            )
 
     def test_single_outcome_requires_one_message(self):
         graph = _deployment(7)
