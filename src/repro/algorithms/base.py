@@ -102,10 +102,6 @@ class NodeContext:
             self.view_graph, self.known_visited, self.known_designated
         )
 
-    def static_view(self) -> View:
-        """The static local view: same topology, no broadcast state."""
-        return self.env.make_view(self.view_graph, frozenset(), frozenset())
-
     def priority(self, node: int) -> Tuple[float, ...]:
         """Priority of ``node`` under the current (dynamic) local view."""
         return self.view().priority(node)

@@ -4,7 +4,7 @@ These are the protocols labelled "Generic" in the paper's figures plus the
 building blocks of Figures 10-13:
 
 * :class:`GenericSelfPruning` — the full coverage condition checked by each
-  node itself, at any timing (Static / FR / FRB / FRBD) and any view radius
+  node itself, at any dynamic timing (FR / FRB / FRBD) and any view radius
   (including the global view);
 * :class:`GenericStatic` — the proactive variant: forward sets computed
   from static local views before any broadcast;
@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 _TIMING_LABEL = {
-    Timing.STATIC: "static",
     Timing.FIRST_RECEIPT: "fr",
     Timing.FIRST_RECEIPT_BACKOFF: "frb",
     Timing.FIRST_RECEIPT_BACKOFF_DEGREE: "frbd",
@@ -46,10 +45,8 @@ class GenericSelfPruning(BroadcastProtocol):
     Parameters
     ----------
     timing:
-        Any of the four timing options.  ``STATIC`` here still evaluates at
-        receipt time but on the static view — prefer :class:`GenericStatic`
-        for a faithful proactive protocol; it produces identical forward
-        sets.
+        Any of the three dynamic timing options.  The static timing is
+        :class:`GenericStatic`, and ``STATIC`` here raises ``ValueError``.
     hops:
         View radius ``k``; ``None`` selects the global view.
     strong:
@@ -67,6 +64,10 @@ class GenericSelfPruning(BroadcastProtocol):
         piggyback_h: int = 2,
         backoff_window: float = 10.0,
     ) -> None:
+        if timing is Timing.STATIC:
+            raise ValueError(
+                "GenericSelfPruning has no static timing; use GenericStatic"
+            )
         self.timing = timing
         self.hops = hops
         self.strong = strong
@@ -77,13 +78,10 @@ class GenericSelfPruning(BroadcastProtocol):
         self.name = f"generic-sp-{_TIMING_LABEL[timing]}-{radius}-{condition}"
 
     def should_forward(self, ctx: NodeContext) -> bool:
-        view = (
-            ctx.static_view() if self.timing is Timing.STATIC else ctx.view()
-        )
         condition = (
             strong_coverage_condition if self.strong else coverage_condition
         )
-        return not condition(view, ctx.node)
+        return not condition(ctx.view(), ctx.node)
 
 
 class GenericStatic(StaticSelfPruningProtocol):

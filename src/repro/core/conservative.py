@@ -25,12 +25,12 @@ tests for both endpoint topologies).  The price is a larger forward set
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Iterable, Optional, Set
 
 from ..graph.topology import Topology
 from .coverage import coverage_condition
 from .priority import PriorityScheme
-from .views import View
+from .views import View, _restrict_metrics, _stated_view
 
 __all__ = [
     "conservative_view_graph",
@@ -78,23 +78,13 @@ def conservative_local_view(
     — the information actually available when the decision is made.
     """
     graph = conservative_view_graph(old, new, center, k)
-    metrics = scheme.metrics(old)
     padding = scheme.padding()
-    visible = set(graph.nodes())
-    status: Dict[int, float] = {}
-    for node in designated:
-        if node in visible:
-            status[node] = 1.5
-    for node in visited:
-        if node in visible:
-            status[node] = 2.0
-    return View(
-        graph=graph,
-        status=status,
-        metrics={
-            node: metrics.get(node, padding) for node in visible
-        },
-        metric_padding=padding,
+    return _stated_view(
+        graph,
+        visited,
+        designated,
+        _restrict_metrics(scheme.metrics(old), graph, padding),
+        padding,
     )
 
 
@@ -112,10 +102,15 @@ def conservative_forward_set(
     conservative view is a sub-view — fewer links, more neighbors to
     cover — of its exact local view in either snapshot).
     """
+    table = scheme.metrics(old)
+    padding = scheme.padding()
     shared = set(old.nodes()) & set(new.nodes())
     forward: Set[int] = set()
     for node in shared:
-        view = conservative_local_view(old, new, node, k, scheme)
+        graph = conservative_view_graph(old, new, node, k)
+        view = _stated_view(
+            graph, (), (), _restrict_metrics(table, graph, padding), padding
+        )
         if not coverage_condition(view, node):
             forward.add(node)
     # Nodes present in only one snapshot have no mobility information;

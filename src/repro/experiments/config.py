@@ -60,7 +60,8 @@ class RunSettings:
     (:func:`repro.experiments.parallel.run_points`): 1 (the default)
     runs points in-process; N > 1 fans the ``(series, n)`` points out
     over N fork workers.  Because every point derives its RNG from a
-    per-point digest (:func:`repro.experiments.runner.point_seed`),
+    per-point :func:`repro.seeds.derive` seed
+    (:func:`repro.experiments.runner.point_seed`),
     results are byte-identical at any ``jobs`` value.
 
     The stopping rule's own checks (``min_runs >= 2``, ``max_runs >=

@@ -9,8 +9,8 @@ such a list at any ``jobs`` value.  Three properties make it safe to use
 for reproduction work:
 
 * **Order-independent determinism** — every caller's ``measure`` seeds
-  its own ``random.Random`` from a per-point ``sha256`` digest
-  (:func:`repro.experiments.runner.point_seed`,
+  its own ``random.Random`` from a per-point :func:`repro.seeds.derive`
+  seed (:func:`repro.experiments.runner.point_seed`,
   :func:`repro.experiments.traffic.traffic_point_seed`) and results come
   back keyed by task, so the assembled
   :class:`~repro.metrics.results.ResultTable` is byte-identical at any

@@ -11,7 +11,6 @@ experiment harness doubles as a system-level correctness check.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 from dataclasses import dataclass, replace
@@ -38,6 +37,7 @@ from ..graph.unit_disk import build_unit_disk_graph, edge_flips
 from ..instrument import InstrumentationCounters, active, collecting
 from ..metrics.results import DataPoint, ResultTable, Series
 from ..metrics.stats import repeat_until_confident
+from ..seeds import derive
 from ..sim.engine import SimulationEnvironment, run_broadcast
 from .config import FigureSpec, PanelSpec, RunSettings, SeriesSpec
 from .parallel import PointFailure, run_points
@@ -77,18 +77,8 @@ class ShardGroupFailure(RuntimeError):
 def point_seed(
     seed: int, panel_title: str, label: str, n: int, degree: float
 ) -> int:
-    """The deterministic RNG seed of one ``(panel, series, n, d)`` point.
-
-    Every measurement point draws from its own ``random.Random`` seeded by
-    a ``sha256(seed|panel|label|n|degree)`` digest (hashlib, not the salted
-    built-in ``hash``), so results are bit-identical no matter which
-    process measures the point, in what order, or at what worker count —
-    the determinism contract of the parallel harness.
-    """
-    digest = hashlib.sha256(
-        f"{seed}|{panel_title}|{label}|{n}|{degree!r}".encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "big")
+    """Order-independent RNG seed of one ``(panel, series, n, d)`` point."""
+    return derive(seed, panel_title, label, n, repr(degree))
 
 
 def _one_sample(

@@ -17,7 +17,7 @@ Poisson loads, one series per protocol, and reports per point:
 Points run through the figure harness's sweep pool
 (:func:`repro.experiments.parallel.run_points`), so the determinism
 contract is the same: every ``(protocol, rate)`` point derives its
-decision RNG from ``sha256("TrafficSweep|seed|label|rate")``
+decision RNG from ``derive("TrafficSweep", seed, label, repr(rate))``
 (:func:`traffic_point_seed`) and its arrival schedule from the traffic
 model's own seeded generator, so the assembled
 :class:`~repro.metrics.results.ResultTable` is byte-identical at any
@@ -29,7 +29,6 @@ as :class:`TrafficPointFailure`.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -39,6 +38,7 @@ from ..graph.topology import Topology
 from ..instrument import collecting
 from ..metrics.results import DataPoint, ResultTable, Series
 from ..metrics.stats import percentile
+from ..seeds import derive
 from ..sim.engine import SimulationEnvironment
 from ..sim.service import (
     DEFAULT_QUEUE_CAPACITY,
@@ -65,18 +65,8 @@ _Task = Tuple[int, int]
 
 
 def traffic_point_seed(seed: int, label: str, rate: float) -> int:
-    """Order-independent RNG seed of one ``(protocol, rate)`` point.
-
-    ``sha256("TrafficSweep|{seed}|{label}|{rate}")`` truncated to 64
-    bits — the same derivation family as
-    :func:`repro.experiments.runner.point_seed`, so any worker measuring
-    any subset of points in any order reproduces the serial sweep.
-    ``rate`` is formatted with ``repr`` to keep the digest exact.
-    """
-    digest = hashlib.sha256(
-        f"TrafficSweep|{seed}|{label}|{rate!r}".encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "big")
+    """Order-independent RNG seed of one ``(protocol, rate)`` point."""
+    return derive("TrafficSweep", seed, label, repr(rate))
 
 
 @dataclass(frozen=True)
@@ -165,7 +155,7 @@ def _measure_point(
         rate=rate,
         count=config.count,
         # Distinct arrival schedules per point, reproducible at any
-        # worker count: the model's own sha256 derivation takes over
+        # worker count: the model's own ``traffic_seed`` takes over
         # from here.
         seed=traffic_point_seed(config.seed, label, rate),
         size_units=config.size_units,

@@ -14,8 +14,6 @@ Jain's fairness index over that load, total transmissions, and latency.
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -23,27 +21,10 @@ from typing import Callable, Dict, List, Optional
 from ..algorithms.base import BroadcastProtocol
 from ..graph.topology import Topology
 from ..metrics.stats import jain_fairness_index, mean, percentile
+from ..seeds import default_rng
 from ..sim.engine import SimulationEnvironment, run_broadcast
 
-__all__ = ["WorkloadResult", "BroadcastWorkload", "workload_seed"]
-
-#: Monotone sequence distinguishing same-process default-seeded runs.
-_RUN_SEQUENCE = itertools.count()
-
-
-def workload_seed(sequence: int) -> int:
-    """The documented default-RNG seed of one :meth:`BroadcastWorkload.run`.
-
-    ``sha256("BroadcastWorkload|{sequence}")`` truncated to 64 bits —
-    the same derivation :func:`repro.sim.service.service_seed` uses,
-    under a workload-specific tag so workload source draws never correlate with engine backoff
-    streams.  A shared fixed default (the old ``Random(0)``) replayed the
-    identical source sequence for every run in a process, silently
-    correlating "independent" workloads; pass an explicit ``rng`` for
-    cross-process reproducibility.
-    """
-    digest = hashlib.sha256(f"BroadcastWorkload|{sequence}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+__all__ = ["WorkloadResult", "BroadcastWorkload"]
 
 
 @dataclass
@@ -131,7 +112,7 @@ class BroadcastWorkload:
         """
         if broadcasts < 1:
             raise ValueError(f"broadcasts must be positive, got {broadcasts}")
-        rng = rng or random.Random(workload_seed(next(_RUN_SEQUENCE)))
+        rng = rng or default_rng("BroadcastWorkload")
         load: Dict[int, int] = {node: 0 for node in self.graph.nodes()}
         total = 0
         latencies: List[float] = []

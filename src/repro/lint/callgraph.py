@@ -2,8 +2,8 @@
 
 Edges connect qualified function names
 (``repro.sim.service.ServiceEngine.__init__`` ->
-``repro.sim.service.service_seed``); calls that resolve to a class go to
-its ``__init__`` when one exists.  Calls that resolve outside the
+``repro.seeds.default_rng``); calls that resolve to a class go to its
+``__init__`` when one exists.  Calls that resolve outside the
 project (``time.time``, ``hashlib.sha256``, ``random.random``) are kept
 separately as *external* names — DET002 classifies those as entropy
 primitives and asks which sim-scope functions can transitively reach

@@ -91,7 +91,7 @@ class SeedLineage:
     def _sha256_helpers(self) -> Set[str]:
         """Functions that (transitively) call into ``hashlib``.
 
-        ``service_seed``-style helpers call ``hashlib.sha256`` directly;
+        :func:`repro.seeds.derive` calls ``hashlib.sha256`` directly;
         a wrapper around such a helper is itself a helper.  This is an
         over-approximation toward *not* flagging — a function that
         hashes but returns a constant would be misread as derived — and

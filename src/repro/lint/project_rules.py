@@ -205,8 +205,9 @@ class SeedLineageRule(ProjectRule):
         "(no seed at all), in a module that participates in simulation "
         "determinism — every run and call site shares one stream, so "
         "sweep points stop being independent and replays stop being "
-        "byte-identical.  Derive seeds from the sha256 helpers "
-        "(service_seed / workload_seed / traffic_seed lineage) instead."
+        "byte-identical.  Derive seeds with repro.seeds.derive, the one "
+        "sha256 helper (or repro.seeds.default_rng for a default "
+        "generator), instead."
     )
 
     def applies_to(self, path: str) -> bool:

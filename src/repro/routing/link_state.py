@@ -18,35 +18,16 @@ so the dissemination cost directly reflects the MPR forward sets.
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..algorithms.mpr import MultipointRelay
 from ..graph.topology import Topology
+from ..seeds import default_rng
 from ..sim.engine import SimulationEnvironment, run_broadcast
 
-__all__ = ["LinkStateNode", "LinkStateRouting", "linkstate_seed"]
-
-#: Monotone sequence distinguishing same-process default-seeded routers.
-_ROUTER_SEQUENCE = itertools.count()
-
-
-def linkstate_seed(sequence: int) -> int:
-    """The documented default-RNG seed of one :class:`LinkStateRouting`.
-
-    ``sha256("LinkStateRouting|{sequence}")`` truncated to 64 bits — the
-    same derivation as :func:`repro.sim.service.service_seed`, under a
-    routing-specific tag so TC-flood backoff draws never correlate with
-    engine or workload streams.  A shared fixed default (the old
-    ``Random(0)``) made every default-constructed router in a process
-    replay the identical flood schedule; pass an explicit ``rng`` for
-    cross-process reproducibility.
-    """
-    digest = hashlib.sha256(f"LinkStateRouting|{sequence}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+__all__ = ["LinkStateNode", "LinkStateRouting"]
 
 Edge = Tuple[int, int]
 
@@ -93,9 +74,7 @@ class LinkStateRouting:
 
     def __init__(self, graph: Topology, rng: Optional[random.Random] = None):
         self.graph = graph
-        self.rng = rng or random.Random(
-            linkstate_seed(next(_ROUTER_SEQUENCE))
-        )
+        self.rng = rng or default_rng("LinkStateRouting")
         self.env = SimulationEnvironment(graph)
         self.nodes: Dict[int, LinkStateNode] = {
             node: LinkStateNode(node) for node in graph.nodes()

@@ -18,8 +18,6 @@ back as a first-class substrate:
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Set
@@ -27,33 +25,15 @@ from typing import Callable, Dict, Iterable, Optional, Set
 from ..algorithms.base import BroadcastProtocol
 from ..core.priority import PriorityScheme
 from ..graph.topology import Topology
+from ..seeds import default_rng
 from .engine import BroadcastOutcome, SimulationEnvironment, run_broadcast
 
 __all__ = [
     "EnergyTracker",
     "EnergyAwarePriority",
     "LifetimeResult",
-    "lifetime_seed",
     "network_lifetime",
 ]
-
-#: Monotone sequence distinguishing same-process default-seeded runs.
-_LIFETIME_SEQUENCE = itertools.count()
-
-
-def lifetime_seed(sequence: int) -> int:
-    """The documented default-RNG seed of one :func:`network_lifetime`.
-
-    ``sha256("network_lifetime|{sequence}")`` truncated to 64 bits —
-    the same derivation as :func:`repro.sim.service.service_seed`, under
-    a lifetime-specific tag so source selection never correlates with
-    engine backoff streams.  A shared fixed default (the old
-    ``Random(0)``) made every default-seeded lifetime run in a process
-    pick the identical source sequence; pass an explicit ``rng`` for
-    cross-process reproducibility.
-    """
-    digest = hashlib.sha256(f"network_lifetime|{sequence}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 class EnergyTracker:
@@ -173,7 +153,7 @@ def network_lifetime(
     an energy-aware scheme keeps following the residual-energy state; a
     ``None`` factory uses the environment's default (id priority).
     """
-    rng = rng or random.Random(lifetime_seed(next(_LIFETIME_SEQUENCE)))
+    rng = rng or default_rng("network_lifetime")
     base_env = SimulationEnvironment(graph)
     count = 0
     while count < max_broadcasts:

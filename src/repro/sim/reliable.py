@@ -27,8 +27,6 @@ events on the session's bus and tallied into the active
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
@@ -36,32 +34,12 @@ from typing import List, Optional, Set, Tuple
 from ..algorithms.base import BroadcastProtocol
 from ..graph.topology import Topology
 from ..instrument import _STACK as _COUNTER_STACK
+from ..seeds import default_rng
 from .engine import BroadcastOutcome, SimulationEnvironment, run_broadcast
 from .events import NULL_BUS, Deliver, Drop, EventBus, Nack, Transmit
 from .mac import IdealMac, MacModel
 
-__all__ = ["ReliableOutcome", "ReliableBroadcastSession", "reliable_seed"]
-
-#: Monotone sequence distinguishing same-process default-seeded sessions.
-_SESSION_SEQUENCE = itertools.count()
-
-
-def reliable_seed(sequence: int) -> int:
-    """The documented default-RNG seed of one :class:`ReliableBroadcastSession`.
-
-    ``sha256("ReliableBroadcastSession|{sequence}")`` truncated to 64
-    bits — the same derivation as
-    :func:`repro.sim.service.service_seed`, under a recovery-specific tag
-    so lossy-MAC and backoff draws never correlate with other streams.
-    A shared fixed default (the old ``Random(0)``) made every
-    default-seeded recovery session in a process replay the identical
-    loss pattern; pass an explicit ``rng`` for cross-process
-    reproducibility.
-    """
-    digest = hashlib.sha256(
-        f"ReliableBroadcastSession|{sequence}".encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "big")
+__all__ = ["ReliableOutcome", "ReliableBroadcastSession"]
 
 
 @dataclass
@@ -109,9 +87,7 @@ class ReliableBroadcastSession:
         self.env = env
         self.protocol = protocol
         self.source = source
-        self.rng = rng or random.Random(
-            reliable_seed(next(_SESSION_SEQUENCE))
-        )
+        self.rng = rng or default_rng("ReliableBroadcastSession")
         self.mac = mac or IdealMac()
         self.max_rounds = max_rounds
         self.bus = bus or NULL_BUS

@@ -41,8 +41,6 @@ resulting event and RNG order.
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import random
 from collections import deque
 from contextlib import nullcontext
@@ -52,6 +50,7 @@ from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 from ..algorithms.base import BroadcastProtocol, NodeContext, Timing
 from ..instrument import InstrumentationCounters, collecting
 from ..instrument import _STACK as _COUNTER_STACK
+from ..seeds import default_rng, derive
 from .engine import BroadcastOutcome, SimulationEnvironment
 from .events import (
     NULL_BUS,
@@ -93,21 +92,10 @@ DEFAULT_TX_TIME_PER_UNIT = 0.1
 #: Drop reasons the service itself causes (vs. channel loss/collision).
 _SERVICE_DROPS = frozenset({"queue_full", "ttl_expired"})
 
-#: Monotone sequence distinguishing same-process default-seeded engines.
-_SERVICE_SEQUENCE = itertools.count()
-
 
 def service_seed(sequence: int) -> int:
-    """The documented default-RNG seed of one :class:`ServiceEngine`.
-
-    ``sha256("ServiceEngine|{sequence}")`` truncated to 64 bits.
-    ``sequence`` is a per-process monotone counter, so repeated engines
-    constructed without an explicit RNG draw *different* backoff streams
-    while any single run stays reproducible from its sequence number.
-    The tag keeps decision streams apart from traffic-model streams.
-    """
-    digest = hashlib.sha256(f"ServiceEngine|{sequence}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    """Seed of the ``sequence``-th engine built without an ``rng``."""
+    return derive("ServiceEngine", sequence)
 
 
 class MessageState:
@@ -344,7 +332,7 @@ class ServiceEngine:
         self.protocol = protocol
         self.traffic = traffic
         if rng is None:
-            rng = random.Random(service_seed(next(_SERVICE_SEQUENCE)))
+            rng = default_rng("ServiceEngine")
         self.rng = rng
         self.mac = mac or IdealMac()
         self.queue_capacity = queue_capacity
@@ -362,6 +350,10 @@ class ServiceEngine:
         #: STATIC/FIRST_RECEIPT decide at first receipt: no backoff.
         self._immediate = protocol.timing in (
             Timing.STATIC, Timing.FIRST_RECEIPT
+        )
+        #: Whether a designation can act on an already-decided node.
+        self._late_designation = (
+            protocol.strict_designation or protocol.relaxed_designation
         )
         self._collect_counters = collect_counters
         #: One record per message, indexed by its (dense) id.
@@ -708,6 +700,7 @@ class ServiceEngine:
         states = flight.states
         receipts = outcome.receipt_counts
         bus = self.bus if self._bus_on else None
+        late_designation = self._late_designation
         for receiver in receivers:
             # Per receiver: a later transmission — even one a receipt
             # earlier in this batch triggered — may have poisoned it.
@@ -742,7 +735,7 @@ class ServiceEngine:
             if state.committed:
                 continue
             if state.decided:
-                if state.designators:
+                if late_designation and state.designators:
                     self._react(flight, receiver, state, packet)
             elif not state.decision_pending:
                 self._react(flight, receiver, state, packet)

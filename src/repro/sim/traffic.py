@@ -8,13 +8,13 @@ TTL).  The :class:`~repro.sim.service.ServiceEngine` schedules every
 injection on its shared scheduler and drives all in-flight broadcasts
 through one MAC and one event bus.
 
-Determinism contract: every model derives its ``random.Random`` from a
-``sha256("TrafficModel|<kind>|<seed>")`` digest (:func:`traffic_seed`),
-the same per-scope derivation the engine and workload layers use, so a
-traffic schedule is a pure function of ``(model parameters, topology)``
-— byte-identical in any process, at any worker count.  Models draw only
-from their own generator, never from the service's decision RNG, so
-adding traffic cannot perturb protocol backoff streams.
+Determinism contract: every model seeds its ``random.Random`` with
+:func:`traffic_seed`, which is ``derive("TrafficModel", kind, seed)``
+from :mod:`repro.seeds`, the one derivation every seeded scope uses.
+So a traffic schedule is a pure function of ``(model parameters,
+topology)`` — byte-identical in any process, at any worker count.
+Models draw only from their own generator, never from the service's
+decision RNG, so adding traffic cannot perturb protocol backoff streams.
 
 Three arrival processes cover the classic load shapes:
 
@@ -31,13 +31,13 @@ Three arrival processes cover the classic load shapes:
 
 from __future__ import annotations
 
-import hashlib
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..graph.topology import Topology
+from ..seeds import derive
 
 __all__ = [
     "Message",
@@ -52,16 +52,8 @@ __all__ = [
 
 
 def traffic_seed(kind: str, seed: int) -> int:
-    """The documented RNG seed of one traffic model instance.
-
-    ``sha256("TrafficModel|{kind}|{seed}")`` truncated to 64 bits — the
-    same derivation family as :func:`repro.sim.service.service_seed` and
-    :func:`repro.experiments.workload.workload_seed`, under a
-    traffic-specific tag so arrival draws never correlate with protocol
-    backoff or workload source streams.
-    """
-    digest = hashlib.sha256(f"TrafficModel|{kind}|{seed}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
+    """The RNG seed of one traffic model instance."""
+    return derive("TrafficModel", kind, seed)
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,10 @@ class TestGenericSelfPruning:
         )
         assert protocol.name == "generic-sp-frb-global-strong"
 
+    def test_static_timing_is_refused(self):
+        with pytest.raises(ValueError, match="GenericStatic"):
+            GenericSelfPruning(Timing.STATIC)
+
 
 class TestGenericStaticVsDynamic:
     def test_dynamic_not_worse_on_aggregate(self):

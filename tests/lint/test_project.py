@@ -235,3 +235,45 @@ def test_real_sim_tree_has_no_interprocedural_findings(monkeypatch):
     monkeypatch.chdir(REPO)
     findings = lint_paths(["src/repro/sim", "src/repro/routing"])
     assert findings == []
+
+
+def test_src_has_one_seed_derivation(monkeypatch):
+    """The seed helpers under ``src/repro`` (the linter aside) — functions
+    that hash with ``hashlib`` and their direct callers — are exactly
+    ``repro.seeds`` and its four public wrappers, so an ad-hoc sha256
+    seed helper added anywhere else fails here."""
+    from repro.lint.engine import iter_python_files
+    from repro.lint.project import Project
+    from repro.lint.registry import LintContext
+
+    monkeypatch.chdir(REPO)
+    contexts = []
+    for path in iter_python_files(["src/repro"]):
+        source = path.read_text(encoding="utf-8")
+        contexts.append(
+            LintContext(path.as_posix(), source, ast.parse(source))
+        )
+    project = Project(contexts)
+    helpers = {
+        name for name in project.lineage.sha256_helpers
+        if not name.startswith("repro.lint.")
+    }
+    hashing = {
+        name for name in helpers
+        if any(
+            external.startswith("hashlib.")
+            for external in project.callgraph.externals.get(name, ())
+        )
+    }
+    wrappers = {
+        name for name in helpers
+        if hashing & set(project.callgraph.calls.get(name, ()))
+    }
+    assert hashing | wrappers == {
+        "repro.seeds.derive",
+        "repro.seeds.default_rng",
+        "repro.sim.service.service_seed",
+        "repro.sim.traffic.traffic_seed",
+        "repro.experiments.runner.point_seed",
+        "repro.experiments.traffic.traffic_point_seed",
+    }
