@@ -15,15 +15,16 @@ tracked across PRs)::
     PYTHONPATH=src python benchmarks/bench_mobility.py
     PYTHONPATH=src python benchmarks/bench_mobility.py --smoke
 
-The A/B times :func:`repro.experiments.runner.run_mobility_sweep` with
-``incremental=True`` (one mutable :class:`Topology` mutated through
-``apply_delta``, dirty-scoped re-decisions) against ``incremental=False``
-(full rebuild + full re-decide per step) on a 100-node random-waypoint
+The A/B times ``run_trace_sweep(record_flip_trace(...))`` (one mutable
+:class:`Topology` mutated through ``apply_delta``, dirty-scoped
+re-decisions) at ``jobs=1`` and at ``identity_jobs`` against the
+full-rebuild oracle :func:`repro.check.reference.mobility_sweep_by_rebuild`
+(rebuild + re-decide every node per step) on a 100-node random-waypoint
 fixture, on the coverage kernel and on the reference predicates
 (``sets``, inside :func:`repro.check.reference.substituted`), and exits
 non-zero if any step's forward set or flip counts diverge — the
-equivalence gate the CI smoke job runs.  The full mode additionally gates on a >= 3x per-step
-speedup.
+equivalence gate the CI smoke job runs.  The full mode additionally
+gates on a >= 3x per-step speedup of the ``jobs=1`` leg.
 """
 
 import argparse
@@ -45,12 +46,12 @@ from bench_parallel import first_divergence
 from conftest import write_result
 
 from repro.algorithms.precomputed import PrecomputedForwardSet
-from repro.check.reference import substituted
+from repro.check.reference import mobility_sweep_by_rebuild, substituted
 from repro.core.conservative import conservative_forward_set
 from repro.core.coverage import coverage_condition
 from repro.core.priority import DegreePriority, IdPriority
 from repro.core.views import local_view
-from repro.experiments.runner import run_mobility_sweep, run_trace_sweep
+from repro.experiments.runner import run_trace_sweep
 from repro.graph.fliptrace import record_flip_trace
 from repro.graph.geometry import Area, random_points
 from repro.graph.mobility import RandomWaypointModel
@@ -168,14 +169,14 @@ BACKENDS = ("bitset", "sets")
 
 
 def _delta_fixture() -> RandomWaypointModel:
-    """The 100-node mobility fixture both sweep legs replay.
+    """The 100-node mobility fixture every sweep leg runs.
 
     Slow walkers (0.02..0.05 distance units per time unit in a 100x100
     area, radius calibrated for average degree ~6) so most steps flip a
     handful of links at most — the moderate-mobility regime the
-    incremental engine is for.  Both legs construct this identically and
-    only :meth:`advance` draws from the RNG, so their mobility traces
-    are byte-identical.
+    incremental engine is for.  Every leg constructs this identically
+    and only :meth:`advance` draws from the RNG, so their mobility
+    traces are byte-identical.
     """
     rng = random.Random(DELTA_SEED)
     positions = random_points(DELTA_N, Area(), rng)
@@ -198,18 +199,36 @@ def _sweep_payload(steps) -> list:
     ]
 
 
-def run_delta_ab(smoke: bool, jobs: int = 4) -> dict:
-    """Time incremental vs rebuild sweeps on the kernel and the reference.
+def _timed(sweep):
+    """``(sweep(), seconds)``."""
+    start = time.perf_counter()
+    steps = sweep()
+    return steps, time.perf_counter() - start
 
-    The equivalence gate compares the full per-step payload (forward
-    sets and flip counts) with :func:`bench_parallel.first_divergence`,
-    so a failure names the exact step and field that diverged.  A third
-    leg records the same fixture's flip trace and replays it through
-    ``run_trace_sweep(..., jobs=identity_jobs)`` on a real fork pool —
+
+def _trace_sweep(steps: int, dt: float, jobs: int):
+    """Record the fixture's flip trace and replay it at ``jobs``."""
+    return run_trace_sweep(
+        record_flip_trace(_delta_fixture(), steps, dt),
+        scheme=DegreePriority(), k=2, jobs=jobs,
+    )
+
+
+def run_delta_ab(smoke: bool, jobs: int = 4) -> dict:
+    """Time the trace sweep against the rebuild oracle, on the kernel
+    and on the reference predicates.
+
+    Each trace-sweep leg records the fixture's flip trace and replays it
+    through ``run_trace_sweep``: once at ``jobs=1`` (the timed
+    incremental leg) and once at ``identity_jobs`` on a real fork pool.
     ``identity_jobs`` is at least 2 even on a single-core box, matching
-    ``bench_parallel``'s convention, and ``run_trace_sweep`` never clamps
-    it to the core count — and holds it to the same gate.  Timing claims clamp to
-    the core count (``jobs_effective``); identity claims do not.
+    ``bench_parallel``'s convention, and ``run_trace_sweep`` never
+    clamps it to the core count.  The equivalence gate compares each
+    leg's full per-step payload (forward sets and flip counts) with the
+    oracle's through :func:`bench_parallel.first_divergence`, so a
+    failure names the exact leg, step and field that diverged.  Timing
+    claims clamp to the core count (``jobs_effective``); identity claims
+    do not.
     """
     steps = SMOKE_STEPS if smoke else FULL_STEPS
     dt = 1.0
@@ -223,34 +242,25 @@ def run_delta_ab(smoke: bool, jobs: int = 4) -> dict:
             substituted() if backend == "sets" else contextlib.nullcontext()
         )
         with on_reference:
-            start = time.perf_counter()
-            incremental = run_mobility_sweep(
-                _delta_fixture(), steps, dt, scheme=DegreePriority(), k=2
+            incremental, incremental_seconds = _timed(
+                lambda: _trace_sweep(steps, dt, jobs=1)
             )
-            incremental_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            rebuild = run_mobility_sweep(
-                _delta_fixture(), steps, dt, scheme=DegreePriority(), k=2,
-                incremental=False,
+            sharded, sharded_seconds = _timed(
+                lambda: _trace_sweep(steps, dt, jobs=identity_jobs)
             )
-            rebuild_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            sharded = run_trace_sweep(
-                record_flip_trace(_delta_fixture(), steps, dt),
-                scheme=DegreePriority(), k=2, jobs=identity_jobs,
+            rebuild, rebuild_seconds = _timed(
+                lambda: mobility_sweep_by_rebuild(
+                    _delta_fixture(), steps, dt, scheme=DegreePriority(), k=2
+                )
             )
-            sharded_seconds = time.perf_counter() - start
-        found = first_divergence(
-            _sweep_payload(rebuild), _sweep_payload(incremental)
-        )
-        if found is None:
+        for leg, leg_steps in (
+            ("incremental", incremental), ("sharded", sharded)
+        ):
             found = first_divergence(
-                _sweep_payload(rebuild), _sweep_payload(sharded)
+                _sweep_payload(rebuild), _sweep_payload(leg_steps)
             )
-            if found is not None:
-                found = f"(sharded leg) {found}"
-        if found is not None and divergence is None:
-            divergence = f"[{backend}] {found}"
+            if found is not None and divergence is None:
+                divergence = f"[{backend}] ({leg} leg) {found}"
         backends[backend] = {
             "incremental_seconds": round(incremental_seconds, 3),
             "rebuild_seconds": round(rebuild_seconds, 3),
@@ -322,9 +332,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"wrote {args.out}", file=sys.stderr)
     if not record["equivalent"]:
         print(
-            "FAIL: equivalence gate — the incremental sweep diverges "
+            "FAIL: equivalence gate — a trace sweep leg diverges "
             "from the full-rebuild oracle; first divergence "
-            "(serial=rebuild, parallel=incremental):\n"
+            "(serial=rebuild, parallel=the named leg):\n"
             f"  {record['divergence']}",
             file=sys.stderr,
         )

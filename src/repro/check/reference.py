@@ -7,6 +7,8 @@
 * The unit-disk build, flip diff and calibration of
   :mod:`repro.graph.unit_disk`, by scanning all pairs where production
   reads a cell grid; calibration is one sort of every pair distance.
+* :func:`mobility_sweep_by_rebuild`, the full-rebuild oracle for
+  :func:`repro.experiments.runner.run_trace_sweep`.
 * :func:`substituted`, which runs a whole broadcast or sweep on the
   reference predicates.
 """
@@ -19,9 +21,13 @@ from contextlib import contextmanager
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..core import coverage as production
+from ..core.priority import IdPriority, PriorityScheme
 from ..core.unionfind import DisjointSet
 from ..core.views import View
+from ..experiments.runner import MobilityStep, _forward_decision
+from ..graph import unit_disk
 from ..graph.geometry import Point
+from ..graph.mobility import RandomWaypointModel
 from ..graph.topology import Topology
 from ..graph.unit_disk import UnitDiskGraph, _all_pairs_within, _extent
 from ..instrument import _STACK as _COUNTER_STACK
@@ -35,6 +41,7 @@ __all__ = [
     "build_unit_disk_graph",
     "edge_flips",
     "range_for_link_count",
+    "mobility_sweep_by_rebuild",
     "substituted",
 ]
 
@@ -244,6 +251,60 @@ def range_for_link_count(positions: Dict[int, Point], links: int) -> float:
     if larger is not None:
         return math.sqrt((threshold + larger) / 2.0)
     return math.sqrt(threshold * 1.0000001 + 1e-12)
+
+
+# ----------------------------------------------------------------------
+# Mobility
+# ----------------------------------------------------------------------
+
+
+def mobility_sweep_by_rebuild(
+    model: RandomWaypointModel,
+    steps: int,
+    dt: float,
+    scheme: Optional[PriorityScheme] = None,
+    k: int = 2,
+) -> List[MobilityStep]:
+    """Forward sets across ``steps`` steps of ``model``, rebuilding the
+    unit-disk graph and re-deciding every node at every step.
+
+    Only :meth:`RandomWaypointModel.advance` draws from the model's RNG,
+    so on an equally seeded model the steps' forward sets and flip
+    counts equal ``run_trace_sweep(record_flip_trace(model, steps, dt),
+    scheme, k)``'s.  The graph comes from the production cell-grid scan
+    and each decision from the runner's own coverage call, so inside
+    :func:`substituted` this sweep runs on the reference predicates.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    scheme = scheme or IdPriority()
+    # Diff step 0 against the pre-advance positions, exactly like the
+    # recorded trace's base graph, so flip counts line up.
+    previous = unit_disk.build_unit_disk_graph(
+        model.positions(), model.radius
+    ).topology
+    results: List[MobilityStep] = []
+    for step in range(steps):
+        model.advance(dt)
+        positions = model.positions()
+        added, removed = unit_disk.edge_flips(positions, model.radius, previous)
+        graph = unit_disk.build_unit_disk_graph(positions, model.radius).topology
+        metrics = scheme.metrics(graph)
+        results.append(
+            MobilityStep(
+                step=step,
+                time=model.time,
+                forward=tuple(sorted(
+                    node for node in graph.nodes()
+                    if _forward_decision(graph, node, k, scheme, metrics)
+                )),
+                redecided=graph.node_count(),
+                added_edges=len(added),
+                removed_edges=len(removed),
+            )
+        )
+        previous = graph
+    return results
 
 
 # ----------------------------------------------------------------------

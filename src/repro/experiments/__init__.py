@@ -27,7 +27,6 @@ from .runner import (
     measure_point,
     point_seed,
     run_figure,
-    run_mobility_sweep,
     run_panel,
     run_trace_sweep,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "measure_point",
     "point_seed",
     "run_figure",
-    "run_mobility_sweep",
     "run_panel",
     "run_trace_sweep",
     "ShardGroupFailure",

@@ -53,6 +53,22 @@ __all__ = ["main"]
 _QUICK_NS = (20, 40, 60, 80, 100)
 
 
+#: The least value each count option accepts; ``parser.error`` refuses
+#: anything below it.
+_MINIMUMS = {
+    "jobs": 0,
+    "messages": 1,
+    "traffic_nodes": 2,
+    "steps": 0,
+    "mobility_nodes": 1,
+}
+
+
+def _or_default(value: Optional[int], default: int) -> int:
+    """An option's value, or ``default`` when the option was not given."""
+    return default if value is None else value
+
+
 def _build_settings(args: argparse.Namespace) -> RunSettings:
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     if args.quick:
@@ -95,8 +111,8 @@ def _run_traffic(args: argparse.Namespace) -> None:
     from .export import table_to_csv, tables_to_json
     from .traffic import TrafficSweepConfig, run_traffic_sweep
 
-    n = args.traffic_nodes if args.traffic_nodes else (60 if args.quick else 200)
-    count = args.messages if args.messages else (20 if args.quick else 50)
+    n = _or_default(args.traffic_nodes, 60 if args.quick else 200)
+    count = _or_default(args.messages, 20 if args.quick else 50)
     rates = tuple(args.rates) if args.rates else (0.2, 1.0, 5.0)
     network = random_connected_network(
         n, 6.0, _random.Random(args.seed)
@@ -163,8 +179,8 @@ def _run_sharded_mobility(args: argparse.Namespace) -> None:
     from ..graph.unit_disk import range_for_average_degree
     from .runner import run_trace_sweep
 
-    n = args.mobility_nodes if args.mobility_nodes else (300 if args.quick else 2000)
-    steps = args.steps if args.steps else (10 if args.quick else 40)
+    n = _or_default(args.mobility_nodes, 300 if args.quick else 2000)
+    steps = _or_default(args.steps, 10 if args.quick else 40)
     jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     rng = _random.Random(args.seed)
     positions = random_points(n, Area(), rng)
@@ -312,8 +328,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
-    if args.jobs < 0:
-        parser.error(f"argument --jobs: must be >= 0, got {args.jobs}")
+    for dest, least in _MINIMUMS.items():
+        value = getattr(args, dest)
+        if value is not None and value < least:
+            flag = "--" + dest.replace("_", "-")
+            parser.error(f"argument {flag}: must be >= {least}, got {value}")
 
     if args.target == "table1":
         print(format_table1())

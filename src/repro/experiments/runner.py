@@ -19,7 +19,6 @@ from typing import (
     AbstractSet,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -31,9 +30,7 @@ from ..core.priority import IdPriority, PriorityScheme, scheme_by_name
 from ..core.views import local_view
 from ..graph.fliptrace import FlipTrace
 from ..graph.generators import random_connected_network
-from ..graph.mobility import RandomWaypointModel, SnapshotDelta
 from ..graph.topology import Topology
-from ..graph.unit_disk import build_unit_disk_graph, edge_flips
 from ..instrument import InstrumentationCounters, active, collecting
 from ..metrics.results import DataPoint, ResultTable, Series
 from ..metrics.stats import repeat_until_confident
@@ -50,7 +47,6 @@ __all__ = [
     "measure_point",
     "run_panel",
     "run_figure",
-    "run_mobility_sweep",
     "run_trace_sweep",
 ]
 
@@ -252,8 +248,8 @@ class MobilityStep:
     ``forward`` is the exact forward set under the generic scheme's
     coverage condition (Theorem 1: every node whose k-hop local view
     does *not* certify coverage forwards); ``redecided`` counts how many
-    coverage conditions were actually evaluated this step (``n`` on the
-    rebuild path, the dirty-set size on the incremental path).
+    coverage conditions were actually evaluated this step (the dirty-set
+    size in :func:`run_trace_sweep`, ``n`` in the rebuild oracle).
     """
 
     step: int
@@ -275,161 +271,25 @@ def _forward_decision(
     return not coverage_condition(view, node)
 
 
-def run_mobility_sweep(
-    model: RandomWaypointModel,
-    steps: int,
-    dt: float,
-    scheme: Optional[PriorityScheme] = None,
-    k: int = 2,
-    incremental: bool = True,
-) -> List[MobilityStep]:
-    """Exact forward sets across a mobility trace, one entry per step.
-
-    With ``incremental=True`` the sweep reuses **one mutable**
-    :class:`Topology` across adjacent steps: each step's link flips go
-    through :meth:`Topology.apply_delta`
-    (via :meth:`~repro.graph.mobility.RandomWaypointModel.
-    snapshot_deltas`), and only nodes inside the dirty ball of radius
-    ``k + scheme.metric_locality`` re-evaluate their coverage condition
-    — a changed edge can alter a cached decision at ``v`` only if an
-    endpoint lies within ``k`` hops of some node visible to ``v``
-    (Definition 2 locality) or within ``metric_locality`` hops of one
-    (metric drift), i.e. within ``k + metric_locality`` of ``v``.
-    Schemes that leave ``metric_locality`` as ``None`` re-decide every
-    node per step, which is always safe.
-
-    With ``incremental=False`` every step rebuilds the unit-disk graph
-    from scratch and re-decides all nodes — the oracle the benchmark's
-    equivalence gate compares against.  Both paths drive the model's RNG
-    identically (only :meth:`~repro.graph.mobility.RandomWaypointModel.
-    advance` draws), so equally-seeded models produce byte-identical
-    ``forward`` tuples either way.
-
-    To split the re-decisions over worker processes, record the trace
-    first: ``run_trace_sweep(record_flip_trace(model, steps, dt),
-    scheme, k, jobs=N)`` returns the same steps as the incremental path.
-    """
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
-    scheme = scheme or IdPriority()
-    if incremental:
-        return _mobility_sweep_incremental(model, steps, dt, scheme, k)
-    return _mobility_sweep_rebuild(model, steps, dt, scheme, k)
-
-
-def _mobility_sweep_incremental(
-    model: RandomWaypointModel,
-    steps: int,
-    dt: float,
-    scheme: PriorityScheme,
-    k: int,
-) -> List[MobilityStep]:
-    locality = scheme.metric_locality
-    radius = None if locality is None else k + locality
-    extra = () if radius is None else (radius,)
-    return _incremental_sweep_over(
-        model.snapshot_deltas(dt, steps, extra_radii=extra), scheme, k, radius
-    )
-
-
-def _incremental_sweep_over(
-    deltas: Iterable[SnapshotDelta],
-    scheme: PriorityScheme,
-    k: int,
-    radius: Optional[int],
-    owned: Optional[AbstractSet[int]] = None,
-) -> List[MobilityStep]:
-    """The incremental decision loop over any SnapshotDelta stream.
-
-    Shared by the live-model sweep and the recorded-trace replay (one
-    loop per worker group at ``jobs > 1``).  With ``owned`` the loop
-    decides (and counts in ``redecided``) only the stale nodes in that
-    set, so ``forward`` lists owned nodes only; the stale set and the
-    metric refreshes are the serial ones, so a partition of the nodes
-    into ``owned`` sets yields forward sets whose union is the serial
-    answer.
-    """
-    decisions: Dict[int, bool] = {}
-    metrics: Optional[Dict[int, Tuple[float, ...]]] = None
-    results: List[MobilityStep] = []
-    for index, snap in enumerate(deltas):
-        graph = snap.graph.topology
-        if index == 0:
-            stale = graph.nodes()  # first step: everything undecided
-        elif snap.report is None:
-            stale = []  # no link flipped; every cached decision stands
-        elif radius is None:
-            stale = graph.nodes()
-        else:
-            stale = sorted(snap.report.dirty_at(radius))
-        if metrics is None or (snap.report is not None and stale):
-            # Metric tables are O(n) for the built-in schemes — cheap
-            # next to view extraction, and only rebuilt on flip steps.
-            metrics = scheme.metrics(graph)
-        if owned is not None:
-            stale = [node for node in stale if node in owned]
-        for node in stale:
-            decisions[node] = _forward_decision(graph, node, k, scheme, metrics)
-        results.append(
-            MobilityStep(
-                step=snap.step,
-                time=snap.time,
-                forward=tuple(sorted(
-                    node for node, flag in decisions.items() if flag
-                )),
-                redecided=len(stale),
-                added_edges=len(snap.added_edges),
-                removed_edges=len(snap.removed_edges),
-            )
-        )
-    return results
-
-
-def _mobility_sweep_rebuild(
-    model: RandomWaypointModel,
-    steps: int,
-    dt: float,
-    scheme: PriorityScheme,
-    k: int,
-) -> List[MobilityStep]:
-    # Diff step 0 against the pre-advance positions, exactly like the
-    # incremental path's baseline snapshot, so flip counts line up.
-    previous = build_unit_disk_graph(model.positions(), model.radius).topology
-    results: List[MobilityStep] = []
-    for step in range(steps):
-        model.advance(dt)
-        positions = model.positions()
-        added, removed = edge_flips(positions, model.radius, previous)
-        graph = build_unit_disk_graph(positions, model.radius).topology
-        metrics = scheme.metrics(graph)
-        results.append(
-            MobilityStep(
-                step=step,
-                time=model.time,
-                forward=tuple(sorted(
-                    node for node in graph.nodes()
-                    if _forward_decision(graph, node, k, scheme, metrics)
-                )),
-                redecided=graph.node_count(),
-                added_edges=len(added),
-                removed_edges=len(removed),
-            )
-        )
-        previous = graph
-    return results
-
-
 def run_trace_sweep(
     trace: FlipTrace,
     scheme: Optional[PriorityScheme] = None,
     k: int = 2,
     jobs: int = 1,
 ) -> List[MobilityStep]:
-    """Incremental sweep over a recorded :class:`FlipTrace`.
+    """Exact forward sets across a recorded :class:`FlipTrace`, one
+    entry per step.
 
-    Replays the trace's flip stream through the exact decision loop of
-    :func:`run_mobility_sweep` with ``incremental=True``, so a recorded
-    workload can A/B schemes without re-running the mobility model.
+    Replays the trace's flip stream through one mutable
+    :class:`Topology` and re-decides only the nodes whose cached
+    decision a step's flips can change (the dirty ball of radius
+    ``k + scheme.metric_locality``; every node when that locality is
+    ``None``), so a recorded workload can A/B schemes without re-running
+    the mobility model.  To sweep a live model, record it first:
+    ``run_trace_sweep(record_flip_trace(model, steps, dt), scheme, k)``.
+    The forward sets equal
+    :func:`repro.check.reference.mobility_sweep_by_rebuild`'s, which
+    rebuilds the graph and re-decides every node at every step.
 
     With ``jobs > 1`` the re-decisions split over ``groups = min(jobs,
     n)`` worker groups on the sweep pool
@@ -495,9 +355,58 @@ def _replay_trace(
     k: int,
     owned: Optional[AbstractSet[int]] = None,
 ) -> List[MobilityStep]:
+    """The incremental decision loop over ``trace.replay()``.
+
+    One mutable :class:`Topology` carries the whole trace, and only
+    nodes inside the dirty ball of radius ``k + scheme.metric_locality``
+    re-evaluate their coverage condition: a changed edge can alter a
+    cached decision at ``v`` only if an endpoint lies within ``k`` hops
+    of some node visible to ``v`` (Definition 2 locality) or within
+    ``metric_locality`` hops of one (metric drift), i.e. within
+    ``k + metric_locality`` of ``v``.  Schemes that leave
+    ``metric_locality`` as ``None`` re-decide every node on each flip
+    step, which is always safe.
+
+    With ``owned`` the loop decides (and counts in ``redecided``) only
+    the stale nodes in that set, so ``forward`` lists owned nodes only;
+    the stale set and the metric refreshes are the serial ones, so a
+    partition of the nodes into ``owned`` sets yields forward sets whose
+    union is the serial answer.
+    """
     locality = scheme.metric_locality
     radius = None if locality is None else k + locality
     extra = () if radius is None else (radius,)
-    return _incremental_sweep_over(
-        trace.replay(extra_radii=extra), scheme, k, radius, owned
-    )
+    decisions: Dict[int, bool] = {}
+    metrics: Optional[Dict[int, Tuple[float, ...]]] = None
+    results: List[MobilityStep] = []
+    for index, snap in enumerate(trace.replay(extra_radii=extra)):
+        graph = snap.topology
+        if index == 0:
+            stale = graph.nodes()  # first step: everything undecided
+        elif snap.report is None:
+            stale = []  # no link flipped; every cached decision stands
+        elif radius is None:
+            stale = graph.nodes()
+        else:
+            stale = sorted(snap.report.dirty_at(radius))
+        if metrics is None or (snap.report is not None and stale):
+            # Metric tables are O(n) for the built-in schemes — cheap
+            # next to view extraction, and only rebuilt on flip steps.
+            metrics = scheme.metrics(graph)
+        if owned is not None:
+            stale = [node for node in stale if node in owned]
+        for node in stale:
+            decisions[node] = _forward_decision(graph, node, k, scheme, metrics)
+        results.append(
+            MobilityStep(
+                step=snap.step,
+                time=snap.time,
+                forward=tuple(sorted(
+                    node for node, flag in decisions.items() if flag
+                )),
+                redecided=len(stale),
+                added_edges=len(snap.added_edges),
+                removed_edges=len(snap.removed_edges),
+            )
+        )
+    return results

@@ -31,8 +31,8 @@ from .io import (
     network_to_json,
     to_networkx,
 )
-from .mobility import RandomWaypointModel, SnapshotDelta
-from .fliptrace import FlipStep, FlipTrace, record_flip_trace
+from .mobility import RandomWaypointModel
+from .fliptrace import FlipStep, FlipTrace, SnapshotDelta, record_flip_trace
 
 __all__ = [
     "Area",

@@ -9,31 +9,29 @@ A trace can be
 * **recorded** from a live model (:func:`record_flip_trace`),
 * serialised to/from JSONL byte-identically (``to_jsonl_lines`` /
   ``from_jsonl_lines`` and the file variants), and
-* **replayed** as a :meth:`~repro.graph.mobility.RandomWaypointModel.
-  snapshot_deltas`-compatible stream (:meth:`FlipTrace.replay`), so the
-  serial incremental sweep can A/B schemes on the *identical* workload
-  without re-running the mobility model, and each worker group of
-  ``run_trace_sweep(..., jobs=N)`` can replay the whole trace on its
-  own topology copy.
+* **replayed** as a stream of :class:`SnapshotDelta` steps over one
+  mutable :class:`~repro.graph.topology.Topology`
+  (:meth:`FlipTrace.replay`), which the incremental sweep
+  :func:`~repro.experiments.runner.run_trace_sweep` consumes — in
+  process, or once per worker group on the group's own topology copy.
 
-Replayed :class:`~repro.graph.mobility.SnapshotDelta` entries carry the
-**base** positions throughout (adjacency is authoritative; per-step
-positions are not recorded).  Byte identity of the JSONL round-trip
-rests on ``json`` float serialisation using ``repr``, which round-trips
-every finite float exactly.
+Replay is adjacency only: per-step positions are not recorded.  Byte
+identity of the JSONL round-trip rests on ``json`` float serialisation
+using ``repr``, which round-trips every finite float exactly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .geometry import Point
-from .mobility import RandomWaypointModel, SnapshotDelta
-from .unit_disk import UnitDiskGraph, build_unit_disk_graph
+from .mobility import RandomWaypointModel
+from .topology import DeltaReport, Topology
+from .unit_disk import build_unit_disk_graph, edge_flips
 
-__all__ = ["FlipStep", "FlipTrace", "record_flip_trace"]
+__all__ = ["FlipStep", "FlipTrace", "SnapshotDelta", "record_flip_trace"]
 
 _FORMAT = "repro-fliptrace"
 _VERSION = 2
@@ -50,10 +48,24 @@ class FlipStep:
     added: Tuple[Edge, ...]
     removed: Tuple[Edge, ...]
 
-    @property
-    def flip_count(self) -> int:
-        """Total links flipped this step."""
-        return len(self.added) + len(self.removed)
+
+@dataclass(frozen=True)
+class SnapshotDelta:
+    """One replayed step: its flips, applied to the replay's topology.
+
+    ``topology`` is the *same mutable* :class:`Topology` object across
+    every step of one :meth:`FlipTrace.replay` iteration, mutated in
+    place through ``apply_delta`` so its query cache survives for every
+    node outside the dirty set.  ``report`` is ``None`` on steps where
+    no link flipped (the topology is untouched).
+    """
+
+    step: int
+    time: float
+    topology: Topology
+    added_edges: Tuple[Edge, ...]
+    removed_edges: Tuple[Edge, ...]
+    report: Optional[DeltaReport]
 
 
 @dataclass(frozen=True)
@@ -68,14 +80,12 @@ class FlipTrace:
         """Re-drive the trace through one mutable :class:`Topology`.
 
         Builds the base unit-disk graph, then applies each step's flips
-        through :meth:`Topology.apply_delta` and yields the same
-        :class:`~repro.graph.mobility.SnapshotDelta` stream a live
-        model would produce — ``report`` is ``None`` on flip-free steps
-        and ``extra_radii`` is forwarded for callers that need
-        :meth:`DeltaReport.dirty_at` at their own radii.
+        through :meth:`Topology.apply_delta` and yields one
+        :class:`SnapshotDelta` per step.  ``extra_radii`` is forwarded
+        for callers that need :meth:`DeltaReport.dirty_at` at their own
+        radii (e.g. a sweep's decision radius).
         """
-        base = build_unit_disk_graph(self.positions, self.radius)
-        topology = base.topology
+        topology = build_unit_disk_graph(self.positions, self.radius).topology
         radii = tuple(sorted(dict.fromkeys(extra_radii)))
         for entry in self.steps:
             report = None
@@ -88,15 +98,10 @@ class FlipTrace:
             yield SnapshotDelta(
                 step=entry.step,
                 time=entry.time,
-                graph=UnitDiskGraph(
-                    topology=topology,
-                    positions=self.positions,
-                    radius=self.radius,
-                ),
-                added_edges=tuple(entry.added),
-                removed_edges=tuple(entry.removed),
+                topology=topology,
+                added_edges=entry.added,
+                removed_edges=entry.removed,
                 report=report,
-                flip_count=entry.flip_count,
             )
 
     def to_jsonl_lines(self) -> List[str]:
@@ -139,7 +144,10 @@ class FlipTrace:
         Steps must run ``0, 1, 2, ...``: a gap (a lost interior line)
         raises ``ValueError`` naming the expected step, as does a line
         cut mid-JSON.  The header records the step count, so a trace cut
-        after a whole step line raises too, naming both counts.
+        after a whole step line raises too, naming both counts.  A
+        header or step line missing a field raises ``ValueError`` naming
+        the field, and so does a flip naming a node the header does not
+        place, naming the step and the edge.
         """
         iterator = iter(lines)
         try:
@@ -156,40 +164,36 @@ class FlipTrace:
             )
         positions = {
             int(node): Point(xy[0], xy[1])
-            for node, xy in header["positions"].items()
+            for node, xy in _field(header, "positions", "header").items()
         }
+        radius = _field(header, "radius", "header")
+        promised = _field(header, "steps", "header")
         steps = []
         for line in iterator:
             if not line.strip():
                 continue
             payload = json.loads(line)
-            if payload["step"] != len(steps):
+            where = f"step {len(steps)}"
+            step = _field(payload, "step", where)
+            if step != len(steps):
                 raise ValueError(
                     f"flip trace out of order: expected step {len(steps)}, "
-                    f"got step {payload['step']}"
+                    f"got step {step}"
                 )
             steps.append(
                 FlipStep(
-                    step=payload["step"],
-                    time=payload["time"],
-                    added=tuple(
-                        (edge[0], edge[1]) for edge in payload["added"]
-                    ),
-                    removed=tuple(
-                        (edge[0], edge[1]) for edge in payload["removed"]
-                    ),
+                    step=step,
+                    time=_field(payload, "time", where),
+                    added=_edges(payload, "added", where, positions),
+                    removed=_edges(payload, "removed", where, positions),
                 )
             )
-        if len(steps) != header["steps"]:
+        if len(steps) != promised:
             raise ValueError(
-                f"flip trace truncated: header promises {header['steps']} "
+                f"flip trace truncated: header promises {promised} "
                 f"steps, found {len(steps)}"
             )
-        return FlipTrace(
-            positions=positions,
-            radius=header["radius"],
-            steps=tuple(steps),
-        )
+        return FlipTrace(positions=positions, radius=radius, steps=tuple(steps))
 
     def to_jsonl(self, path: str) -> None:
         """Write the trace to ``path`` as JSONL (one object per line)."""
@@ -205,30 +209,59 @@ class FlipTrace:
             return FlipTrace.from_jsonl_lines(handle)
 
 
+def _field(payload: object, key: str, where: str) -> object:
+    """``payload[key]``, or a ``ValueError`` naming the missing field."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise ValueError(f"flip trace {where} has no {key!r} field")
+    return payload[key]
+
+
+def _edges(
+    payload: object, key: str, where: str, positions: Dict[int, Point]
+) -> Tuple[Edge, ...]:
+    """A step line's ``key`` flips, each between two placed nodes."""
+    edges = tuple((edge[0], edge[1]) for edge in _field(payload, key, where))
+    for edge in edges:
+        if edge[0] not in positions or edge[1] not in positions:
+            raise ValueError(
+                f"flip trace {where}: {key} edge {edge} names a node "
+                "the header does not place"
+            )
+    return edges
+
+
 def record_flip_trace(
     model: RandomWaypointModel, steps: int, dt: float
 ) -> FlipTrace:
     """Record ``steps`` steps of ``model`` as a replayable trace.
 
-    Consumes the model (its RNG advances exactly as a live sweep's
-    would), capturing the base positions before the first step so
-    :meth:`FlipTrace.replay` rebuilds the identical base topology.
+    Consumes the model (only :meth:`RandomWaypointModel.advance` draws
+    from its RNG).  The base positions are captured before the first
+    step; each step advances the model by ``dt`` and diffs the new
+    positions against one topology kept current through
+    :meth:`Topology.apply_delta`, so :meth:`FlipTrace.replay` rebuilds
+    the identical adjacency at every step.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
-    base_positions = dict(model.positions())
+    positions = model.positions()
+    topology = build_unit_disk_graph(positions, model.radius).topology
     recorded = []
-    for snap in model.snapshot_deltas(dt, steps):
+    for step in range(steps):
+        model.advance(dt)
+        added, removed = edge_flips(model.positions(), model.radius, topology)
+        if added or removed:
+            topology.apply_delta(added_edges=added, removed_edges=removed)
         recorded.append(
             FlipStep(
-                step=snap.step,
-                time=snap.time,
-                added=tuple(snap.added_edges),
-                removed=tuple(snap.removed_edges),
+                step=step,
+                time=model.time,
+                added=tuple(added),
+                removed=tuple(removed),
             )
         )
     return FlipTrace(
-        positions=base_positions,
+        positions=positions,
         radius=model.radius,
         steps=tuple(recorded),
     )

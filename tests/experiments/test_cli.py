@@ -68,6 +68,46 @@ class TestCli:
         assert [int(row.split()[0]) for row in rows[:3]] == [0, 1, 2]
         assert rows[-1].startswith("totals: ")
 
+    def test_sharded_mobility_zero_steps_replays_none(self, capsys):
+        code = main(
+            [
+                "sharded-mobility", "--quick",
+                "--mobility-nodes", "40", "--steps", "0", "--jobs", "1",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "n=40 steps=0 jobs=1" in out
+        assert out.splitlines()[-1] == "totals: redecided=0 flips=0"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sharded-mobility", "--steps", "-2"], "--steps: must be >= 0"),
+            (
+                ["sharded-mobility", "--mobility-nodes", "0", "--steps", "1"],
+                "--mobility-nodes: must be >= 1",
+            ),
+            (
+                ["traffic", "--messages", "0", "--traffic-nodes", "10",
+                 "--rates", "1.0", "--protocols", "flooding"],
+                "--messages: must be >= 1",
+            ),
+            (
+                ["traffic", "--traffic-nodes", "1", "--messages", "1",
+                 "--rates", "1.0", "--protocols", "flooding"],
+                "--traffic-nodes: must be >= 2",
+            ),
+            (["table1", "--jobs", "-1"], "--jobs: must be >= 0"),
+        ],
+        ids=["steps", "mobility-nodes", "messages", "traffic-nodes", "jobs"],
+    )
+    def test_count_below_minimum_rejected(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--quick"])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCliChartDir:
     def test_chart_svgs_written(self, capsys, tmp_path):

@@ -2,7 +2,7 @@
 
 The determinism contract under test: ``run_trace_sweep(..., jobs=N)``
 merges its worker groups' steps into exactly the serial incremental
-path's steps (and the full-rebuild oracle's forward sets) at **any**
+sweep's steps (and the full-rebuild oracle's forward sets) at **any**
 worker count, on the coverage kernel and on the reference predicates
 (``sets``, run under :func:`repro.check.reference.substituted`, whose
 rebinding the forked workers inherit).  Each seed rotates through one
@@ -11,6 +11,7 @@ over.
 """
 
 import contextlib
+import json
 import multiprocessing
 import os
 import random
@@ -23,11 +24,8 @@ from repro.core.priority import (
     NcrPriority,
     RandomEpochPriority,
 )
-from repro.experiments import (
-    ShardGroupFailure,
-    run_mobility_sweep,
-    run_trace_sweep,
-)
+from repro.check.reference import mobility_sweep_by_rebuild
+from repro.experiments import ShardGroupFailure, run_trace_sweep
 from repro.experiments import runner as runner_module
 from repro.graph import (
     Area,
@@ -71,12 +69,12 @@ def test_sharded_matches_serial_and_rebuild(seed, on_backend):
     backend, jobs = _cell(seed)
     scheme_factory = NcrPriority if seed % 5 == 0 else DegreePriority
     with on_backend(backend):
-        serial = run_mobility_sweep(
-            _model(seed), 5, 1.0, scheme=scheme_factory(), k=2
+        serial = run_trace_sweep(
+            record_flip_trace(_model(seed), 5, 1.0),
+            scheme=scheme_factory(), k=2,
         )
-        rebuilt = run_mobility_sweep(
-            _model(seed), 5, 1.0, scheme=scheme_factory(), k=2,
-            incremental=False,
+        rebuilt = mobility_sweep_by_rebuild(
+            _model(seed), 5, 1.0, scheme=scheme_factory(), k=2
         )
         sharded = run_trace_sweep(
             record_flip_trace(_model(seed), 5, 1.0),
@@ -91,8 +89,10 @@ def test_sharded_matches_serial_and_rebuild(seed, on_backend):
 def test_bad_jobs_rejected():
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         run_trace_sweep(record_flip_trace(_model(7), 2, 1.0), jobs=0)
-    with pytest.raises(ValueError):
-        run_mobility_sweep(_model(7), -1, 1.0)
+    with pytest.raises(ValueError, match="steps must be non-negative"):
+        record_flip_trace(_model(7), -1, 1.0)
+    with pytest.raises(ValueError, match="steps must be non-negative"):
+        mobility_sweep_by_rebuild(_model(7), -1, 1.0)
 
 
 def test_more_jobs_than_nodes_matches_serial():
@@ -168,25 +168,21 @@ def _no_hang(seconds: int = 60):
         signal.signal(signal.SIGALRM, previous)
 
 
-# On two workers group 0 owns the even chain nodes, group 1 the odd ones.
-_GROUP_MARKER = {0: 0, 1: 1}
-
-
 def _sabotage_group(monkeypatch, fail, group=1):
-    """Run ``fail()`` when ``group``'s replay reaches step 1."""
-    sweep = runner_module._incremental_sweep_over
-    marker = _GROUP_MARKER[group]
+    """Run ``fail()`` when ``group``'s replay reaches step 1.
 
-    def sabotaged(deltas, scheme, k, radius, owned=None):
-        def watched():
-            for snap in deltas:
-                if snap.step == 1 and owned is not None and marker in owned:
-                    fail()
-                yield snap
+    On two workers group 0 owns the even chain nodes and group 1 the odd
+    ones, and step 1 is the only step without the (6, 7) link, so the
+    group's first decision there trips the hook.
+    """
+    decide = runner_module._forward_decision
 
-        return sweep(watched(), scheme, k, radius, owned=owned)
+    def sabotaged(graph, node, k, scheme, metrics):
+        if node % 2 == group and not graph.has_edge(6, 7):
+            fail()
+        return decide(graph, node, k, scheme, metrics)
 
-    monkeypatch.setattr(runner_module, "_incremental_sweep_over", sabotaged)
+    monkeypatch.setattr(runner_module, "_forward_decision", sabotaged)
 
 
 def _run_chain_on_two_workers():
@@ -278,7 +274,7 @@ def test_fliptrace_jsonl_file_round_trip(tmp_path):
 def test_trace_replay_matches_live_sweep():
     scheme = DegreePriority()
     trace = record_flip_trace(_model(13), 5, 1.0)
-    live = run_mobility_sweep(_model(13), 5, 1.0, scheme=scheme, k=2)
+    live = mobility_sweep_by_rebuild(_model(13), 5, 1.0, scheme=scheme, k=2)
     replayed = run_trace_sweep(trace, scheme=scheme, k=2)
     assert _payload(live) == _payload(replayed)
     sharded = run_trace_sweep(trace, scheme=scheme, k=2, jobs=2)
@@ -294,13 +290,33 @@ def test_fliptrace_rejects_truncated_lines():
         FlipTrace.from_jsonl_lines(lines[:-1] + [lines[-1][:-5]])
     with pytest.raises(ValueError, match="promises 6 steps, found 5"):
         FlipTrace.from_jsonl_lines(lines[:-1])
+    # A step line missing a field, or a flip naming a node the header
+    # does not place, fails at load rather than mid-replay.
+    for field in ("added", "removed", "time"):
+        step = json.loads(lines[3])
+        del step[field]
+        with pytest.raises(ValueError, match=f"step 2 has no '{field}' field"):
+            FlipTrace.from_jsonl_lines(lines[:3] + [json.dumps(step)] + lines[4:])
+    for field in ("added", "removed"):
+        step = json.loads(lines[3])
+        step[field] = step[field] + [[0, 99]]
+        with pytest.raises(
+            ValueError,
+            match=rf"step 2: {field} edge \(0, 99\) names a node the header",
+        ):
+            FlipTrace.from_jsonl_lines(lines[:3] + [json.dumps(step)] + lines[4:])
 
 
 def test_fliptrace_flip_counts_round_trip():
     trace = record_flip_trace(_model(14), 5, 1.0)
-    for entry, snap in zip(trace.steps, trace.replay()):
-        assert entry.flip_count == len(entry.added) + len(entry.removed)
-        assert snap.flip_count == entry.flip_count
+    replayed = list(trace.replay())
+    assert [(s.step, s.time) for s in replayed] == (
+        [(e.step, e.time) for e in trace.steps]
+    )
+    for entry, snap in zip(trace.steps, replayed):
+        assert snap.added_edges == entry.added
+        assert snap.removed_edges == entry.removed
+    assert sum(len(e.added) + len(e.removed) for e in trace.steps) > 0
 
 
 def test_fliptrace_rejects_bad_header():
@@ -313,6 +329,11 @@ def test_fliptrace_rejects_bad_header():
             ['{"format": "repro-fliptrace", "version": 1, "radius": 1.0, '
              '"positions": {}}']
         )
+    header = json.loads(record_flip_trace(_model(11), 0, 1.0).to_jsonl_lines()[0])
+    for field in ("steps", "radius", "positions"):
+        partial = {key: value for key, value in header.items() if key != field}
+        with pytest.raises(ValueError, match=f"header has no '{field}' field"):
+            FlipTrace.from_jsonl_lines([json.dumps(partial)])
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.graph.fliptrace import record_flip_trace
 from repro.graph.geometry import Area, Point, random_points
 from repro.graph.mobility import RandomWaypointModel
+from repro.graph.unit_disk import build_unit_disk_graph
 
 
 def _model(**kwargs) -> RandomWaypointModel:
@@ -19,6 +21,12 @@ def _model(**kwargs) -> RandomWaypointModel:
     )
     defaults.update(kwargs)
     return RandomWaypointModel(**defaults)
+
+
+def _rebuilt_edges(model: RandomWaypointModel) -> set:
+    """The edges of the unit-disk graph rebuilt at the model's positions."""
+    graph = build_unit_disk_graph(model.positions(), model.radius)
+    return set(graph.topology.edges())
 
 
 class TestRandomWaypoint:
@@ -99,12 +107,6 @@ class TestRandomWaypoint:
             d = snap.positions[u].distance_to(snap.positions[v])
             assert d <= model.radius + 1e-9
 
-    def test_snapshots_iterator(self):
-        model = _model()
-        snaps = list(model.snapshots(dt=1.0, count=3))
-        assert len(snaps) == 3
-        assert model.time == pytest.approx(3.0)
-
     def test_time_accumulates(self):
         model = _model()
         model.advance(2.5)
@@ -137,23 +139,30 @@ class TestMobilityStaleMetrics:
 
 
 class TestSnapshotDeltaFlipCount:
-    """``flip_count`` is the pre-computed per-step link-flip total."""
+    """A replayed step carries exactly the flips its model step caused."""
 
     def test_flip_count_matches_edge_lists(self):
-        model = _model()
+        # The replayed flips of each step must be the edge diff between
+        # an equally seeded model's graphs, rebuilt before and after it
+        # advances in lockstep.
+        trace = record_flip_trace(_model(), 8, 2.0)
+        twin = _model()
+        before = _rebuilt_edges(twin)
         total = 0
-        for snap in model.snapshot_deltas(dt=2.0, count=8):
-            assert snap.flip_count == (
-                len(snap.added_edges) + len(snap.removed_edges)
-            )
-            total += snap.flip_count
+        for snap in trace.replay():
+            twin.advance(2.0)
+            after = _rebuilt_edges(twin)
+            assert snap.added_edges == tuple(sorted(after - before))
+            assert snap.removed_edges == tuple(sorted(before - after))
+            assert sorted(snap.topology.edges()) == sorted(after)
+            total += len(snap.added_edges) + len(snap.removed_edges)
+            before = after
         assert total > 0, "fixture produced no link flips; test is vacuous"
 
     def test_quiet_step_has_zero_flip_count(self):
-        model = _model()
-        # dt=0 moves nobody: the delta stream must report zero flips.
-        snap = next(model.snapshot_deltas(dt=0.0, count=1))
-        assert snap.flip_count == 0
+        # dt=0 moves nobody: the replayed step must carry no flips.
+        trace = record_flip_trace(_model(), 1, 0.0)
+        snap = next(trace.replay())
         assert snap.added_edges == ()
         assert snap.removed_edges == ()
         assert snap.report is None

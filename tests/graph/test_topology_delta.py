@@ -8,24 +8,31 @@ positions — adjacency, node-index order, mask tables, k-hop view graphs,
 and the forward sets the generic scheme derives from them, byte-identical
 on the coverage kernel and on the reference predicates.
 
+Every step comes from a recorded flip trace replayed through
+``FlipTrace.replay`` and is checked against an equally seeded model,
+advanced in lockstep and rebuilt with ``build_unit_disk_graph``.
+
 Plus directed unit tests for the machinery itself: dirty balls, empty
-deltas, validation atomicity, the version stamp, no-flip snapshot reuse,
-and the instrumentation counters.
+deltas, validation atomicity, the version stamp, the replay's one shared
+topology, and the instrumentation counters.
 """
 
 import random
 
 import pytest
 
+from repro.check.reference import mobility_sweep_by_rebuild
 from repro.core import coverage
 from repro.core.priority import DegreePriority, IdPriority, NcrPriority
 from repro.core.views import local_view
-from repro.experiments.runner import run_mobility_sweep
+from repro.experiments.runner import run_trace_sweep
+from repro.graph.fliptrace import record_flip_trace
 from repro.graph.geometry import Area, random_points
 from repro.graph.mobility import RandomWaypointModel
 from repro.graph.topology import Topology
 from repro.graph.unit_disk import build_unit_disk_graph
 from repro.instrument import collecting
+from repro.sim.energy import EnergyAwarePriority
 
 SEEDS = range(50)
 BACKENDS = ("bitset", "sets")
@@ -42,6 +49,27 @@ def _model(seed: int, n: int = 14, speed: float = 3.0) -> RandomWaypointModel:
         min_speed=speed / 2,
         max_speed=speed,
     )
+
+
+def _replay_in_lockstep(seed: int, steps: int, dt: float, **kwargs):
+    """Yield ``(delta, expected)`` per step: the replayed step of
+    ``_model(seed)``'s recorded trace, and the topology rebuilt from an
+    equally seeded model advanced in lockstep.
+
+    Lockstep on purpose: the replay shares one *mutable* topology, so
+    materialising the whole stream first would show every step at the
+    final adjacency.
+    """
+    trace = record_flip_trace(_model(seed, **kwargs), steps, dt)
+    twin = _model(seed, **kwargs)
+    for delta in trace.replay(extra_radii=(2,)):
+        twin.advance(dt)
+        yield delta, build_unit_disk_graph(twin.positions(), twin.radius).topology
+
+
+def _energy_priority() -> EnergyAwarePriority:
+    """A scheme that leaves ``metric_locality`` as ``None``."""
+    return EnergyAwarePriority({node: 1.0 + (7 * node) % 11 for node in range(14)})
 
 
 def _warm(graph: Topology, k: int = 2) -> None:
@@ -74,12 +102,9 @@ def _forward_set(graph: Topology, scheme, k: int = 2):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_delta_applied_matches_rebuilt(seed):
-    model = _model(seed)
     flips = 0
-    for snap in model.snapshot_deltas(dt=1.0, count=6, extra_radii=(2,)):
-        live = snap.graph.topology
-        oracle = build_unit_disk_graph(snap.graph.positions, model.radius)
-        expected = oracle.topology
+    for snap, expected in _replay_in_lockstep(seed, steps=6, dt=1.0):
+        live = snap.topology
         assert sorted(live.nodes()) == sorted(expected.nodes())
         assert sorted(live.edges()) == sorted(expected.edges())
         live_index, live_masks = live.adjacency_masks()
@@ -105,26 +130,31 @@ def test_delta_applied_matches_rebuilt(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_forward_sets_byte_identical(seed, backend, on_backend):
     scheme = DegreePriority()
-    model = _model(seed)
-    for snap in model.snapshot_deltas(dt=1.5, count=4):
-        live = snap.graph.topology
-        expected = build_unit_disk_graph(
-            snap.graph.positions, model.radius
-        ).topology
+    for snap, expected in _replay_in_lockstep(seed, steps=4, dt=1.5):
+        live = snap.topology
         with on_backend(backend):
             assert _forward_set(live, scheme) == _forward_set(expected, scheme)
         _warm(live)
 
 
-@pytest.mark.parametrize("scheme_factory", [IdPriority, DegreePriority, NcrPriority])
+@pytest.mark.parametrize(
+    "scheme_factory",
+    [
+        IdPriority,
+        DegreePriority,
+        NcrPriority,
+        # metric_locality None: every flip step re-decides every node.
+        pytest.param(_energy_priority, id="EnergyAwarePriority"),
+    ],
+)
 @pytest.mark.parametrize("seed", range(10))
 def test_mobility_sweep_incremental_matches_rebuild(seed, scheme_factory):
-    incremental = run_mobility_sweep(
-        _model(seed), steps=5, dt=1.0, scheme=scheme_factory(), k=2
+    incremental = run_trace_sweep(
+        record_flip_trace(_model(seed), steps=5, dt=1.0),
+        scheme=scheme_factory(), k=2,
     )
-    rebuilt = run_mobility_sweep(
-        _model(seed), steps=5, dt=1.0, scheme=scheme_factory(), k=2,
-        incremental=False,
+    rebuilt = mobility_sweep_by_rebuild(
+        _model(seed), steps=5, dt=1.0, scheme=scheme_factory(), k=2
     )
     assert [s.forward for s in incremental] == [s.forward for s in rebuilt]
     assert [s.step for s in incremental] == [s.step for s in rebuilt]
@@ -257,47 +287,29 @@ class TestFallbackAndValidation:
 
 
 # ----------------------------------------------------------------------
-# Snapshot reuse (the no-flip bugfix) and delta emission
+# Replayed deltas: one shared topology, rebuilt-graph agreement
 # ----------------------------------------------------------------------
 
 
 class TestSnapshotReuse:
-    def test_no_flip_snapshots_share_topology_object(self):
-        # Speeds of ~1e-9 per unit time cannot flip a link in a 60x60
-        # area with radius 22: every step must reuse the same Topology.
-        model = _model(3, speed=2e-9)
-        snaps = list(model.snapshots(dt=1.0, count=4))
-        assert len(snaps) == 4
-        for snap in snaps[1:]:
-            assert snap.topology is snaps[0].topology
-
     def test_no_flip_deltas_report_none(self):
-        model = _model(3, speed=2e-9)
-        deltas = list(model.snapshot_deltas(dt=1.0, count=4))
+        # Speeds of ~1e-9 per unit time cannot flip a link in a 60x60
+        # area with radius 22: every step must leave the topology as is.
+        trace = record_flip_trace(_model(3, speed=2e-9), 4, 1.0)
+        deltas = list(trace.replay())
+        assert len(deltas) == 4
         assert all(d.report is None for d in deltas)
-        assert all(
-            d.graph.topology is deltas[0].graph.topology for d in deltas
-        )
+        assert all(d.topology is deltas[0].topology for d in deltas)
 
     def test_deltas_share_one_mutable_topology(self):
-        model = _model(5)
-        deltas = list(model.snapshot_deltas(dt=1.5, count=5))
+        deltas = list(record_flip_trace(_model(5), 5, 1.5).replay())
         assert any(d.report is not None for d in deltas)
-        assert all(
-            d.graph.topology is deltas[0].graph.topology for d in deltas
-        )
+        assert all(d.topology is deltas[0].topology for d in deltas)
 
     def test_snapshots_and_deltas_agree(self):
-        # Lockstep iteration on purpose: the deltas share one *mutable*
-        # topology, so materializing the whole list first would show
-        # every entry at the final adjacency.
-        plain = _model(7).snapshots(dt=1.0, count=5)
-        deltas = _model(7).snapshot_deltas(dt=1.0, count=5)
         steps = 0
-        for snap, delta in zip(plain, deltas):
-            assert sorted(snap.topology.edges()) == (
-                sorted(delta.graph.topology.edges())
-            )
-            assert snap.positions == delta.graph.positions
+        for delta, expected in _replay_in_lockstep(7, steps=5, dt=1.0):
+            assert sorted(delta.topology.nodes()) == sorted(expected.nodes())
+            assert sorted(delta.topology.edges()) == sorted(expected.edges())
             steps += 1
         assert steps == 5
